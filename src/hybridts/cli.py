@@ -47,12 +47,6 @@ def _report(command: str, args, records: list, aggregate: dict,
     }
 
 
-def _finite(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError("non-finite numeric field in report")
-    return value
-
-
 def _spec_echo(args) -> dict:
     """The flags of a run, without where its output goes or its handler."""
     return {k: v for k, v in vars(args).items()
@@ -70,10 +64,9 @@ def _take_out(text: str, args) -> None:
 
 
 def _emit(report: dict, args) -> None:
-    for record in report.get("records", []):
-        for v in record.values():
-            _finite(v)
-    text = json.dumps(report, sort_keys=True, indent=2, default=str)
+    # JSON has no NaN or infinity: reject them anywhere, before writing.
+    text = json.dumps(report, sort_keys=True, indent=2, default=str,
+                      allow_nan=False)
     if getattr(args, "_out_taken", False):
         print(text, file=sys.stdout if args.out else sys.stderr)
     else:
@@ -170,8 +163,7 @@ def cmd_qwalk_detect(args) -> dict:
     started = time.time()
     formula = _load_formula(args)
     result = tree_stats(formula, EngineConfig(kind=DPLL), collect_tree=True)
-    tree = qwalk.WalkTree.from_search_tree(result.tree,
-                                           depth_bound=formula.num_vars)
+    tree = result.tree
     detection = qwalk.detect_marked(tree, delta=args.delta, seed=args.seed,
                                     trials=args.trials)
     rec = {

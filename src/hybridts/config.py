@@ -10,7 +10,10 @@ def _env_cap() -> int | None:
     raw = os.environ.get("HYBRIDTS_DIM_CAP")
     if not raw:
         return None
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"HYBRIDTS_DIM_CAP must be an integer, got {raw!r}") from None
     if value < 2:
         raise ValueError("HYBRIDTS_DIM_CAP must be at least 2")
     return value

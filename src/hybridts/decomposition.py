@@ -28,7 +28,7 @@ class SubtreeMetrics:
 
 
 def subtree_metrics(tree: SearchTree) -> SubtreeMetrics:
-    kids = tree.children_lists()
+    kids = tree.children
     n = tree.size
     sizes = [1] * n
     heights = [0] * n
@@ -76,7 +76,7 @@ def decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecompositio
         raise ValueError(f"unknown effective-size measure {measure!r}")
     metrics = subtree_metrics(tree)
     values = metrics.heights if measure == MEASURE_HEIGHT else metrics.branchings
-    kids = tree.children_lists()
+    kids = tree.children
     for v, p in enumerate(tree.parents):
         if p >= 0 and values[v] > values[p]:
             raise ValueError("measure is not monotone along root-to-leaf paths")
@@ -122,7 +122,7 @@ def leaves_bound_check(tree: SearchTree) -> dict:
     longest root-to-leaf path (the chain-compression argument needs P, not
     the variable count)."""
     metrics = subtree_metrics(tree)
-    kids = tree.children_lists()
+    kids = tree.children
     total = tree.size
     leaves = sum(1 for v in range(total) if not kids[v])
     path_vertices = metrics.heights[0] + 1

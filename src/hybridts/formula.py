@@ -354,7 +354,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         if num_vars is None:
             raise ValueError("clause before DIMACS header")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(f"non-integer DIMACS token {tok!r}") from None
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -365,10 +368,10 @@ def parse_dimacs(text: str) -> CnfFormula:
     if num_vars is None:
         raise ValueError("missing DIMACS header")
     if current:
-        clauses.append(current)
-    if declared is not None and declared != len(clauses):
-        # Tolerated: many generators miscount after normalization.
-        pass
+        raise ValueError("last DIMACS clause is not terminated by 0")
+    if declared != len(clauses):
+        raise ValueError(f"DIMACS header declares {declared} clauses, "
+                         f"found {len(clauses)}")
     return CnfFormula.from_clauses(num_vars, clauses)
 
 

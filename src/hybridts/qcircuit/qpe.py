@@ -36,25 +36,8 @@ def _u_wires(u: np.ndarray) -> int:
 def qpe_standard(u: np.ndarray, eigenstate: np.ndarray, t: int) -> float:
     """Probability that all t estimate bits read zero: |alpha_0|^2 with
     alpha_0 = 2^-t * prod_j (1 + e^(2 pi i 2^j theta))."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
     _check_eigenstate(u, eigenstate)
-    m = _u_wires(u)
-    circ = Circuit(t + m)
-    targets = tuple(range(t, t + m))
-    for j in range(t):
-        circ.h(j)
-    power = np.asarray(u, dtype=complex)
-    for j in range(t):
-        # ancilla j controls U^(2^j)
-        circ.unitary(targets, power, ((j, 1),))
-        power = power @ power
-    for j in range(t):
-        circ.h(j)
-    init = np.kron(_basis(2 ** t, 0), np.asarray(eigenstate, dtype=complex))
-    state = simulate(circ, state=init)
-    amps = state.reshape(2 ** t, 2 ** m)
-    return float(np.sum(np.abs(amps[0]) ** 2))
+    return qpe_zero_probability(u, eigenstate, t)
 
 
 def qpe_counter(u: np.ndarray, eigenstate: np.ndarray, t: int) -> tuple[float, int]:

@@ -8,7 +8,6 @@ drawn from that probability.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -30,90 +29,12 @@ DETECTION_GAMMA = 35.0
 DETECTION_BETA = 0.3
 
 
-@dataclass
-class WalkTree:
-    """Rooted tree with marked flags; vertex 0 is the root."""
-
-    parents: list[int]
-    depths: list[int]
-    marked: list[bool]
-    depth_bound: int                       # the n in the precision scale
-    edges: list[tuple[int, int] | None] | None = None
-    num_vars: int | None = None
-
-    def __post_init__(self):
-        self.children: list[list[int]] = [[] for _ in self.parents]
-        for v, p in enumerate(self.parents):
-            if p >= 0:
-                self.children[p].append(v)
-
-    @property
-    def size(self) -> int:
-        return len(self.parents)
-
-    @classmethod
-    def from_search_tree(cls, tree: SearchTree, depth_bound: int | None = None) -> "WalkTree":
-        heights = max(tree.depths) if tree.depths else 0
-        return cls(list(tree.parents), list(tree.depths), list(tree.marked),
-                   depth_bound if depth_bound is not None else max(1, heights),
-                   edges=list(tree.edges), num_vars=tree.num_vars)
-
-    def degree(self, vertex: int) -> int:
-        d = len(self.children[vertex])
-        return d if vertex == 0 else d + 1
-
-    def subtree(self, root: int) -> tuple["WalkTree", list[int]]:
-        """Sub-walk-tree rooted at `root`; returns it plus old-vertex ids."""
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        remap = {old: new for new, old in enumerate(order)}
-        parents = [-1] + [remap[self.parents[v]] for v in order[1:]]
-        base = self.depths[root]
-        depths = [self.depths[v] - base for v in order]
-        marked = [self.marked[v] for v in order]
-        edges = [self.edges[v] if self.edges else None for v in order]
-        if edges:
-            edges[0] = None
-        height = max(depths) if depths else 0
-        return (WalkTree(parents, depths, marked, max(1, height), edges=edges,
-                         num_vars=self.num_vars), order)
-
-    def assignment_pairs(self, vertex: int) -> dict[int, int]:
-        if self.edges is None:
-            raise ValueError("tree carries no edge labels")
-        pairs = {}
-        v = vertex
-        while v >= 0:
-            edge = self.edges[v]
-            if edge is not None:
-                pairs[edge[0]] = edge[1]
-            v = self.parents[v]
-        return pairs
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "parents": self.parents, "depths": self.depths,
-            "marked": [int(m) for m in self.marked],
-            "depthBound": self.depth_bound,
-            "edges": [list(e) if e else None for e in self.edges] if self.edges else None,
-            "numVars": self.num_vars,
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WalkTree":
-        d = json.loads(text)
-        edges = d.get("edges")
-        return cls(list(d["parents"]), list(d["depths"]),
-                   [bool(m) for m in d["marked"]], d["depthBound"],
-                   edges=[tuple(e) if e else None for e in edges] if edges else None,
-                   num_vars=d.get("numVars"))
+# Kept for callers that use the older name, such as the benchmark's
+# hybrid-walk workload.
+WalkTree = SearchTree
 
 
-def build_diffusion(tree: WalkTree, vertex: int) -> dict:
+def build_diffusion(tree: SearchTree, vertex: int) -> dict:
     """Diffusion description: identity for marked vertices, otherwise the
     reflection about the star state (root weighted by sqrt(n))."""
     if tree.marked[vertex]:
@@ -132,7 +53,7 @@ def build_diffusion(tree: WalkTree, vertex: int) -> dict:
 
 @dataclass
 class WalkOperator:
-    tree: WalkTree
+    tree: SearchTree
     r_a: np.ndarray
     r_b: np.ndarray
     _profile: list[tuple[float, float]] | None = field(default=None, repr=False)
@@ -187,7 +108,7 @@ def _spectral_profile(w: np.ndarray, root: int = 0) -> list[tuple[float, float]]
     return profile
 
 
-def build_walk_operator(tree: WalkTree, dim_cap: int | None = None) -> WalkOperator:
+def build_walk_operator(tree: SearchTree, dim_cap: int | None = None) -> WalkOperator:
     """Block-assemble R_A over even-depth stars and R_B over odd-depth stars
     (with the root fixed); both are real reflections."""
     cap = dim_cap if dim_cap is not None else config.walk_dim_cap()
@@ -231,7 +152,7 @@ def detection_trials(delta: float) -> int:
     return max(1, math.ceil(DETECTION_GAMMA * math.log(1.0 / delta)))
 
 
-def detect_marked(tree: WalkTree, delta: float = 0.1, trials: int | None = None,
+def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
                   seed: int | None = None, beta: float = DETECTION_BETA,
                   op: WalkOperator | None = None) -> DetectionResult:
     """Phase-estimation detection: K trials accept with the exact window mass,
@@ -251,12 +172,12 @@ def detect_marked(tree: WalkTree, delta: float = 0.1, trials: int | None = None,
     return DetectionResult(verdict, acceptances, k, [p_accept] * k, precision)
 
 
-def find_marked(tree: WalkTree, delta: float = 0.1, seed: int | None = None,
+def find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = None,
                 max_retries: int = 3) -> int | None:
     """Descend from the root, following positive detection verdicts."""
     rng = random.Random(seed)
     op_cache: dict[int, WalkOperator] = {}
-    sub_cache: dict[int, tuple[WalkTree, list[int]]] = {}
+    sub_cache: dict[int, tuple[SearchTree, list[int]]] = {}
 
     def detect_at(vertex: int) -> bool:
         if tree.marked[vertex]:

@@ -8,12 +8,14 @@ identical tree.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .formula import (
     UNSET,
@@ -106,26 +108,63 @@ class SearchTreeStats:
 
 @dataclass
 class SearchTree:
-    """Preorder-indexed tree snapshot: parent links, edge labels, marked flags."""
+    """Preorder-indexed tree snapshot: parent links, edge labels, marked flags.
+    Vertex 0 is the root; the engines record it, the decomposition and the
+    walk read it."""
 
     num_vars: int
     parents: list[int]
     edges: list[tuple[int, int] | None]   # (var, value) set on the edge from parent
     depths: list[int]
     marked: list[bool]
+    depth_bound: int | None = None        # the walk's n; None means num_vars
+
+    def __post_init__(self):
+        if self.depth_bound is None:
+            self.depth_bound = self.num_vars
+
+    @classmethod
+    def from_search_tree(cls, tree: "SearchTree", depth_bound: int) -> "SearchTree":
+        """The same tree (lists shared, not copied) with another depth bound."""
+        return dataclasses.replace(tree, depth_bound=depth_bound)
 
     @property
     def size(self) -> int:
         return len(self.parents)
 
-    def children_lists(self) -> list[list[int]]:
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Child ids per vertex. Built on first read, so the engine, which
+        appends to the lists, must have finished the tree by then."""
         kids: list[list[int]] = [[] for _ in range(self.size)]
         for v, p in enumerate(self.parents):
             if p >= 0:
                 kids[p].append(v)
         return kids
 
-    def assignment_of(self, vertex: int) -> PartialAssignment:
+    def degree(self, vertex: int) -> int:
+        d = len(self.children[vertex])
+        return d if vertex == 0 else d + 1
+
+    def subtree(self, root: int) -> tuple["SearchTree", list[int]]:
+        """Subtree rooted at `root`; returns it plus old-vertex ids."""
+        order = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(self.children[v]))
+        remap = {old: new for new, old in enumerate(order)}
+        parents = [-1] + [remap[self.parents[v]] for v in order[1:]]
+        base = self.depths[root]
+        depths = [self.depths[v] - base for v in order]
+        marked = [self.marked[v] for v in order]
+        edges = [None] + [self.edges[v] for v in order[1:]]
+        return (SearchTree(self.num_vars, parents, edges, depths, marked,
+                           max(1, max(depths))), order)
+
+    def assignment_pairs(self, vertex: int) -> dict[int, int]:
+        """The (var, value) pairs set on the path from the root to `vertex`."""
         pairs = {}
         v = vertex
         while v >= 0:
@@ -133,7 +172,10 @@ class SearchTree:
             if edge is not None:
                 pairs[edge[0]] = edge[1]
             v = self.parents[v]
-        return PartialAssignment.of(self.num_vars, pairs)
+        return pairs
+
+    def assignment_of(self, vertex: int) -> PartialAssignment:
+        return PartialAssignment.of(self.num_vars, self.assignment_pairs(vertex))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -142,6 +184,7 @@ class SearchTree:
             "edges": [list(e) if e else None for e in self.edges],
             "depths": self.depths,
             "marked": [int(m) for m in self.marked],
+            "depthBound": self.depth_bound,
         }, sort_keys=True)
 
     @classmethod
@@ -149,7 +192,8 @@ class SearchTree:
         data = json.loads(text)
         return cls(data["numVars"], list(data["parents"]),
                    [tuple(e) if e else None for e in data["edges"]],
-                   list(data["depths"]), [bool(m) for m in data["marked"]])
+                   list(data["depths"]), [bool(m) for m in data["marked"]],
+                   data["depthBound"])
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +712,7 @@ def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,
 
 def max_branching_over_paths(tree: SearchTree) -> int:
     """Independent path walker: max two-child nodes on any root-to-leaf path."""
-    kids = tree.children_lists()
+    kids = tree.children
     best = 0
     stack = [(0, 0)]
     while stack:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hybridts
-from hybridts.cli import main
+from hybridts.cli import _emit, main
 from hybridts.formula import serialize_dimacs
 from hybridts.generators import random_kcnf
 
@@ -183,3 +184,15 @@ def test_reports_agree_across_processes():
             for _ in range(2))
     assert "func" not in a["spec"] and "out" not in a["spec"]
     assert strip_timing(a) == strip_timing(b)
+
+
+@pytest.mark.parametrize("report", [
+    {"records": [{"log2TH": [1.0, float("nan")]}], "aggregate": {}},
+    {"records": [], "aggregate": {"fittedExponent": float("inf")}},
+])
+def test_emit_rejects_non_finite_numbers_anywhere(report, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _emit(report, argparse.Namespace(out=str(out)))
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "")

@@ -274,6 +274,31 @@ def test_reconstitution_on_engine_trees():
             assert d.top_tree_size + d.subtree_total == res.tree.size
 
 
+def test_cutoff_subtrees_match_the_decomposition():
+    rng = random.Random(26)
+    dnc = EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=1)
+    checked = 0
+    for _ in range(20):
+        n = rng.randint(4, 9)
+        f = random_kcnf(rng, n, rng.randint(n, 4 * n))
+        for config in (EngineConfig(), dnc):
+            tree = tree_stats(f, config, collect_tree=True).tree
+            assert tree.depth_bound == n
+            for c in decompose(tree, "height", n // 2).cutoffs:
+                sub, order = tree.subtree(c.root)
+                assert sub.size == c.size
+                assert max(sub.depths) == c.height
+                assert sub.depth_bound == max(1, c.height)
+                assert sub.marked == [tree.marked[v] for v in order]
+                assert sub.edges == [None] + [tree.edges[v] for v in order[1:]]
+                above = tree.assignment_pairs(c.root)
+                for new, old in enumerate(order):
+                    joined = {**above, **sub.assignment_pairs(new)}
+                    assert joined == tree.assignment_pairs(old)
+                checked += 1
+    assert checked >= 200
+
+
 def test_measure_monotonicity_guard():
     metrics_ok = complete_tree(3)
     decompose(metrics_ok, "height", 1)

@@ -184,6 +184,12 @@ def test_dimacs_errors():
         parse_dimacs("p dnf 2 1\n1 0\n")
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")
+    with pytest.raises(ValueError, match="declares 2 clauses, found 1"):
+        parse_dimacs("p cnf 2 2\n1 -2 0\n")
+    with pytest.raises(ValueError, match="not terminated"):
+        parse_dimacs("p cnf 2 1\n1 -2\n")
+    with pytest.raises(ValueError, match="'x1'"):
+        parse_dimacs("p cnf 2 1\nx1 -2 0\n")
 
 
 def test_normalization_drops_duplicates_and_tautologies():

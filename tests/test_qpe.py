@@ -9,7 +9,8 @@ from hybridts.qcircuit.qpe import (
     qpe_standard,
     qpe_zero_probability,
 )
-from hybridts.qwalk import WalkTree, build_walk_operator
+from hybridts.qwalk import build_walk_operator
+from hybridts.treesearch import SearchTree
 
 
 def random_unitary(rng, m):
@@ -89,7 +90,8 @@ def test_eigenstate_validation():
 def test_dual_path_against_walk_spectrum():
     # 4-vertex walk tree: the circuit's all-zero-estimate probability on |r>
     # equals the spectral sum of window masses under the product formula.
-    tree = WalkTree([-1, 0, 1, 1], [0, 1, 2, 2], [False, False, True, False], 2)
+    tree = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [0, 1, 2, 2],
+                      [False, False, True, False], 2)
     op = build_walk_operator(tree)
     profile = op.phase_profile()
     root = np.zeros(4)

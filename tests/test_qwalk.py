@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from hybridts import config
 from hybridts.formula import (
     CnfFormula,
     PartialAssignment,
@@ -21,11 +22,16 @@ from hybridts.qwalk import (
     find_marked,
     phase_mass_at_zero,
 )
-from hybridts.treesearch import EngineConfig, tree_stats
+from hybridts.treesearch import EngineConfig, SearchTree, tree_stats
+
+
+def walk_tree(parents, depths, marked, depth_bound):
+    return SearchTree(depth_bound, parents, [None] * len(parents), depths, marked,
+                      depth_bound)
 
 
 def two_node_marked():
-    return WalkTree([-1, 0], [0, 1], [False, True], 1)
+    return walk_tree([-1, 0], [0, 1], [False, True], 1)
 
 
 def dpll_walk_tree(f, rules=("unit", "pureLiteral")):
@@ -35,7 +41,7 @@ def dpll_walk_tree(f, rules=("unit", "pureLiteral")):
 
 
 def test_diffusion_examples():
-    tree = WalkTree([-1, 0, 0, 1], [0, 1, 1, 2], [False, False, True, False], 3)
+    tree = walk_tree([-1, 0, 0, 1], [0, 1, 1, 2], [False, False, True, False], 3)
     # Unmarked leaf: reflection about the vertex itself.
     spec = build_diffusion(tree, 3)
     assert spec["type"] == "reflection" and spec["star"] == [3]
@@ -87,12 +93,12 @@ def test_phase_mass_examples():
 
     # Root itself an eigenvector of phase 0 (degenerate marked root: the
     # diffusion is the identity): the full mass sits at zero phase.
-    trivial = WalkTree([-1], [0], [True], 1)
+    trivial = walk_tree([-1], [0], [True], 1)
     op = build_walk_operator(trivial)
     assert phase_mass_at_zero(op, 1e-9) == pytest.approx(1.0)
     # An unmarked childless root reflects about itself: phase pi, zero mass
     # in any small window.
-    unmarked = build_walk_operator(WalkTree([-1], [0], [False], 1))
+    unmarked = build_walk_operator(walk_tree([-1], [0], [False], 1))
     assert phase_mass_at_zero(unmarked, 1.0) == pytest.approx(0.0)
 
 
@@ -177,15 +183,21 @@ def test_find_marked_last_leaf_no_order_bias():
         frontier = nxt
     marked = [False] * len(parents)
     marked[-1] = True
-    tree = WalkTree(parents, depths, marked, 3)
+    tree = walk_tree(parents, depths, marked, 3)
     v = find_marked(tree, delta=0.1, seed=5)
     assert v == len(parents) - 1
 
 
 def test_dimension_cap():
-    big = WalkTree(list(range(-1, 9)), list(range(10)), [False] * 10, 9)
+    big = walk_tree(list(range(-1, 9)), list(range(10)), [False] * 10, 9)
     with pytest.raises(ValueError):
         build_walk_operator(big, dim_cap=5)
+
+
+def test_dim_cap_env_must_parse(monkeypatch):
+    monkeypatch.setenv("HYBRIDTS_DIM_CAP", "4k")
+    with pytest.raises(ValueError, match="HYBRIDTS_DIM_CAP .*'4k'"):
+        config.walk_dim_cap()
 
 
 def test_walk_tree_json_round_trip():

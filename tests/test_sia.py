@@ -211,7 +211,7 @@ def test_grover_over_advice_matches_dnc_branch_sequences():
                               s=s, guess_budget=budget).validated(f)
         res = tree_stats(f, config, collect_tree=True)
         tree = res.tree
-        kids = tree.children_lists()
+        kids = tree.children
         sequences = set()
 
         def walk(v, seq):

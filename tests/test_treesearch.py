@@ -273,3 +273,4 @@ def test_search_tree_json_round_trip():
     assert back.parents == res.tree.parents
     assert back.marked == res.tree.marked
     assert back.edges == res.tree.edges
+    assert back.depth_bound == res.tree.depth_bound
