@@ -424,7 +424,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "csv" and not args.out:
         parser.error("--format csv requires --out")
-    report = args.func(args)
+    try:
+        report = args.func(args)
+    except ValueError as exc:  # malformed input or a cap: no traceback
+        parser.exit(2, f"hybridts {args.command}: error: {exc}\n")
     _emit(report, args)
     ok = report.get("aggregate", {}).get("withinTolerance", True)
     records_ok = all(r.get("match", True) for r in report.get("records", []))

@@ -343,7 +343,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     current: list[int] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB trailer: "%" then a stray "0"
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,33 @@ def test_qwalk_detect(small_instance, tmp_path):
                         "--seed", "3"], tmp_path)
     rec = report["records"][0]
     assert rec["verdict"] == rec["groundTruth"]
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("2", "tree size \\d+ exceeds the dimension cap 2"),
+    ("4k", "HYBRIDTS_DIM_CAP must be an integer, got '4k'"),
+])
+def test_command_value_error_is_one_line_exit_2(cap, message, instance, tmp_path,
+                                               capsys, monkeypatch):
+    monkeypatch.setenv("HYBRIDTS_DIM_CAP", cap)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qwalk-detect", "--input", str(instance), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"hybridts qwalk-detect: error: {message}\n", err)
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hybridts.__file__).resolve().parents[1]))
+    code = ("import pkgutil, sys, hybridts.cli; "
+            "print([m.name for m in pkgutil.walk_packages(hybridts.__path__, 'hybridts.')"
+            " if m.name not in sys.modules], 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True, text=True)
+    assert proc.stdout.strip() == "[] False"
 
 
 def test_grover(small_instance, tmp_path):

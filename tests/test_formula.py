@@ -192,6 +192,15 @@ def test_dimacs_errors():
         parse_dimacs("p cnf 2 1\nx1 -2 0\n")
 
 
+def test_dimacs_satlib_trailer_ends_input():
+    f = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    assert f.clauses == ((1, -2, 3), (-1, 2))
+    with pytest.raises(ValueError, match="declares 3 clauses, found 2"):
+        parse_dimacs("p cnf 3 3\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    with pytest.raises(ValueError, match="not terminated"):
+        parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2\n%\n0\n")
+
+
 def test_normalization_drops_duplicates_and_tautologies():
     f = F(3, [[1, 1, 2], [1, -1, 3], [2, 1]])
     assert f.clauses == ((1, 2),)

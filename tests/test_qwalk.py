@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hybridts import config
+from hybridts import config, qwalk
+from hybridts.decomposition import decompose
 from hybridts.formula import (
     CnfFormula,
     PartialAssignment,
@@ -14,8 +16,8 @@ from hybridts.formula import (
 from hybridts.generators import random_kcnf
 from hybridts.qwalk import (
     DETECTION_BETA,
+    WalkOperator,
     WalkTree,
-    build_diffusion,
     build_walk_operator,
     detect_marked,
     detection_trials,
@@ -40,17 +42,160 @@ def dpll_walk_tree(f, rules=("unit", "pureLiteral")):
     return res, WalkTree.from_search_tree(res.tree, depth_bound=f.num_vars)
 
 
+# Reference implementations: per-vertex star assembly and the real Schur
+# decomposition of W = R_B R_A, which the library's vectorised assembly and
+# symmetric eigensolve replace.
+
+def oracle_diffusion(tree: SearchTree, vertex: int) -> dict:
+    """Identity for marked vertices, otherwise the reflection about the star
+    state (root weighted by sqrt(n))."""
+    if tree.marked[vertex]:
+        return {"type": "identity", "vertex": vertex}
+    kids = tree.children[vertex]
+    star = [vertex] + kids
+    if vertex == 0:
+        n = tree.depth_bound
+        amps = np.array([1.0] + [math.sqrt(n)] * len(kids))
+        amps /= math.sqrt(1 + len(kids) * n)
+    else:
+        amps = np.full(len(star), 1.0 / math.sqrt(tree.degree(vertex)))
+    return {"type": "reflection", "vertex": vertex, "star": star,
+            "amplitudes": amps}
+
+
+def oracle_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
+    t = tree.size
+    r_a = np.eye(t)
+    r_b = np.eye(t)
+    for vertex in range(t):
+        spec = oracle_diffusion(tree, vertex)
+        if spec["type"] == "identity":
+            continue
+        target = r_a if tree.depths[vertex] % 2 == 0 else r_b
+        star = spec["star"]
+        psi = spec["amplitudes"]
+        target[np.ix_(star, star)] -= 2.0 * np.outer(psi, psi)
+    return r_a, r_b
+
+
+def schur_profile(w: np.ndarray, root: int = 0) -> list[tuple[float, float]]:
+    """(|phase|, root mass) per real Schur block of w."""
+    t_mat, q = scipy.linalg.schur(w, output="real")
+    dim = w.shape[0]
+    profile = []
+    i = 0
+    while i < dim:
+        if i + 1 < dim and abs(t_mat[i + 1, i]) > 1e-10:
+            # standardized 2x2 block: complex pair cos(theta) +/- i sin(theta)
+            cos_t = 0.5 * (t_mat[i, i] + t_mat[i + 1, i + 1])
+            sin_sq = -t_mat[i, i + 1] * t_mat[i + 1, i]
+            sin_t = math.sqrt(max(sin_sq, 0.0))
+            phase = abs(math.atan2(sin_t, cos_t))
+            mass = float(q[root, i] ** 2 + q[root, i + 1] ** 2)
+            profile.append((phase, mass))
+            i += 2
+        else:
+            phase = 0.0 if t_mat[i, i] > 0 else math.pi
+            profile.append((phase, float(q[root, i] ** 2)))
+            i += 1
+    return profile
+
+
+class SchurOperator(WalkOperator):
+    """Per-vertex assembly and window masses from the Schur profile."""
+
+    def __init__(self, tree: SearchTree):
+        super().__init__(tree, *oracle_reflections(tree))
+        self.profile = schur_profile(self.product)
+
+    def mass_in_window(self, precision: float) -> float:
+        return sum(mass for phase, mass in self.profile if phase < precision)
+
+
+def walk_corpus(seed=41, formulas=12):
+    """DPLL and dncPPSZ (s=1) whole trees, their cut-offs at height n // 2,
+    and the subtree of every vertex, without marked roots."""
+    rng = random.Random(seed)
+    dnc = EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=1)
+    trees = []
+    for _ in range(formulas):
+        n = rng.randint(4, 10)
+        f = random_kcnf(rng, n, rng.randint(2 * n, 5 * n))
+        for engine in (EngineConfig(), dnc):
+            tree = tree_stats(f, engine, collect_tree=True).tree
+            trees.append(tree)
+            trees += [tree.subtree(c.root)[0]
+                      for c in decompose(tree, "height", n // 2).cutoffs]
+            trees += [tree.subtree(v)[0] for v in range(1, tree.size)]
+    return [t for t in trees if not t.marked[0]]
+
+
 def test_diffusion_examples():
     tree = walk_tree([-1, 0, 0, 1], [0, 1, 1, 2], [False, False, True, False], 3)
-    # Unmarked leaf: reflection about the vertex itself.
-    spec = build_diffusion(tree, 3)
-    assert spec["type"] == "reflection" and spec["star"] == [3]
-    # Marked vertex: identity block.
-    assert build_diffusion(tree, 2)["type"] == "identity"
+    op = build_walk_operator(tree)
+    # Unmarked leaf 3 (depth 2, R_A): reflection about the vertex itself.
+    assert op.r_a[3, 3] == -1.0
+    assert not op.r_a[3, :3].any() and not op.r_a[:3, 3].any()
+    # Marked vertex 2 (depth 1, R_B): identity column.
+    assert np.array_equal(op.r_b[:, 2], [0.0, 0.0, 1.0, 0.0])
     # Root with 2 children at depth bound 3: amplitudes (1, sqrt3, sqrt3)/sqrt7.
-    spec = build_diffusion(tree, 0)
-    want = np.array([1, math.sqrt(3), math.sqrt(3)]) / math.sqrt(7)
-    assert np.allclose(spec["amplitudes"], want)
+    psi = np.array([1, math.sqrt(3), math.sqrt(3)]) / math.sqrt(7)
+    assert np.allclose(op.r_a[:3, :3], np.eye(3) - 2 * np.outer(psi, psi))
+    # Vertex 1 (depth 1, R_B) with child 3: amplitudes (1, 1)/sqrt2.
+    star = np.ix_([1, 3], [1, 3])
+    assert np.allclose(op.r_b[star], [[0.0, -1.0], [-1.0, 0.0]])
+    assert op.r_b[0, 0] == 1.0
+    # The reference assembly agrees with the hand values too.
+    spec = oracle_diffusion(tree, 0)
+    assert spec["star"] == [0, 1, 2] and np.allclose(spec["amplitudes"], psi)
+    assert oracle_diffusion(tree, 2)["type"] == "identity"
+
+
+def random_walk_trees(seed=43, count=300):
+    """Random shapes and marks, marked inner vertices included."""
+    rng = random.Random(seed)
+    trees = []
+    for _ in range(count):
+        parents, depths = [-1], [0]
+        for v in range(1, rng.randint(1, 30)):
+            parents.append(rng.randrange(v))
+            depths.append(depths[parents[-1]] + 1)
+        marked = [rng.random() < 0.2 for _ in parents]
+        trees.append(walk_tree(parents, depths, marked, rng.randint(1, 6)))
+    return trees
+
+
+def test_vectorised_assembly_equals_per_vertex_oracle():
+    corpus = walk_corpus() + random_walk_trees()
+    assert len(corpus) >= 1500
+    for tree in corpus:
+        op = build_walk_operator(tree)
+        r_a, r_b = oracle_reflections(tree)
+        assert op.r_a.tobytes() == r_a.tobytes()  # bit for bit
+        assert op.r_b.tobytes() == r_b.tobytes()
+
+
+def test_window_mass_equals_schur_oracle():
+    corpus = walk_corpus()
+    for tree in corpus:
+        op = build_walk_operator(tree)
+        oracle = SchurOperator(tree)
+        precision = DETECTION_BETA / math.sqrt(tree.size * max(1, tree.depth_bound))
+        for p in (precision, 1e-9, 0.5, 3.2):
+            assert abs(op.mass_in_window(p) - oracle.mass_in_window(p)) < 1e-12
+
+
+def test_detection_and_search_equal_schur_oracle(monkeypatch):
+    corpus = walk_corpus(seed=42, formulas=6)
+    searched = [tree for tree in corpus if tree.size >= 16]
+    verdicts = [detect_marked(tree, seed=i).verdict for i, tree in enumerate(corpus)]
+    found = [find_marked(tree, seed=i) for i, tree in enumerate(searched)]
+    assert len(searched) >= 40
+    assert any(v is not None for v in found) and None in found
+    monkeypatch.setattr(qwalk, "build_walk_operator", SchurOperator)
+    assert verdicts == [detect_marked(tree, seed=i).verdict
+                        for i, tree in enumerate(corpus)]
+    assert found == [find_marked(tree, seed=i) for i, tree in enumerate(searched)]
 
 
 def test_two_node_closed_form():
