@@ -1,9 +1,13 @@
 """Simulation of the quantum backtracking walk in the vertex basis.
 
-R_A and R_B are assembled as T x T reflections over the disjoint stars of a
-search tree in one vectorised pass. Detection reads the root's spectral mass
-inside the phase-estimation window from one symmetric eigensolve of
-(W + W^T)/2, W = R_B R_A; per-trial acceptances are drawn from that
+W = R_B R_A, where R_A (R_B) reflects about the disjoint stars of unmarked
+even (odd) depth. Detection reads the root's spectral mass inside the
+phase-estimation window from one leaf-to-root pass over the tree: the
+phase-0 mass has a closed form in the tree's effective conductance to the
+marked set, and an inertia count on the star overlap forest certifies that
+no nonzero phase lies in the window. Only when that count is not zero, or
+the window is wider than pi, is the T x T operator assembled and
+(W + W^T)/2 eigensolved. Per-trial acceptances are drawn from that
 probability.
 """
 
@@ -19,10 +23,11 @@ from . import config
 from .treesearch import SearchTree
 
 # Detection constants; the source construction leaves them unspecified.
-# gamma: K = ceil(gamma * ln(1/delta)) trials; 81 at delta = 0.1. A marked
-# tree whose only solution sits at full depth has per-trial acceptance
-# exactly 1/2; K = 81 puts the binomial miss rate at 0.013 per call, which
-# keeps 50-repetition empirical failure rates comfortably under 0.1.
+# gamma: K = ceil(gamma * ln(1/delta)) trials; 81 at delta = 0.1. A tree
+# whose only marked vertex sits at depth l has per-trial acceptance
+# n / (n + l), which is 1/2 for a solution at full depth l = n; K = 81 puts
+# the binomial miss rate at 0.013 per call, which keeps 50-repetition
+# empirical failure rates comfortably under 0.1.
 DETECTION_GAMMA = 35.0
 # beta: phase-window scale beta/sqrt(T*n); calibrated over {0.1..1.0} on the
 # walk test corpus and frozen (see calibration test).
@@ -40,8 +45,8 @@ WalkTree = SearchTree
 @dataclass
 class WalkOperator:
     tree: SearchTree
-    r_a: np.ndarray
-    r_b: np.ndarray
+    # (R_A, R_B), assembled on first read of r_a, r_b or product.
+    blocks: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -49,8 +54,21 @@ class WalkOperator:
         return self.tree.size
 
     @property
+    def r_a(self) -> np.ndarray:
+        return self._reflections()[0]
+
+    @property
+    def r_b(self) -> np.ndarray:
+        return self._reflections()[1]
+
+    @property
     def product(self) -> np.ndarray:
         return self.r_b @ self.r_a
+
+    def _reflections(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.blocks is None:
+            self.blocks = _assemble_reflections(self.tree)
+        return self.blocks
 
     def unitarity_residual(self) -> float:
         eye = np.eye(self.dimension)
@@ -75,17 +93,79 @@ class WalkOperator:
 
     def mass_in_window(self, precision: float) -> float:
         """Root mass on |phase| < precision, read as 1 - cos(phase) <
-        1 - cos(precision). Solver resolution, not a setting: a window wider
+        1 - cos(precision). The closed-form phase-0 mass answers whenever
+        the certificate finds no nonzero phase in the window; otherwise the
+        eigensolve does. Solver resolution, not a setting: a window wider
         than pi takes all the mass (1 - cos is not monotone past pi), and the
         bound is floored at WINDOW_FLOOR, so a narrower window holds phase 0."""
+        gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
+        if precision <= math.pi:
+            # |phase| < precision exactly when sigma > cos(precision / 2).
+            mass, inside = _window_pass(self.tree, math.sqrt(1.0 - 0.5 * gap))
+            if not inside:
+                return mass
         lam, mass = self._root_spectrum()
         if precision > math.pi:
             return float(mass.sum())
-        gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
         return float(mass[1.0 - lam < gap].sum())
 
     def mass_at_zero(self, tol: float = 1e-9) -> float:
         return self.mass_in_window(tol)
+
+
+def _window_pass(tree: SearchTree, x: float) -> tuple[float, int]:
+    """(phase-0 root mass, count of singular values of D = Psi_A^T Psi_B at
+    or above x) from one leaf-to-root pass; ids must be in preorder.
+
+    Mass: with a unit resistor on each edge and the marked vertices grounded,
+    C(v) is the conductance from v down, and the mass is G / (G + 1),
+    G = n C(root) (the root star weights its children by sqrt(n)).
+
+    Count: every eigenvalue of (W + W^T)/2 other than +-1 is 2 sigma^2 - 1,
+    where +-sigma are the eigenvalues of M = [[0, D], [D^T, 0]], a forest on
+    the unmarked vertices with weight child_amp[p] * own_amp[c] on edge
+    (p, c). sigma = 1 never occurs: the root and the children of marked
+    vertices lie in one star only. LDL^T of M - xI, d(v) = -x - sum w^2 / d(c),
+    has as many pivots >= 0 as M has eigenvalues >= x (Sylvester's law of
+    inertia). A zero pivot pairs with its parent, which turns negative and
+    leaves its own parent (Jacobs and Trevisan, Linear Algebra Appl. 2011)."""
+    parents, marked = tree.parents, tree.marked
+    t = len(parents)
+    kids = [0] * t
+    for c in range(1, t):
+        p = parents[c]
+        if not 0 <= p < c:
+            raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
+        kids[p] += 1
+    # Squared star amplitudes: a child's in its parent's star, times its own.
+    sq = [1.0 / (k + 1) for k in kids]
+    n = tree.depth_bound
+    root_sq = n / (1.0 + kids[0] * n)
+    conductance = [0.0] * t
+    pivot = [-x] * t
+    paired = [False] * t
+    inside = 0
+    for c in range(t - 1, 0, -1):
+        p = parents[c]
+        if marked[c]:
+            conductance[p] += 1.0
+            continue
+        conductance[p] += conductance[c] / (1.0 + conductance[c])
+        if paired[c]:
+            continue
+        d = pivot[c]
+        inside += d >= 0.0
+        if marked[p]:
+            continue
+        if d == 0.0:
+            paired[p] = True
+        else:
+            pivot[p] -= (root_sq if p == 0 else sq[p]) * sq[c] / d
+    if marked[0]:
+        return 1.0, inside
+    inside += not paired[0] and pivot[0] >= 0.0
+    g = n * conductance[0]
+    return g / (g + 1.0), inside
 
 
 def _star_reflection(centre: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -96,14 +176,11 @@ def _star_reflection(centre: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return np.subtract(np.eye(len(amp)), r, out=r)
 
 
-def build_walk_operator(tree: SearchTree, dim_cap: int | None = None) -> WalkOperator:
+def _assemble_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
     """R_A (R_B) reflects about the stars of unmarked even (odd) depth: a vertex
     and its children, amplitudes 1/sqrt(degree), or at the root (1, sqrt(n),
     ..., sqrt(n)) / sqrt(1 + n * children). R_B fixes the root."""
-    cap = dim_cap if dim_cap is not None else config.walk_dim_cap()
     t = tree.size
-    if t > cap:
-        raise ValueError(f"tree size {t} exceeds the dimension cap {cap}")
     parents = np.asarray(tree.parents)
     free = ~np.asarray(tree.marked, dtype=bool)
     even = np.asarray(tree.depths) % 2 == 0
@@ -121,13 +198,16 @@ def build_walk_operator(tree: SearchTree, dim_cap: int | None = None) -> WalkOpe
     own_amp, up_amp = free * own, in_up * child[up]
     r_a, r_b = (_star_reflection(np.where(sel, own_star, up_star),
                                  np.where(sel, own_amp, up_amp)) for sel in (even, ~even))
-    return WalkOperator(tree, r_a, r_b)
+    return r_a, r_b
 
 
-def phase_mass_at_zero(op: WalkOperator, precision: float) -> float:
-    """Sum of |<r|eigvec>|^2 over eigenpairs with |phase| < precision; the
-    ideal phase-estimation acceptance probability."""
-    return op.mass_in_window(precision)
+def build_walk_operator(tree: SearchTree, dim_cap: int | None = None) -> WalkOperator:
+    """The walk on `tree`, whose dense reflections are assembled on first
+    read (see `_assemble_reflections`)."""
+    cap = dim_cap if dim_cap is not None else config.walk_dim_cap()
+    if tree.size > cap:
+        raise ValueError(f"tree size {tree.size} exceeds the dimension cap {cap}")
+    return WalkOperator(tree)
 
 
 @dataclass
@@ -144,7 +224,9 @@ class DetectionResult:
 
 
 def detection_trials(delta: float) -> int:
-    return max(1, math.ceil(DETECTION_GAMMA * math.log(1.0 / delta)))
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return math.ceil(-DETECTION_GAMMA * math.log(delta))
 
 
 def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
@@ -152,7 +234,11 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
                   op: WalkOperator | None = None) -> DetectionResult:
     """Phase-estimation detection: K trials accept with the exact window mass,
     marked verdict when acceptances reach 3K/8."""
-    k = trials if trials is not None else detection_trials(delta)
+    k = detection_trials(delta)
+    if trials is not None:
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials!r}")
+        k = trials
     if tree.marked[0]:
         # The walk promise excludes a marked root; the predicate answers directly.
         return DetectionResult("markedExists", k, k, [1.0] * k, 0.0)
@@ -161,8 +247,11 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
     n = max(1, tree.depth_bound)
     precision = beta / math.sqrt(tree.size * n)
     p_accept = min(1.0, op.mass_in_window(precision))
-    rng = random.Random(seed)
-    acceptances = sum(1 for _ in range(k) if rng.random() < p_accept)
+    if 0.0 < p_accept < 1.0:
+        rng = random.Random(seed)
+        acceptances = sum(1 for _ in range(k) if rng.random() < p_accept)
+    else:  # every draw in [0, 1) falls the same side; skip seeding the generator
+        acceptances = k if p_accept == 1.0 else 0
     verdict = "markedExists" if 8 * acceptances >= 3 * k else "noMarked"
     return DetectionResult(verdict, acceptances, k, [p_accept] * k, precision)
 
@@ -170,6 +259,7 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
 def find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = None,
                 max_retries: int = 3) -> int | None:
     """Descend from the root, following positive detection verdicts."""
+    detection_trials(delta)  # reject a bad delta even when the root is marked
     rng = random.Random(seed)
     op_cache: dict[int, WalkOperator] = {}
     sub_cache: dict[int, tuple[SearchTree, list[int]]] = {}

@@ -127,6 +127,22 @@ def test_command_value_error_is_one_line_exit_2(cap, message, instance, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "0"], "trials must be at least 1, got 0"),
+    (["--delta", "0"], "delta must lie in \\(0, 1\\), got 0.0"),
+    (["--delta", "1"], "delta must lie in \\(0, 1\\), got 1.0"),
+])
+def test_qwalk_detect_bad_trials_or_delta_exit_2(flags, message, instance, tmp_path,
+                                                capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qwalk-detect", "--input", str(instance), "--out", str(out)] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"hybridts qwalk-detect: error: {message}\n", err)
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ,
                PYTHONPATH=str(Path(hybridts.__file__).resolve().parents[1]))

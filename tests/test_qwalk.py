@@ -22,7 +22,6 @@ from hybridts.qwalk import (
     detect_marked,
     detection_trials,
     find_marked,
-    phase_mass_at_zero,
 )
 from hybridts.treesearch import EngineConfig, SearchTree, tree_stats
 
@@ -105,7 +104,7 @@ class SchurOperator(WalkOperator):
     """Per-vertex assembly and window masses from the Schur profile."""
 
     def __init__(self, tree: SearchTree):
-        super().__init__(tree, *oracle_reflections(tree))
+        super().__init__(tree, oracle_reflections(tree))
         self.profile = schur_profile(self.product)
 
     def mass_in_window(self, precision: float) -> float:
@@ -175,14 +174,141 @@ def test_vectorised_assembly_equals_per_vertex_oracle():
         assert op.r_b.tobytes() == r_b.tobytes()
 
 
+def detection_precision(tree):
+    return DETECTION_BETA / math.sqrt(tree.size * max(1, tree.depth_bound))
+
+
+def windows(tree):
+    """The detection window, widened 10x and 100x, and fixed windows from
+    below eigh's resolution to past pi."""
+    precision = detection_precision(tree)
+    return (precision, 10 * precision, 100 * precision,
+            1e-9, 0.05, 0.3, 0.5, 1.0, 3.2)
+
+
 def test_window_mass_equals_schur_oracle():
-    corpus = walk_corpus()
+    corpus = walk_corpus() + random_walk_trees()
     for tree in corpus:
         op = build_walk_operator(tree)
         oracle = SchurOperator(tree)
-        precision = DETECTION_BETA / math.sqrt(tree.size * max(1, tree.depth_bound))
-        for p in (precision, 1e-9, 0.5, 3.2):
+        for p in windows(tree):
             assert abs(op.mass_in_window(p) - oracle.mass_in_window(p)) < 1e-12
+
+
+def test_certificate_count_equals_eigh_count():
+    # Each singular value of D in the window is one plane of W with phases
+    # +-phi, which (W + W^T)/2 shows as a double eigenvalue cos(phi). Nonzero
+    # phases sit far above 1e-10 in 1 - cos (see the star-overlap test).
+    corpus = walk_corpus() + random_walk_trees()
+    fired = [0] * 8
+    for tree in corpus:
+        lam, _ = build_walk_operator(tree)._root_spectrum()
+        for i, p in enumerate(windows(tree)[:-1]):
+            gap = max(2.0 * math.sin(0.5 * p) ** 2, qwalk.WINDOW_FLOOR)
+            _, inside = qwalk._window_pass(tree, math.sqrt(1.0 - 0.5 * gap))
+            assert 2 * inside == np.count_nonzero((1.0 - lam < gap) & (1.0 - lam > 1e-10))
+            fired[i] += inside > 0
+    # The widened windows (10x, 100x, 0.3, 0.5, 1.0) send trees to the eigh
+    # fallback; the detection window never does.
+    assert fired[0] == 0
+    assert min(fired[1], fired[2], *fired[5:]) >= 100
+
+
+def test_detection_leaves_the_dense_operator_unbuilt():
+    corpus = walk_corpus() + random_walk_trees()
+    for i, tree in enumerate(corpus):
+        op = build_walk_operator(tree)
+        detect_marked(tree, seed=i, op=op)
+        assert op.blocks is None
+    op = build_walk_operator(corpus[0])
+    op.mass_in_window(1.0)
+    assert op.blocks is not None  # a wide window does assemble the operator
+
+
+def star_matrices(tree):
+    """Psi_A, Psi_B: the unit star vectors of even and odd depth as columns."""
+    cols = {0: [], 1: []}
+    for vertex in range(tree.size):
+        spec = oracle_diffusion(tree, vertex)
+        if spec["type"] == "reflection":
+            col = np.zeros(tree.size)
+            col[spec["star"]] = spec["amplitudes"]
+            cols[tree.depths[vertex] % 2].append(col)
+    return tuple(np.array(cols[parity]).reshape(-1, tree.size).T for parity in (0, 1))
+
+
+def test_star_overlap_stays_below_one():
+    # The root and every child of a marked vertex lie in one star only, so
+    # range(Psi_A) and range(Psi_B) meet in 0 and sigma = 1 never occurs.
+    for tree in walk_corpus() + random_walk_trees():
+        psi_a, psi_b = star_matrices(tree)
+        d = psi_a.T @ psi_b
+        if d.size:
+            assert np.linalg.svd(d, compute_uv=False).max() < 1 - 1e-9
+
+
+@pytest.mark.parametrize("parents, depths, n", [
+    ([-1, 0], [0, 1], 2),
+    ([-1, 0, 0], [0, 1, 1], 1),
+    ([-1, 0, 1, 0, 1], [0, 1, 2, 1, 2], 3),
+])
+def test_certificate_counts_an_exact_zero_pivot(parents, depths, n):
+    # At x = sqrt(2/3) the pivot of the root comes out 0.0 in the first two
+    # trees, where a singular value of D sits exactly on x and counts as at
+    # or above it. In the third, vertex 1's pivot is 0.0 and pairs with the
+    # root; the one singular value above x is 0.965.
+    tree = walk_tree(parents, depths, [False] * len(parents), n)
+    x = math.sqrt(2 / 3)
+    psi_a, psi_b = star_matrices(tree)
+    sigma = np.linalg.svd(psi_a.T @ psi_b, compute_uv=False)
+    assert np.count_nonzero(sigma > x - 1e-12) == 1
+    assert qwalk._window_pass(tree, x) == (0.0, 1)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 1), (3, 1), (3, 3), (5, 2), (2, 6)])
+def test_closed_form_single_marked_vertex(n, depth):
+    # A path to the marked vertex at `depth`, with an unmarked dead end hung
+    # on every path vertex: the dead ends carry no current.
+    parents, depths = [-1], [0]
+    for d in range(1, depth + 1):
+        path_vertex = len(parents) - 1 if d == 1 else len(parents) - 2
+        parents += [path_vertex, path_vertex]
+        depths += [d, d]
+    marked = [False] * len(parents)
+    marked[-2] = True
+    tree = walk_tree(parents, depths, marked, n)
+    expected = n / (n + depth)
+    assert build_walk_operator(tree).mass_at_zero() == pytest.approx(expected, abs=1e-12)
+    assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(expected, abs=1e-12)
+
+
+def test_closed_form_two_marked_leaves():
+    # Root 0 with marked leaf 1 (depth 1) and vertex 2, whose child 3 has
+    # the marked leaf 4 (depth 3); leaf 5 under 2 is a dead end. Resistances
+    # 1 and 3 in parallel: C(root) = 1 + 1/3 = 4/3, G = 3 * 4/3 = 4, and the
+    # phase-0 root mass is G / (G + 1) = 4/5.
+    tree = walk_tree([-1, 0, 0, 2, 3, 2], [0, 1, 1, 2, 3, 2],
+                     [False, True, False, False, True, False], 3)
+    op = build_walk_operator(tree)
+    assert op.mass_at_zero() == pytest.approx(0.8, abs=1e-12)
+    assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
+    assert op.mass_in_window(detection_precision(tree)) == pytest.approx(0.8, abs=1e-12)
+    assert op.blocks is None
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"trials": 0}, "trials"), ({"trials": -3}, "trials"),
+    ({"delta": 0.0}, "delta"), ({"delta": 1.0}, "delta"), ({"delta": 1.5}, "delta"),
+    ({"delta": -0.1}, "delta"), ({"delta": float("nan")}, "delta"),
+])
+def test_detection_rejects_bad_trials_and_delta(kwargs, name):
+    unmarked = walk_tree([-1, 0], [0, 1], [False, False], 1)
+    for tree in (unmarked, two_node_marked(), walk_tree([-1], [0], [True], 1)):
+        with pytest.raises(ValueError, match=name):
+            detect_marked(tree, seed=0, **kwargs)
+        if name == "delta":
+            with pytest.raises(ValueError, match=name):
+                find_marked(tree, delta=kwargs["delta"], seed=0)
 
 
 def test_detection_and_search_equal_schur_oracle(monkeypatch):
@@ -231,20 +357,20 @@ def test_marked_columns_are_identity():
 
 def test_phase_mass_examples():
     op = build_walk_operator(two_node_marked())
-    assert phase_mass_at_zero(op, 1e-9) == pytest.approx(0.5)
+    assert op.mass_in_window(1e-9) == pytest.approx(0.5)
     # The -1 eigenphase lies far outside any small window.
-    assert phase_mass_at_zero(op, 3.0) + 0 == pytest.approx(0.5)
-    assert phase_mass_at_zero(op, 3.2) == pytest.approx(1.0)
+    assert op.mass_in_window(3.0) + 0 == pytest.approx(0.5)
+    assert op.mass_in_window(3.2) == pytest.approx(1.0)
 
     # Root itself an eigenvector of phase 0 (degenerate marked root: the
     # diffusion is the identity): the full mass sits at zero phase.
     trivial = walk_tree([-1], [0], [True], 1)
     op = build_walk_operator(trivial)
-    assert phase_mass_at_zero(op, 1e-9) == pytest.approx(1.0)
+    assert op.mass_in_window(1e-9) == pytest.approx(1.0)
     # An unmarked childless root reflects about itself: phase pi, zero mass
     # in any small window.
     unmarked = build_walk_operator(walk_tree([-1], [0], [False], 1))
-    assert phase_mass_at_zero(unmarked, 1.0) == pytest.approx(0.0)
+    assert unmarked.mass_in_window(1.0) == pytest.approx(0.0)
 
 
 def test_marked_trees_have_zero_phase_root_overlap():
@@ -337,6 +463,14 @@ def test_dimension_cap():
     big = walk_tree(list(range(-1, 9)), list(range(10)), [False] * 10, 9)
     with pytest.raises(ValueError):
         build_walk_operator(big, dim_cap=5)
+
+
+def test_window_pass_requires_preorder():
+    # Vertex 1's parent is vertex 2: the leaf-to-root pass would read it
+    # before its child, so it refuses instead of answering.
+    tree = walk_tree([-1, 2, 0], [0, 2, 1], [False, True, False], 2)
+    with pytest.raises(ValueError, match="vertex 1 has parent 2: .* not in preorder"):
+        build_walk_operator(tree).mass_at_zero()
 
 
 def test_dim_cap_env_must_parse(monkeypatch):
