@@ -1,4 +1,12 @@
-"""Dense statevector simulation with a fast basis-state trace path.
+"""Dense statevector simulation of reversible and quantum gate circuits.
+
+A phase-permutation gate maps each basis state to a phased basis state: X,
+INC, REFLECT0, and UNITARY with a diagonal block, with any controls. One
+kernel, `_map_basis`, sends basis indices through a run of such gates.
+`simulate` maps all 2^W indices through each maximal run once per call and
+applies the run as one gather; `trace_basis` and `ancilla_audit` map only the
+inputs they are given. Uncontrolled H acts through a reshape of the state;
+controlled H and non-diagonal UNITARY update masked slices of it.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so a
 basis state reads left-to-right as wires 0..W-1. Gates carry optional control
@@ -7,7 +15,9 @@ lists of (wire, required-bit) pairs; negative controls are (wire, 0).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,9 +130,19 @@ class Circuit:
         return counts
 
 
+def _is_phase_permutation(gate: Gate) -> bool:
+    """True when the gate maps each basis state to a phased basis state: X,
+    INC, REFLECT0, and a UNITARY whose block has no nonzero off-diagonal
+    entry, with any controls."""
+    if gate.kind == UNITARY_KIND:
+        block = gate.block
+        return not np.count_nonzero(block - np.diag(np.diag(block)))
+    return gate.kind in _CLASSICAL_KINDS
+
+
 def is_classical(circuit: Circuit) -> bool:
     """True when every gate maps basis states to (phased) basis states."""
-    return all(g.kind in _CLASSICAL_KINDS for g in circuit.gates)
+    return all(_is_phase_permutation(g) for g in circuit.gates)
 
 
 def _wire_bit(circuit_width: int, wire: int) -> int:
@@ -139,62 +159,98 @@ def _control_masks(width: int, controls) -> tuple[int, int]:
     return cmask, cwant
 
 
+def _basis_array(width: int, indices) -> np.ndarray:
+    """Basis indices as int64, or as Python ints past 62 wires."""
+    indices = list(indices)
+    if not all(0 <= b < 2 ** width for b in indices):
+        raise ValueError("basis input out of range")
+    return np.array(indices, dtype=np.int64 if width < 63 else object)
+
+
+def _map_basis(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Send basis indices through a gate sequence: returns the output indices
+    and their phases (None when every phase is 1). A gate that is not a
+    phase permutation is the identity where its controls fail and raises
+    ValueError where they hold."""
+    idx = idx.copy()
+    phase = None
+    for gate in gates:
+        cmask, cwant = _control_masks(width, gate.controls)
+        live = (idx & cmask) == cwant if cmask else None
+        if not _is_phase_permutation(gate):
+            if live is None or live.any():
+                raise ValueError(f"gate kind {gate.kind!r} breaks the classical trace")
+            continue
+        shifts = [width - 1 - w for w in gate.targets]
+        if gate.kind == X_KIND:
+            idx ^= 1 << shifts[0] if live is None else live * (1 << shifts[0])
+            continue
+        if gate.kind == REFLECT0_KIND:
+            hit = (idx & sum(1 << sh for sh in shifts)) == 0
+            factor = np.where(hit if live is None else hit & live, -1.0 + 0j, 1.0 + 0j)
+        else:
+            k = len(shifts)
+            value = 0
+            for pos, sh in enumerate(shifts):
+                value = value | ((idx >> sh) & 1) << (k - 1 - pos)
+            if gate.kind == INC_KIND:
+                value = (value + gate.step) % (2 ** k)
+                new = idx & ~sum(1 << sh for sh in shifts)
+                for pos, sh in enumerate(shifts):
+                    new |= ((value >> (k - 1 - pos)) & 1) << sh
+                idx = new if live is None else np.where(live, new, idx)
+                continue
+            factor = np.diag(gate.block)[value.astype(np.int64)]
+            if live is not None:
+                factor = np.where(live, factor, 1.0 + 0j)
+        phase = factor if phase is None else phase * factor
+    return idx, phase
+
+
+def _compile_run(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Invert a phase-permutation run into a gather: new = state[src] * phase."""
+    out, phase = _map_basis(gates, width, idx)
+    src = np.empty_like(idx)
+    src[out] = idx
+    if phase is None or np.all(phase == 1):
+        return src, None
+    gathered = np.empty(idx.size, dtype=complex)
+    gathered[out] = phase
+    return src, gathered
+
+
+def _split_runs(gates) -> list:
+    """Maximal runs of phase-permutation gates, as tuples, between the other
+    gates, kept as they are."""
+    parts: list = []
+    for phased, group in itertools.groupby(gates, _is_phase_permutation):
+        parts.extend([tuple(group)] if phased else group)
+    return parts
+
+
 @dataclass
 class TraceResult:
-    """Basis-state trajectory through a classical-reversible circuit."""
+    """Basis-state image of one input through a classical-reversible circuit."""
 
     input_index: int
     output_index: int
     phase: complex
-    states: list[int] | None = None
 
 
-def trace_basis(circuit: Circuit, basis_input: int, record: bool = False) -> TraceResult:
+def trace_basis(circuit: Circuit, basis_input: int) -> TraceResult:
     width = circuit.num_wires
-    if not 0 <= basis_input < 2 ** width:
-        raise ValueError("basis input out of range")
-    idx = basis_input
-    phase = 1.0 + 0.0j
-    states = [idx] if record else None
-    for gate in circuit.gates:
-        cmask, cwant = _control_masks(width, gate.controls)
-        if gate.kind not in _CLASSICAL_KINDS:
-            # A quantum gate whose controls fail acts as the identity.
-            if (idx & cmask) == cwant or not gate.controls:
-                raise ValueError(f"gate kind {gate.kind!r} breaks the classical trace")
-            if record:
-                states.append(idx)
-            continue
-        if (idx & cmask) == cwant:
-            if gate.kind == X_KIND:
-                idx ^= _wire_bit(width, gate.targets[0])
-            elif gate.kind == INC_KIND:
-                k = len(gate.targets)
-                value = 0
-                for pos, wire in enumerate(gate.targets):
-                    value |= ((idx >> (width - 1 - wire)) & 1) << (k - 1 - pos)
-                value = (value + gate.step) % (2 ** k)
-                for pos, wire in enumerate(gate.targets):
-                    bit = _wire_bit(width, wire)
-                    if (value >> (k - 1 - pos)) & 1:
-                        idx |= bit
-                    else:
-                        idx &= ~bit
-            else:  # reflect0: diagonal phase
-                tmask = 0
-                for wire in gate.targets:
-                    tmask |= _wire_bit(width, wire)
-                if idx & tmask == 0:
-                    phase = -phase
-        if record:
-            states.append(idx)
-    return TraceResult(basis_input, idx, phase, states)
+    out, phase = _map_basis(circuit.gates, width, _basis_array(width, [basis_input]))
+    return TraceResult(basis_input, int(out[0]),
+                       1.0 + 0.0j if phase is None else complex(phase[0]))
 
 
 def simulate(circuit: Circuit, basis_input: int | None = None,
              state: np.ndarray | None = None) -> np.ndarray:
-    """Exact amplitude evolution; basis inputs through classical gates take
-    the trace fast path."""
+    """Exact amplitude evolution. Each maximal run of phase-permutation gates
+    is mapped over all basis indices and applied as one gather; a run that
+    recurs with the same Gate objects (as Circuit.extend repeats them) is
+    mapped once per call. A basis input through a classical circuit is traced
+    on its own index."""
     width = circuit.num_wires
     dim = 2 ** width
     if dim > config.circuit_dim_cap():
@@ -202,13 +258,14 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
     if state is not None and basis_input is not None:
         raise ValueError("give either a basis input or a state, not both")
     if state is None:
-        start = basis_input or 0
+        start = 0 if basis_input is None else basis_input
+        if not 0 <= start < dim:
+            raise ValueError("basis input out of range")
+        state = np.zeros(dim, dtype=complex)
         if is_classical(circuit):
             trace = trace_basis(circuit, start)
-            out = np.zeros(dim, dtype=complex)
-            out[trace.output_index] = trace.phase
-            return out
-        state = np.zeros(dim, dtype=complex)
+            state[trace.output_index] = trace.phase
+            return state
         state[start] = 1.0
     else:
         state = np.asarray(state, dtype=complex).copy()
@@ -218,66 +275,47 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
         if abs(norm - 1.0) > 1e-10:
             raise ValueError("initial state is not normalized")
 
+    parts = _split_runs(circuit.gates)
+    # A compiled run is kept only while a later occurrence of it remains.
+    pending = Counter(tuple(map(id, p)) for p in parts if isinstance(p, tuple))
+    compiled: dict[tuple[int, ...], tuple] = {}
     idx = np.arange(dim, dtype=np.int64)
-    for gate in circuit.gates:
-        state = _apply_gate(state, gate, width, idx)
+    for part in parts:
+        if isinstance(part, Gate):
+            state = _apply_gate(state, part, width, idx)
+            continue
+        key = tuple(map(id, part))
+        pending[key] -= 1
+        src, phase = compiled.pop(key) if key in compiled else _compile_run(part, width, idx)
+        if pending[key]:
+            compiled[key] = (src, phase)
+        state = state[src] if phase is None else state[src] * phase
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise AssertionError("statevector norm drifted")
     return state
 
 
 def _apply_gate(state: np.ndarray, gate: Gate, width: int, idx: np.ndarray) -> np.ndarray:
+    """Apply one H or UNITARY gate to the statevector."""
     cmask, cwant = _control_masks(width, gate.controls)
     sel = (idx & cmask) == cwant if cmask else None
 
-    if gate.kind == X_KIND:
-        bit = _wire_bit(width, gate.targets[0])
-        flipped = idx ^ bit
-        if sel is None:
-            return state[flipped]
-        out = state.copy()
-        out[sel] = state[flipped[sel]]
-        return out
-
     if gate.kind == H_KIND:
+        if sel is None:
+            halves = state.reshape(2 ** gate.targets[0], 2, -1)
+            a, b = halves[:, 0], halves[:, 1]
+            out = np.empty_like(halves)
+            out[:, 0] = (a + b) * SQRT1_2
+            out[:, 1] = (a - b) * SQRT1_2
+            return out.reshape(-1)
         bit = _wire_bit(width, gate.targets[0])
-        low = (idx & bit) == 0
-        base = low if sel is None else (low & sel)
+        base = ((idx & bit) == 0) & sel
         i0 = idx[base]
         i1 = i0 | bit
         out = state.copy()
         a, b = state[i0], state[i1]
         out[i0] = (a + b) * SQRT1_2
         out[i1] = (a - b) * SQRT1_2
-        return out
-
-    if gate.kind == REFLECT0_KIND:
-        tmask = 0
-        for wire in gate.targets:
-            tmask |= _wire_bit(width, wire)
-        zero = (idx & tmask) == 0
-        if sel is not None:
-            zero &= sel
-        out = state.copy()
-        out[zero] = -out[zero]
-        return out
-
-    if gate.kind == INC_KIND:
-        k = len(gate.targets)
-        shifts = [width - 1 - w for w in gate.targets]
-        value = np.zeros_like(idx)
-        for pos, sh in enumerate(shifts):
-            value |= ((idx >> sh) & 1) << (k - 1 - pos)
-        new_value = (value + gate.step) % (2 ** k)
-        new_idx = idx.copy()
-        for pos, sh in enumerate(shifts):
-            bit = 1 << sh
-            on = ((new_value >> (k - 1 - pos)) & 1).astype(bool)
-            new_idx = np.where(on, new_idx | bit, new_idx & ~bit)
-        out = state.copy() if sel is not None else np.empty_like(state)
-        src = idx if sel is None else idx[sel]
-        dst = new_idx if sel is None else new_idx[sel]
-        out[dst] = state[src]
         return out
 
     if gate.kind == UNITARY_KIND:
@@ -336,11 +374,9 @@ def ancilla_audit(circuit: Circuit, inputs, wires) -> bool:
     mask = 0
     for w in wires:
         mask |= _wire_bit(width, w)
-    for basis in inputs:
-        trace = trace_basis(circuit, basis)
-        if (trace.output_index & mask) != (basis & mask):
-            return False
-    return True
+    basis = _basis_array(width, inputs)
+    out, _ = _map_basis(circuit.gates, width, basis)
+    return bool(np.all((out & mask) == (basis & mask)))
 
 
 def export_text(circuit: Circuit) -> str:

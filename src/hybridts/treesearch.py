@@ -190,7 +190,11 @@ class SearchTree:
     @classmethod
     def from_json(cls, text: str) -> "SearchTree":
         data = json.loads(text)
-        return cls(data["numVars"], list(data["parents"]),
+        parents = list(data["parents"])
+        for c, p in enumerate(parents):
+            if not (p == -1 if c == 0 else 0 <= p < c):
+                raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
+        return cls(data["numVars"], parents,
                    [tuple(e) if e else None for e in data["edges"]],
                    list(data["depths"]), [bool(m) for m in data["marked"]],
                    data["depthBound"])

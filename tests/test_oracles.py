@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from hybridts.formula import CnfFormula
-from hybridts.generators import brute_force_count, random_kcnf
+from hybridts.generators import (
+    brute_force_count,
+    brute_force_models,
+    random_kcnf,
+    unique_sat_3cnf,
+)
+from hybridts.qcircuit import qpe
 from hybridts.qcircuit.core import Circuit, simulate
 from hybridts.qcircuit.oracles import (
     build_oracle,
@@ -14,12 +20,14 @@ from hybridts.qcircuit.oracles import (
     clause_oracle_naive,
     closed_form_success,
     grover_angle,
+    grover_circuit,
     grover_search,
     optimal_iterations,
     oracle_cost_report,
     oracle_phases,
     qubit_cost,
 )
+from test_qcircuit_core import oracle_simulate
 
 F = CnfFormula.from_clauses
 
@@ -120,3 +128,48 @@ def test_optimal_iteration_count():
     assert optimal_iterations(2, 1) == 1
     assert optimal_iterations(4, 16) == 0
     assert optimal_iterations(4, 0) == math.ceil(math.pi / 4 * 4)
+
+
+def test_grover_equals_gate_by_gate_oracle():
+    rng = random.Random(54)
+    for _ in range(8):
+        n = rng.randint(3, 6)
+        f = random_kcnf(rng, n, rng.randint(1, 9))
+        for kind in ("naive", "counter"):
+            circ, _ = grover_circuit(f, rng.randint(0, 3), kind)
+            assert np.array_equal(simulate(circ), oracle_simulate(circ))
+
+
+def test_qpe_circuits_equal_gate_by_gate_oracle(monkeypatch):
+    gen = np.random.default_rng(55)
+    cases = []
+    for m, t in ((1, 1), (1, 4), (2, 3), (2, 5), (3, 2)):
+        z = gen.normal(size=(2 ** m, 2 ** m)) + 1j * gen.normal(size=(2 ** m, 2 ** m))
+        u, _ = np.linalg.qr(z)
+        _, vecs = np.linalg.eig(u)
+        psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        state = gen.normal(size=2 ** m) + 1j * gen.normal(size=2 ** m)
+        cases.append((u, psi, state / np.linalg.norm(state), t))
+    # A diagonal U makes its controlled powers phase permutations.
+    cases.append((np.diag(np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))),
+                  np.array([0, 0, 1, 0], dtype=complex), np.full(4, 0.5, dtype=complex), 3))
+
+    def run_all():
+        return [(qpe.qpe_counter(u, psi, t)[0], qpe.qpe_zero_probability(u, state, t))
+                for u, psi, state, t in cases]
+
+    fast = run_all()
+    monkeypatch.setattr(qpe, "simulate", oracle_simulate)
+    for got, want in zip(fast, run_all()):
+        assert np.abs(np.subtract(got, want)).max() < 1e-12
+
+
+def test_grover_counter_oracle_16_wires():
+    rng = random.Random(56)
+    f = unique_sat_3cnf(rng, 10, 30)
+    iterations = optimal_iterations(10, 1)
+    res = grover_search(f, iterations, oracle="counter")
+    assert res.num_wires == 16
+    theta = grover_angle(10, 1)
+    assert abs(res.success_probability - closed_form_success(iterations, theta)) < 1e-9
+    assert res.assignment in brute_force_models(f)

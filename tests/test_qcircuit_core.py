@@ -1,9 +1,12 @@
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+from hybridts.qcircuit import core
 from hybridts.qcircuit.core import (
+    SQRT1_2,
     Circuit,
     ancilla_audit,
     append_increment,
@@ -12,6 +15,131 @@ from hybridts.qcircuit.core import (
     simulate,
     trace_basis,
 )
+
+
+# ---------------------------------------------------------------------------
+# Gate-by-gate reference: every gate is a masked update of the whole state.
+# simulate compiles runs of X, INC, REFLECT0 and diagonal UNITARY gates into
+# one gather and applies uncontrolled H through a reshape; this applies each
+# gate on its own, and UNITARY blocks through the library's per-gate matmul.
+
+def oracle_apply(state, gate, width, idx):
+    cmask, cwant = core._control_masks(width, gate.controls)
+    sel = (idx & cmask) == cwant if cmask else None
+
+    if gate.kind == "x":
+        bit = core._wire_bit(width, gate.targets[0])
+        flipped = idx ^ bit
+        if sel is None:
+            return state[flipped]
+        out = state.copy()
+        out[sel] = state[flipped[sel]]
+        return out
+
+    if gate.kind == "h":
+        bit = core._wire_bit(width, gate.targets[0])
+        low = (idx & bit) == 0
+        base = low if sel is None else (low & sel)
+        i0 = idx[base]
+        i1 = i0 | bit
+        out = state.copy()
+        a, b = state[i0], state[i1]
+        out[i0] = (a + b) * SQRT1_2
+        out[i1] = (a - b) * SQRT1_2
+        return out
+
+    if gate.kind == "reflect0":
+        tmask = 0
+        for wire in gate.targets:
+            tmask |= core._wire_bit(width, wire)
+        zero = (idx & tmask) == 0
+        if sel is not None:
+            zero &= sel
+        out = state.copy()
+        out[zero] = -out[zero]
+        return out
+
+    if gate.kind == "inc":
+        k = len(gate.targets)
+        shifts = [width - 1 - w for w in gate.targets]
+        value = np.zeros_like(idx)
+        for pos, sh in enumerate(shifts):
+            value |= ((idx >> sh) & 1) << (k - 1 - pos)
+        new_value = (value + gate.step) % (2 ** k)
+        new_idx = idx.copy()
+        for pos, sh in enumerate(shifts):
+            bit = 1 << sh
+            on = ((new_value >> (k - 1 - pos)) & 1).astype(bool)
+            new_idx = np.where(on, new_idx | bit, new_idx & ~bit)
+        out = state.copy() if sel is not None else np.empty_like(state)
+        src = idx if sel is None else idx[sel]
+        dst = new_idx if sel is None else new_idx[sel]
+        out[dst] = state[src]
+        return out
+
+    assert gate.kind == "unitary"
+    return core._apply_gate(state, gate, width, idx)
+
+
+def oracle_simulate(circuit, basis_input=None, state=None):
+    width = circuit.num_wires
+    idx = np.arange(2 ** width, dtype=np.int64)
+    if state is None:
+        state = np.zeros(2 ** width, dtype=complex)
+        state[basis_input or 0] = 1.0
+    else:
+        state = np.asarray(state, dtype=complex).copy()
+    for gate in circuit.gates:
+        state = oracle_apply(state, gate, width, idx)
+    return state
+
+
+def random_controls(rng, w, used):
+    pool = [u for u in range(w) if u not in used]
+    return tuple((u, rng.randint(0, 1))
+                 for u in rng.sample(pool, k=rng.randint(0, min(2, len(pool)))))
+
+
+def random_block(rng, gen, w, complex_phases, classical):
+    """A circuit fragment of every gate kind simulate distinguishes."""
+    kinds = ["x", "inc", "reflect0", "diag"] + ([] if classical else ["h", "unitary"])
+    block = Circuit(w)
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(kinds)
+        if kind in ("x", "h"):
+            t = rng.randrange(w)
+            getattr(block, kind)(t, random_controls(rng, w, {t}))
+        elif kind == "inc":
+            reg = tuple(rng.sample(range(w), k=rng.randint(1, w)))
+            block.inc(reg, random_controls(rng, w, set(reg)), step=rng.choice((1, -1)))
+        elif kind == "reflect0":
+            ts = tuple(rng.sample(range(w), k=rng.randint(1, w)))
+            block.reflect0(ts, random_controls(rng, w, set(ts)))
+        else:
+            ts = tuple(rng.sample(range(w), k=rng.randint(1, min(2, w))))
+            dim = 2 ** len(ts)
+            if kind == "unitary":
+                z = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+                u, _ = np.linalg.qr(z)
+            elif complex_phases:
+                u = np.diag(np.exp(1j * gen.uniform(0, 2 * np.pi, size=dim)))
+            else:
+                u = np.diag(gen.choice((-1.0, 1.0), size=dim))
+            block.unitary(ts, u, random_controls(rng, w, set(ts)))
+    return block
+
+
+def random_circuit(rng, gen, w, complex_phases=False, classical=False):
+    """Fragments repeated through extend, so runs recur with the same Gate
+    objects, interleaved with single gates."""
+    blocks = [random_block(rng, gen, w, complex_phases, classical)
+              for _ in range(rng.randint(1, 3))]
+    circ = Circuit(w)
+    for _ in range(rng.randint(2, 6)):
+        circ.extend(rng.choice(blocks))
+        if not classical and rng.random() < 0.7:
+            circ.h(rng.randrange(w))
+    return circ
 
 
 def test_x_and_h_basics():
@@ -170,5 +298,100 @@ def test_norm_validation():
     c = Circuit(2)
     with pytest.raises(ValueError):
         simulate(c, state=np.array([1.0, 1.0, 0.0, 0.0]))
+    c.h(0)
+    for bad in (-1, 4, 7):
+        with pytest.raises(ValueError, match="basis input out of range"):
+            simulate(c, basis_input=bad)
     with pytest.raises(ValueError):
         c.unitary((0,), np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("complex_phases", [False, True])
+def test_simulate_equals_gate_by_gate_oracle(complex_phases):
+    rng = random.Random(71 + complex_phases)
+    gen = np.random.default_rng(71 + complex_phases)
+    for _ in range(60):
+        w = rng.randint(1, 6)
+        circ = random_circuit(rng, gen, w, complex_phases)
+        init = gen.normal(size=2 ** w) + 1j * gen.normal(size=2 ** w)
+        init /= np.linalg.norm(init)
+        basis = rng.randrange(2 ** w)
+        pairs = [(simulate(circ, state=init), oracle_simulate(circ, state=init)),
+                 (simulate(circ, basis_input=basis), oracle_simulate(circ, basis))]
+        for got, want in pairs:
+            if complex_phases:
+                assert np.abs(got - want).max() < 1e-12
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_compiled_maps_live_only_while_their_run_recurs(monkeypatch):
+    rng = random.Random(73)
+    gen = np.random.default_rng(73)
+    block = random_block(rng, gen, 4, False, classical=True)
+    circ = Circuit(4)
+    for _ in range(5):
+        circ.h(0)
+        circ.extend(block)
+    for wire in range(4):         # distinct runs, as in a QPE counter circuit
+        circ.h(0)
+        circ.x(wire)
+    compiled, maps, alive = [], [], []
+    real = core._compile_run
+
+    def spy(gates, *args):
+        alive.append(sum(ref() is not None for ref in maps))
+        compiled.append(gates)
+        src, phase = real(gates, *args)
+        maps.append(weakref.ref(src))
+        return src, phase
+
+    monkeypatch.setattr(core, "_compile_run", spy)
+    assert np.array_equal(simulate(circ), oracle_simulate(circ))
+    assert compiled == [tuple(block.gates)] + [(g,) for g in circ.gates[-7::2]]
+    # Only the map just applied is still referenced when the next is built.
+    assert max(alive) == 1
+
+
+def test_trace_and_audit_equal_oracle_on_every_basis_input():
+    rng = random.Random(72)
+    gen = np.random.default_rng(72)
+    for trial in range(40):
+        w = rng.randint(1, 5)
+        complex_phases = trial % 2 == 1
+        circ = random_circuit(rng, gen, w, complex_phases, classical=True)
+        assert is_classical(circ)
+        images = []
+        for basis in range(2 ** w):
+            want = oracle_simulate(circ, basis)
+            tr = trace_basis(circ, basis)
+            assert np.count_nonzero(want) == 1
+            if complex_phases:
+                assert abs(want[tr.output_index] - tr.phase) < 1e-12
+            else:
+                assert want[tr.output_index] == tr.phase
+            images.append(int(np.flatnonzero(want)[0]))
+        for wires in ([], [0], list(range(w)), rng.sample(range(w), k=rng.randint(1, w))):
+            bits = sum(1 << (w - 1 - u) for u in wires)
+            inputs = rng.sample(range(2 ** w), k=rng.randint(1, 2 ** w))
+            restored = all(images[b] & bits == b & bits for b in inputs)
+            assert ancilla_audit(circ, inputs, wires) == restored
+
+
+def test_trace_past_62_wires():
+    # Basis indices of a wide circuit exceed int64; the trace must not wrap.
+    w = 70
+    c = Circuit(w)
+    c.x(0)
+    c.inc(tuple(range(1, w)), ((0, 1),))
+    c.x(w - 1, ((0, 1), (2, 0)))
+    c.reflect0((1, 2), ((w - 1, 1),))
+    for basis, out, phase in [(7, (1 << 69) | 9, -1),
+                              (2 ** w - 1, 2 ** 69 - 1, 1),
+                              (2 ** 69 - 1, (1 << 69) | 1, -1)]:  # register wraps
+        tr = trace_basis(c, basis)
+        assert (tr.output_index, tr.phase) == (out, phase)
+    assert ancilla_audit(c, [7, 2 ** w - 1], [1])
+    assert not ancilla_audit(c, [7], [0])
+    with pytest.raises(ValueError, match="basis input out of range"):
+        trace_basis(c, 2 ** w)

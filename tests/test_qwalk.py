@@ -251,12 +251,15 @@ def test_star_overlap_stays_below_one():
     ([-1, 0], [0, 1], 2),
     ([-1, 0, 0], [0, 1, 1], 1),
     ([-1, 0, 1, 0, 1], [0, 1, 2, 1, 2], 3),
+    ([-1, 0, 1, 2, 2, 1, 0], [0, 1, 2, 3, 3, 2, 1], 5),
 ])
 def test_certificate_counts_an_exact_zero_pivot(parents, depths, n):
     # At x = sqrt(2/3) the pivot of the root comes out 0.0 in the first two
     # trees, where a singular value of D sits exactly on x and counts as at
     # or above it. In the third, vertex 1's pivot is 0.0 and pairs with the
-    # root; the one singular value above x is 0.965.
+    # root; the one singular value above x is 0.965. In the fourth, vertex
+    # 2's pivot is 0.0 and pairs with vertex 1, not with the root, so an
+    # already-paired pivot must be neither counted again nor passed up.
     tree = walk_tree(parents, depths, [False] * len(parents), n)
     x = math.sqrt(2 / 3)
     psi_a, psi_b = star_matrices(tree)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -274,3 +275,16 @@ def test_search_tree_json_round_trip():
     assert back.marked == res.tree.marked
     assert back.edges == res.tree.edges
     assert back.depth_bound == res.tree.depth_bound
+
+
+def test_search_tree_json_requires_preorder():
+    # Out of preorder, decomposition.subtree_metrics would read sizes
+    # [3, 2, 2, 1] for this tree instead of [4, 2, 3, 1].
+    good = {"numVars": 3, "parents": [-1, 0, 1, 2], "edges": [None, [1, 0], [2, 1], [3, 0]],
+            "depths": [0, 1, 2, 3], "marked": [False] * 4, "depthBound": 3}
+    assert SearchTree.from_json(json.dumps(good)).parents == [-1, 0, 1, 2]
+    for parents, depths in (([-1, 2, 0, 1], [0, 2, 1, 3]), ([0, -1, 1, 1], [1, 0, 2, 2]),
+                            ([-1, 0, 2, 1], [0, 1, 2, 3]), ([-1, -1, 1, 2], [0, 0, 1, 2])):
+        bad = dict(good, parents=parents, depths=depths)
+        with pytest.raises(ValueError, match="not in preorder"):
+            SearchTree.from_json(json.dumps(bad))
