@@ -3,14 +3,21 @@
 Literals are signed integers in DIMACS style: +v is the positive literal of
 variable v, -v its negation. Variables are numbered 1..n. Assignment values
 are 0/1 with UNSET = -1 for unassigned.
+
+s-implication, the forcing rule of PPSZ (Paturi, Pudlak, Saks and Zane,
+JACM 2005), has one kernel here: `s_implication`. It looks only at connected
+subsets of at most s clauses that contain the variable, takes them from the
+caller's clause index (the engine's occurrence lists, SIA's per-variable
+index, or the index `s_implied_over_clauses` builds over a clause list), and
+decides each subset with one bitmask truth table.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 UNSET = -1
 
@@ -28,6 +35,15 @@ class SImplication(Enum):
     # Both polarities (or an unsatisfiable sub-formula) found: the restriction
     # is unsatisfiable at this variable.
     CONTRADICTION = "contradiction"
+
+    @classmethod
+    def of(cls, found_true: bool, found_false: bool) -> "SImplication":
+        """The verdict from the polarities some subset forces."""
+        if found_true and found_false:
+            return cls.CONTRADICTION
+        if found_true:
+            return cls.FORCED_TRUE
+        return cls.FORCED_FALSE if found_false else cls.FREE
 
 
 def lit_satisfied(lit: int, value: int) -> bool:
@@ -209,121 +225,153 @@ def pure_literal_rule(formula: CnfFormula, assignment: PartialAssignment) -> tup
     return None
 
 
-def _subset_agreement(clauses: Sequence[tuple[int, ...]], var: int) -> str:
-    """Classify a sub-formula: 'unsat', 'true', 'false', or 'none'.
-
-    'true'/'false' mean every satisfying assignment of the sub-formula sets
-    var accordingly (var must occur in it for a non-vacuous verdict).
-    """
-    vars_g = sorted({abs(l) for c in clauses for l in c})
-    sat_true = sat_false = False
-    any_sat = False
-    for bits in itertools.product((0, 1), repeat=len(vars_g)):
-        values = dict(zip(vars_g, bits))
-        if all(any(lit_satisfied(l, values[abs(l)]) for l in c) for c in clauses):
-            any_sat = True
-            if var in values:
-                if values[var]:
-                    sat_true = True
-                else:
-                    sat_false = True
-            else:
-                sat_true = sat_false = True
-            if sat_true and sat_false:
-                return "none"
-    if not any_sat:
-        return "unsat"
-    if sat_true:
-        return "true"
-    if sat_false:
-        return "false"
-    return "none"
+# Truth tables span at most 2^_TABLE_VARS rows; a subset over more variables
+# is split on its last variables until each part fits.
+_TABLE_VARS = 12
 
 
-def s_implied(formula: CnfFormula, assignment: PartialAssignment, var: int,
-              s: int) -> SImplication:
-    """Exhaustive s-implication over all <=s clause subsets of the restriction.
+@functools.cache
+def _columns(k: int) -> tuple[int, tuple[int, ...]]:
+    """Truth-table constants over k variables: the all-rows mask and one
+    column per variable. Row r gives variable i the value of bit i of r, so
+    column i repeats a block of 2^i zeros then 2^i ones."""
+    full = (1 << (1 << k)) - 1
+    cols = []
+    for i in range(k):
+        b = 1 << i
+        cols.append((((1 << b) - 1) << b) * (full // ((1 << 2 * b) - 1)))
+    return full, tuple(cols)
 
-    forcedTrue/forcedFalse when some sub-formula of at most s clauses forces
-    the variable; CONTRADICTION when both polarities are forced or some
-    sub-formula is unsatisfiable (the restriction is then unsatisfiable).
+
+def s_implication(var: int, s: int, clauses_with: Callable[[int], Iterable[int]],
+                  restricted: Callable[[int], tuple[int, ...] | None]) -> SImplication:
+    """The s-implication kernel: the verdict on `var` over every connected
+    subset of at most s restricted clauses that contains `var`.
+
+    The caller's clause index supplies the pool. `clauses_with(v)` gives the
+    ids of the clauses containing variable v; `restricted(ci)` gives clause
+    ci under the caller's restriction, or None when it is satisfied. Subsets
+    start from the live clauses containing `var` and reach further clauses
+    only through the variables of the subset so far; a clause is restricted
+    at most once per call. Every caller's restriction keeps the variables a
+    clause is reached through (`var` is unset, and so are the variables of
+    the subset), so a clause in the pool is never empty.
+
+    forcedTrue/forcedFalse when some subset forces `var`; CONTRADICTION when
+    some subset is unsatisfiable or both polarities are forced. Unconnected
+    unsatisfiable sub-formulas are left to the search predicate. A subset of
+    one clause forces `var` when it is (var,) or (-var,). A larger subset is
+    a truth table held in a Python int: a clause is the OR of its literal
+    columns, the subset the AND of its clauses, so the verdict does not
+    depend on the order of the subsets.
     """
     if s < 1:
-        raise ValueError("s must be >= 1")
-    if assignment.value(var) != UNSET:
-        raise ValueError(f"variable {var} is already assigned")
-    restricted = restrict(formula, assignment)
+        raise ValueError(f"s must be >= 1, got {s}")
+    pool: dict[int, tuple[int, ...] | None] = {}
+
+    def live(ids: Iterable[int]) -> list[int]:
+        out = []
+        for ci in ids:
+            if ci not in pool:
+                pool[ci] = restricted(ci)
+            if pool[ci] is not None:
+                out.append(ci)
+        return out
+
+    seeds = live(clauses_with(var))
     found_true = found_false = False
-    clauses = restricted.clauses
-    for size in range(1, s + 1):
-        for combo in itertools.combinations(range(len(clauses)), size):
-            verdict = _subset_agreement([clauses[i] for i in combo], var)
-            if verdict == "unsat":
-                return SImplication.CONTRADICTION
-            found_true |= verdict == "true"
-            found_false |= verdict == "false"
+    for ci in seeds:
+        clause = pool[ci]
+        if len(clause) == 1:
+            if clause[0] > 0:
+                found_true = True
+            else:
+                found_false = True
+    if (found_true and found_false) or s == 1:
+        return SImplication.of(found_true, found_false)
+
+    # Sizes 2..s: each connected subset is visited once, from its
+    # lowest-ranked clause (Wernicke's ESU enumeration, 2006). Seeds rank
+    # first, so every subset that holds a seed is reached from a seed.
+    rank = {ci: i for i, ci in enumerate(seeds)}
+    base = len(seeds)
+    neighbours: dict[int, set[int]] = {}
+
+    def around(ci: int) -> set[int]:
+        if ci not in neighbours:
+            near = set()
+            for lit in pool[ci]:
+                near.update(live(clauses_with(abs(lit))))
+            near.discard(ci)
+            neighbours[ci] = near
+        return neighbours[ci]
+
+    def models(clauses: list[tuple[int, ...]]) -> tuple[bool, bool]:
+        """Whether the clauses have a model with var true, and one with var
+        false, from one truth table with var as column 0."""
+        index = {var: 0}
+        for clause in clauses:
+            for lit in clause:
+                index.setdefault(abs(lit), len(index))
+        if len(index) > _TABLE_VARS:
+            # Past one table: fix the last variable each way in turn.
+            v = next(reversed(index))
+            can_true = can_false = False
+            for lit in (v, -v):
+                t, f = models([tuple(l for l in c if l != -lit)
+                               for c in clauses if lit not in c])
+                can_true |= t
+                can_false |= f
+                if can_true and can_false:
+                    break
+            return can_true, can_false
+        full, cols = _columns(len(index))
+        sat = full
+        for clause in clauses:
+            mask = 0
+            for lit in clause:
+                col = cols[index[abs(lit)]]
+                mask |= col if lit > 0 else full ^ col
+            sat &= mask
+        return sat & cols[0] != 0, sat & ~cols[0] != 0
+
+    def extend(subset: list[int], closed: set[int], ext: set[int],
+               low: int) -> bool:
+        nonlocal found_true, found_false
+        while ext:
+            ci = ext.pop()
+            grown = subset + [ci]
+            can_true, can_false = models([pool[cj] for cj in grown])
+            # An unsatisfiable subset forces both values: a contradiction.
+            found_true |= not can_false
+            found_false |= not can_true
             if found_true and found_false:
-                return SImplication.CONTRADICTION
-    if found_true:
-        return SImplication.FORCED_TRUE
-    if found_false:
-        return SImplication.FORCED_FALSE
-    return SImplication.FREE
+                return True
+            if len(grown) < s:
+                near = around(ci)
+                more = {cj for cj in near - closed if rank.get(cj, base + cj) > low}
+                if extend(grown, closed | near, ext | more, low):
+                    return True
+        return False
 
-
-def _connected_subsets(clauses: Sequence[tuple[int, ...]], var: int,
-                       s: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of <=s clause indices, connected through shared variables and
-    containing at least one clause with var. Unconnected clauses cannot
-    non-vacuously influence the forcing of var."""
-    seeds = [i for i, c in enumerate(clauses) if any(abs(l) == var for l in c)]
-    by_var: dict[int, list[int]] = {}
-    for i, c in enumerate(clauses):
-        for l in c:
-            by_var.setdefault(abs(l), []).append(i)
-    seen: set[frozenset[int]] = set()
-
-    def expand(current: frozenset[int], frontier_vars: set[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(sorted(current))
-        if len(current) == s:
-            return
-        candidates = {j for v in frontier_vars for j in by_var.get(v, ()) if j not in current}
-        for j in sorted(candidates):
-            nxt = current | {j}
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            yield from expand(nxt, frontier_vars | {abs(l) for l in clauses[j]})
-
-    for i in seeds:
-        start = frozenset([i])
-        if start in seen:
-            continue
-        seen.add(start)
-        yield from expand(start, {abs(l) for l in clauses[i]})
+    for ci in seeds:
+        low = rank[ci]
+        near = around(ci)
+        ext = {cj for cj in near if rank.get(cj, base + cj) > low}
+        if extend([ci], near | {ci}, ext, low):
+            return SImplication.CONTRADICTION
+    return SImplication.of(found_true, found_false)
 
 
 def s_implied_over_clauses(clauses: Sequence[tuple[int, ...]], var: int,
                            s: int) -> SImplication:
-    """Connected-pool s-implication used by the engines and SIA blocks.
-
-    Same verdicts as s_implied for non-vacuous forcing; vacuous contradictions
-    from unconnected unsatisfiable sub-formulas are left to the predicate.
-    """
-    found_true = found_false = False
-    for combo in _connected_subsets(clauses, var, s):
-        verdict = _subset_agreement([clauses[i] for i in combo], var)
-        if verdict == "unsat":
-            return SImplication.CONTRADICTION
-        found_true |= verdict == "true"
-        found_false |= verdict == "false"
-        if found_true and found_false:
-            return SImplication.CONTRADICTION
-    if found_true:
-        return SImplication.FORCED_TRUE
-    if found_false:
-        return SImplication.FORCED_FALSE
-    return SImplication.FREE
+    """s-implication over a clause list (already restricted): the connected
+    pool of `s_implication`, with the variable index built once."""
+    by_var: dict[int, list[int]] = {}
+    for ci, clause in enumerate(clauses):
+        for lit in clause:
+            by_var.setdefault(abs(lit), []).append(ci)
+    return s_implication(var, s, lambda v: by_var.get(v, ()), clauses.__getitem__)
 
 
 def index_width(formula: CnfFormula) -> int:

@@ -2,6 +2,12 @@
 bounded-index-width formulas, the Bennett pebbling schedule, and reversible
 execution with xor-cell semantics.
 
+Every path runs the same per-variable step, `_SiaCore`: the forcing verdict
+comes from `formula.s_implication` over the clauses reached from the variable
+through the per-variable clause index, each restricted by the window of the
+last w assigned values alone. The reference and its audit trail
+(`reference_assignment`) are one walk over the variables.
+
 Flag values carried in a memory cell: 0 alive, 1 contradiction, 2 out of
 advice (the two-children verdict), 3 satisfied early. The cell also carries a
 satisfied-clause counter so the blocks can detect global satisfaction from
@@ -21,6 +27,7 @@ from .formula import (
     SImplication,
     index_width,
     restrict,
+    s_implication,
     s_implied_over_clauses,
 )
 
@@ -84,48 +91,44 @@ class _SiaCore:
 
     def __init__(self, formula: CnfFormula, s: int, w: int | None,
                  target_clauses: int | None = None):
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
         self.formula = formula
         self.s = s
         self.w = w
         self.spans = _clause_spans(formula)
         # Satisfaction target; padding clauses can be excluded by the caller.
         self.target = target_clauses if target_clauses is not None else len(self.spans)
-        self.by_var: dict[int, list[int]] = {}
+        self.by_var: list[list[int]] = [[] for _ in range(formula.num_vars + 1)]
         for idx, (_, _, clause) in enumerate(self.spans):
             for lit in clause:
-                self.by_var.setdefault(abs(lit), []).append(idx)
+                self.by_var[abs(lit)].append(idx)
 
-    def window_clauses(self, window: dict[int, int], var: int) -> list[tuple[int, ...]]:
-        """Restricted clauses containing a variable >= var, computed from the
-        window alone (sound for index width <= w)."""
-        out = []
-        for lo, hi, clause in self.spans:
-            if hi < var:
-                continue
-            stripped = []
-            alive = True
-            for lit in clause:
+    def implication(self, window: dict[int, int], var: int) -> SImplication:
+        """s-implication of `var` over the clauses restricted by the window
+        alone: variables below `var` must lie in it (sound for index width
+        <= w), and those from `var` on are unset."""
+        spans = self.spans
+
+        def restricted(idx: int) -> tuple[int, ...] | None:
+            kept = []
+            for lit in spans[idx][2]:
                 v = abs(lit)
                 if v >= var:
-                    stripped.append(lit)
-                    continue
-                if v not in window:
+                    kept.append(lit)
+                elif v not in window:
                     raise ValueError(
                         f"variable {v} outside the w-window while deciding {var}; "
                         "index width exceeds w")
-                if (lit > 0) == bool(window[v]):
-                    alive = False
-                    break
-            if alive:
-                out.append(tuple(stripped))
-        return out
+                elif (lit > 0) == bool(window[v]):
+                    return None
+            return tuple(kept)
 
-    def implication(self, window: dict[int, int], var: int) -> SImplication:
-        return s_implied_over_clauses(self.window_clauses(window, var), var, self.s)
+        return s_implication(var, self.s, self.by_var.__getitem__, restricted)
 
     def post_assign(self, window: dict[int, int], var: int, sat_count: int) -> tuple[int, int]:
         """Clause fates sealed by assigning `var`: returns (sat_count, flag)."""
-        for idx in self.by_var.get(var, ()):
+        for idx in self.by_var[var]:
             lo, hi, clause = self.spans[idx]
             made_true = False
             earlier_true = False
@@ -152,62 +155,50 @@ class _SiaCore:
         return sat_count, FLAG_ALIVE
 
 
-def sia_reference(formula: CnfFormula, advice: str | tuple[int, ...],
-                  s: int = 1) -> SiaOutcome:
-    """Irreversible SIA: walk variables 1..n, forcing by s-implication and
-    spending advice bits on guesses; stops on contradiction, satisfaction, or
-    advice exhaustion at a guess."""
+def _reference_walk(formula: CnfFormula, advice: str | tuple[int, ...],
+                    s: int) -> tuple[SiaOutcome, dict[int, int]]:
+    """The irreversible walk: its outcome and the values it assigned."""
     bits = tuple(int(b) for b in advice)
     core = _SiaCore(formula, s, None)
-    if formula.has_empty_clause:
-        return SiaOutcome("zeroChildren", "contradiction", None, 0, FLAG_CONTRADICTION)
-    if core.target == 0:
-        return SiaOutcome("zeroChildren", "satisfied", None, 0, FLAG_SATISFIED)
     window: dict[int, int] = {}
+    if formula.has_empty_clause:
+        return SiaOutcome("zeroChildren", "contradiction", None, 0,
+                          FLAG_CONTRADICTION), window
+    if core.target == 0:
+        return SiaOutcome("zeroChildren", "satisfied", None, 0, FLAG_SATISFIED), window
     cursor = 0
     sat_count = 0
     for var in range(1, formula.num_vars + 1):
         verdict = core.implication(window, var)
         if verdict == SImplication.FREE:
             if cursor == len(bits):
-                return SiaOutcome("twoChildren", None, var, cursor, FLAG_OUT_OF_ADVICE)
+                return SiaOutcome("twoChildren", None, var, cursor,
+                                  FLAG_OUT_OF_ADVICE), window
             window[var] = bits[cursor]
             cursor += 1
         else:
             # Alg. 2 order: the positive test fires first on a double force.
             window[var] = 0 if verdict == SImplication.FORCED_FALSE else 1
         sat_count, flag = core.post_assign(window, var, sat_count)
-        if flag == FLAG_CONTRADICTION:
-            return SiaOutcome("zeroChildren", "contradiction", None, cursor, flag)
-        if flag == FLAG_SATISFIED:
-            return SiaOutcome("zeroChildren", "satisfied", None, cursor, flag)
+        if flag in _REASON:
+            return SiaOutcome("zeroChildren", _REASON[flag], None, cursor, flag), window
     # Unreachable for formulas with clauses: a full assignment satisfies or
     # contradicts some clause. Kept for the m == 0 guard above.
-    return SiaOutcome("zeroChildren", "fullAssignment", None, cursor, FLAG_ALIVE)
+    return SiaOutcome("zeroChildren", "fullAssignment", None, cursor, FLAG_ALIVE), window
+
+
+def sia_reference(formula: CnfFormula, advice: str | tuple[int, ...],
+                  s: int = 1) -> SiaOutcome:
+    """Irreversible SIA: walk variables 1..n, forcing by s-implication and
+    spending advice bits on guesses; stops on contradiction, satisfaction, or
+    advice exhaustion at a guess."""
+    return _reference_walk(formula, advice, s)[0]
 
 
 def reference_assignment(formula: CnfFormula, advice: str | tuple[int, ...],
                          s: int = 1) -> dict[int, int]:
     """Variable values assigned along the reference path (for audits)."""
-    bits = tuple(int(b) for b in advice)
-    core = _SiaCore(formula, s, None)
-    window: dict[int, int] = {}
-    cursor, sat_count = 0, 0
-    if formula.has_empty_clause or core.target == 0:
-        return {}
-    for var in range(1, formula.num_vars + 1):
-        verdict = core.implication(window, var)
-        if verdict == SImplication.FREE:
-            if cursor == len(bits):
-                break
-            window[var] = bits[cursor]
-            cursor += 1
-        else:
-            window[var] = 0 if verdict == SImplication.FORCED_FALSE else 1
-        sat_count, flag = core.post_assign(window, var, sat_count)
-        if flag != FLAG_ALIVE:
-            break
-    return dict(window)
+    return _reference_walk(formula, advice, s)[1]
 
 
 @dataclass(frozen=True)

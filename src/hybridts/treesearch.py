@@ -26,6 +26,7 @@ from .formula import (
     evaluate_predicate,
     pure_literal_rule,
     restrict,
+    s_implication,
     s_implied_over_clauses,
     unit_rule,
 )
@@ -84,6 +85,8 @@ class EngineConfig:
                 raise ValueError("guess budget must lie in 0..n")
         else:
             budget = None
+        if self.s < 1:
+            raise ValueError(f"s must be >= 1, got {self.s}")
         for rule in self.reduction_rules:
             if rule not in ("unit", "pureLiteral", "sImplication"):
                 raise ValueError(f"unknown reduction rule {rule!r}")
@@ -324,21 +327,20 @@ class _EngineState:
         self.contra_count = 0
         self.occ_pos: list[list[int]] = [[] for _ in range(n + 1)]
         self.occ_neg: list[list[int]] = [[] for _ in range(n + 1)]
-        self.alive_pos = [0] * (n + 1)
-        self.alive_neg = [0] * (n + 1)
         for ci, clause in enumerate(clauses):
             for lit in clause:
                 if lit > 0:
                     self.occ_pos[lit].append(ci)
-                    self.alive_pos[lit] += 1
                 else:
                     self.occ_neg[-lit].append(ci)
-                    self.alive_neg[-lit] += 1
+        self.occ = [p + q for p, q in zip(self.occ_pos, self.occ_neg)]
         self.unit_set = {ci for ci, c in enumerate(clauses) if len(c) == 1}
-        self.pure_heap: list[int] = []
-        for var in range(1, n + 1):
-            if self.alive_pos[var] == 0 or self.alive_neg[var] == 0:
-                heapq.heappush(self.pure_heap, var)
+        # The pure-literal counters are kept only for the rule that reads them.
+        self.track_pure = "pureLiteral" in config.reduction_rules
+        self.alive_pos = [len(occ) for occ in self.occ_pos]
+        self.alive_neg = [len(occ) for occ in self.occ_neg]
+        self.pure_heap = [var for var in range(1, n + 1)
+                          if self.alive_pos[var] == 0 or self.alive_neg[var] == 0]
         self.trail: list[tuple[int, int]] = []
         self.num_assigned = 0
 
@@ -353,6 +355,8 @@ class _EngineState:
             if self.n_true[ci] == 1:  # clause satisfied, drops from restriction
                 self.alive_count -= 1
                 self.unit_set.discard(ci)
+                if not self.track_pure:
+                    continue
                 for lit in self.clause_lits[ci]:
                     v = abs(lit)
                     if lit > 0:
@@ -389,17 +393,18 @@ class _EngineState:
             self.n_true[ci] -= 1
             if self.n_true[ci] == 0:  # clause revives
                 self.alive_count += 1
-                for lit in self.clause_lits[ci]:
-                    v = abs(lit)
-                    if lit > 0:
-                        self.alive_pos[v] += 1
-                    else:
-                        self.alive_neg[v] += 1
+                if self.track_pure:
+                    for lit in self.clause_lits[ci]:
+                        v = abs(lit)
+                        if lit > 0:
+                            self.alive_pos[v] += 1
+                        else:
+                            self.alive_neg[v] += 1
                 if self.n_unassigned[ci] == 1:
                     self.unit_set.add(ci)
         self.values[var] = UNSET
         self.num_assigned -= 1
-        if self.alive_pos[var] == 0 or self.alive_neg[var] == 0:
+        if self.track_pure and (self.alive_pos[var] == 0 or self.alive_neg[var] == 0):
             heapq.heappush(self.pure_heap, var)
 
     # -- rule lookups ------------------------------------------------------
@@ -432,28 +437,23 @@ class _EngineState:
                 return var
         return None
 
-    def restricted_clauses(self) -> list[tuple[int, ...]]:
-        out = []
-        for ci, clause in enumerate(self.clause_lits):
-            if self.n_true[ci] == 0:
-                out.append(tuple(l for l in clause
-                                 if self.values[abs(l)] == UNSET))
-        return out
+    def restricted(self, ci: int) -> tuple[int, ...] | None:
+        """Clause ci restricted to its unset literals; None once satisfied."""
+        if self.n_true[ci]:
+            return None
+        values = self.values
+        return tuple(l for l in self.clause_lits[ci] if values[abs(l)] == UNSET)
 
     def s_implication(self, var: int, s: int) -> SImplication:
         if s == 1:
-            found_true = any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
-                             for ci in self.occ_pos[var])
-            found_false = any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
-                              for ci in self.occ_neg[var])
-            if found_true and found_false:
-                return SImplication.CONTRADICTION
-            if found_true:
-                return SImplication.FORCED_TRUE
-            if found_false:
-                return SImplication.FORCED_FALSE
-            return SImplication.FREE
-        return s_implied_over_clauses(self.restricted_clauses(), var, s)
+            # The one-clause subsets from the counters: a live clause whose
+            # only unset literal is var.
+            return SImplication.of(
+                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                    for ci in self.occ_pos[var]),
+                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                    for ci in self.occ_neg[var]))
+        return s_implication(var, s, self.occ.__getitem__, self.restricted)
 
     def forced_dpll(self, rules: tuple[str, ...], s: int) -> tuple[int, int] | None:
         for rule in rules:

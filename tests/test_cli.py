@@ -143,6 +143,22 @@ def test_qwalk_detect_bad_trials_or_delta_exit_2(flags, message, instance, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--engine", "dncppsz", "--s", "0"]),
+    ("tree-stats", ["--engine", "dncppsz", "--s", "-2"]),
+    ("sia-run", ["--s", "0", "--advice", "1"]),
+])
+def test_s_below_one_exit_2(command, flags, instance, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(instance), "--out", str(out)] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    s = flags[flags.index("--s") + 1]
+    assert err == f"hybridts {command}: error: s must be >= 1, got {s}\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ,
                PYTHONPATH=str(Path(hybridts.__file__).resolve().parents[1]))

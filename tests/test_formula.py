@@ -1,7 +1,10 @@
+import itertools
 import random
+from typing import Iterator, Sequence
 
 import pytest
 
+from hybridts import formula, sia, treesearch
 from hybridts.formula import (
     UNSET,
     CnfFormula,
@@ -10,15 +13,16 @@ from hybridts.formula import (
     SImplication,
     evaluate_predicate,
     index_width,
+    lit_satisfied,
     parse_dimacs,
     pure_literal_rule,
     restrict,
-    s_implied,
+    s_implication,
     s_implied_over_clauses,
     serialize_dimacs,
     unit_rule,
 )
-from hybridts.generators import brute_force_satisfiable, random_kcnf
+from hybridts.generators import bounded_width_cnf, brute_force_satisfiable, random_kcnf
 
 
 def F(n, clauses):
@@ -27,6 +31,189 @@ def F(n, clauses):
 
 def A(n, pairs=None):
     return PartialAssignment.of(n, pairs or {})
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the itertools s-implication that the bitmask kernel replaced, kept
+# as it was (the connected-pool entry renamed to *_oracle), with the engine's
+# and SIA's old restricted-clause builders.
+
+def _subset_agreement(clauses: Sequence[tuple[int, ...]], var: int) -> str:
+    """Classify a sub-formula: 'unsat', 'true', 'false', or 'none'.
+
+    'true'/'false' mean every satisfying assignment of the sub-formula sets
+    var accordingly (var must occur in it for a non-vacuous verdict).
+    """
+    vars_g = sorted({abs(l) for c in clauses for l in c})
+    sat_true = sat_false = False
+    any_sat = False
+    for bits in itertools.product((0, 1), repeat=len(vars_g)):
+        values = dict(zip(vars_g, bits))
+        if all(any(lit_satisfied(l, values[abs(l)]) for l in c) for c in clauses):
+            any_sat = True
+            if var in values:
+                if values[var]:
+                    sat_true = True
+                else:
+                    sat_false = True
+            else:
+                sat_true = sat_false = True
+            if sat_true and sat_false:
+                return "none"
+    if not any_sat:
+        return "unsat"
+    if sat_true:
+        return "true"
+    if sat_false:
+        return "false"
+    return "none"
+
+
+def s_implied(formula: CnfFormula, assignment: PartialAssignment, var: int,
+              s: int) -> SImplication:
+    """Exhaustive s-implication over all <=s clause subsets of the restriction.
+
+    forcedTrue/forcedFalse when some sub-formula of at most s clauses forces
+    the variable; CONTRADICTION when both polarities are forced or some
+    sub-formula is unsatisfiable (the restriction is then unsatisfiable).
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if assignment.value(var) != UNSET:
+        raise ValueError(f"variable {var} is already assigned")
+    restricted = restrict(formula, assignment)
+    found_true = found_false = False
+    clauses = restricted.clauses
+    for size in range(1, s + 1):
+        for combo in itertools.combinations(range(len(clauses)), size):
+            verdict = _subset_agreement([clauses[i] for i in combo], var)
+            if verdict == "unsat":
+                return SImplication.CONTRADICTION
+            found_true |= verdict == "true"
+            found_false |= verdict == "false"
+            if found_true and found_false:
+                return SImplication.CONTRADICTION
+    if found_true:
+        return SImplication.FORCED_TRUE
+    if found_false:
+        return SImplication.FORCED_FALSE
+    return SImplication.FREE
+
+
+def _connected_subsets(clauses: Sequence[tuple[int, ...]], var: int,
+                       s: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of <=s clause indices, connected through shared variables and
+    containing at least one clause with var. Unconnected clauses cannot
+    non-vacuously influence the forcing of var."""
+    seeds = [i for i, c in enumerate(clauses) if any(abs(l) == var for l in c)]
+    by_var: dict[int, list[int]] = {}
+    for i, c in enumerate(clauses):
+        for l in c:
+            by_var.setdefault(abs(l), []).append(i)
+    seen: set[frozenset[int]] = set()
+
+    def expand(current: frozenset[int], frontier_vars: set[int]) -> Iterator[tuple[int, ...]]:
+        yield tuple(sorted(current))
+        if len(current) == s:
+            return
+        candidates = {j for v in frontier_vars for j in by_var.get(v, ()) if j not in current}
+        for j in sorted(candidates):
+            nxt = current | {j}
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            yield from expand(nxt, frontier_vars | {abs(l) for l in clauses[j]})
+
+    for i in seeds:
+        start = frozenset([i])
+        if start in seen:
+            continue
+        seen.add(start)
+        yield from expand(start, {abs(l) for l in clauses[i]})
+
+
+def s_implied_over_clauses_oracle(clauses: Sequence[tuple[int, ...]], var: int,
+                           s: int) -> SImplication:
+    """Connected-pool s-implication used by the engines and SIA blocks.
+
+    Same verdicts as s_implied for non-vacuous forcing; vacuous contradictions
+    from unconnected unsatisfiable sub-formulas are left to the predicate.
+    """
+    found_true = found_false = False
+    for combo in _connected_subsets(clauses, var, s):
+        verdict = _subset_agreement([clauses[i] for i in combo], var)
+        if verdict == "unsat":
+            return SImplication.CONTRADICTION
+        found_true |= verdict == "true"
+        found_false |= verdict == "false"
+        if found_true and found_false:
+            return SImplication.CONTRADICTION
+    if found_true:
+        return SImplication.FORCED_TRUE
+    if found_false:
+        return SImplication.FORCED_FALSE
+    return SImplication.FREE
+
+
+class OracleEngineState(treesearch._EngineState):
+    """The engine with its old s-implication: a full restricted-clause list
+    per query and the itertools pool."""
+
+    def restricted_clauses(self) -> list[tuple[int, ...]]:
+        out = []
+        for ci, clause in enumerate(self.clause_lits):
+            if self.n_true[ci] == 0:
+                out.append(tuple(l for l in clause
+                                 if self.values[abs(l)] == UNSET))
+        return out
+
+    def s_implication(self, var: int, s: int) -> SImplication:
+        if s == 1:
+            found_true = any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                             for ci in self.occ_pos[var])
+            found_false = any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                              for ci in self.occ_neg[var])
+            if found_true and found_false:
+                return SImplication.CONTRADICTION
+            if found_true:
+                return SImplication.FORCED_TRUE
+            if found_false:
+                return SImplication.FORCED_FALSE
+            return SImplication.FREE
+        return s_implied_over_clauses_oracle(self.restricted_clauses(), var, s)
+
+
+class OracleSiaCore(sia._SiaCore):
+    """SIA with its old s-implication: a scan of every clause per variable
+    and the itertools pool."""
+
+    def window_clauses(self, window: dict[int, int], var: int) -> list[tuple[int, ...]]:
+        """Restricted clauses containing a variable >= var, computed from the
+        window alone (sound for index width <= w)."""
+        out = []
+        for lo, hi, clause in self.spans:
+            if hi < var:
+                continue
+            stripped = []
+            alive = True
+            for lit in clause:
+                v = abs(lit)
+                if v >= var:
+                    stripped.append(lit)
+                    continue
+                if v not in window:
+                    raise ValueError(
+                        f"variable {v} outside the w-window while deciding {var}; "
+                        "index width exceeds w")
+                if (lit > 0) == bool(window[v]):
+                    alive = False
+                    break
+            if alive:
+                out.append(tuple(stripped))
+        return out
+
+    def implication(self, window: dict[int, int], var: int) -> SImplication:
+        return s_implied_over_clauses_oracle(self.window_clauses(window, var), var, self.s)
 
 
 def test_restrict_satisfied_clause_dropped():
@@ -83,11 +270,17 @@ def test_s_implied_examples():
     assert s_implied(F(1, [[-1]]), A(1), 1, 1) == SImplication.FORCED_FALSE
     assert s_implied(F(3, [[1, 3], [1, -3]]), A(3), 1, 2) == SImplication.FORCED_TRUE
     assert s_implied(F(2, [[1, 2]]), A(2), 1, 1) == SImplication.FREE
+    # The same verdicts from the kernel.
+    assert s_implied_over_clauses(F(1, [[-1]]).clauses, 1, 1) == SImplication.FORCED_FALSE
+    assert (s_implied_over_clauses(F(3, [[1, 3], [1, -3]]).clauses, 1, 2)
+            == SImplication.FORCED_TRUE)
+    assert s_implied_over_clauses(F(2, [[1, 2]]).clauses, 1, 1) == SImplication.FREE
 
 
 def test_s_implied_contradiction_signal():
     f = F(1, [[1], [-1]])
     assert s_implied(f, A(1), 1, 2) == SImplication.CONTRADICTION
+    assert s_implied_over_clauses(f.clauses, 1, 2) == SImplication.CONTRADICTION
 
 
 def test_s_implied_s1_matches_unit_rule():
@@ -102,6 +295,8 @@ def test_s_implied_s1_matches_unit_rule():
             unit_here = hit is not None and any(
                 len(c) == 1 and abs(c[0]) == var for c in f.clauses)
             assert forced == unit_here
+            kernel = s_implied_over_clauses(f.clauses, var, 1)
+            assert (kernel in (SImplication.FORCED_TRUE, SImplication.FORCED_FALSE)) == unit_here
 
 
 def test_s_implied_monotone_in_s_on_satisfiable_restrictions():
@@ -116,6 +311,10 @@ def test_s_implied_monotone_in_s_on_satisfiable_restrictions():
             v2 = s_implied(f, a, var, 2)
             if v1 in (SImplication.FORCED_TRUE, SImplication.FORCED_FALSE):
                 assert v2 == v1
+            k1 = s_implied_over_clauses(f.clauses, var, 1)
+            k2 = s_implied_over_clauses(f.clauses, var, 2)
+            if k1 in (SImplication.FORCED_TRUE, SImplication.FORCED_FALSE):
+                assert k2 == k1
 
 
 def test_connected_pool_agrees_on_forcing():
@@ -128,6 +327,192 @@ def test_connected_pool_agrees_on_forcing():
         clauses = restrict(f, a).clauses
         for var in range(1, f.num_vars + 1):
             assert s_implied(f, a, var, 2) == s_implied_over_clauses(clauses, var, 2)
+
+
+def _random_restriction(rng):
+    """A formula over 3..7 variables with clauses of width 1..3, under a
+    random partial assignment: some restrictions are unsatisfiable and some
+    already hold an empty clause."""
+    n = rng.randint(3, 7)
+    clauses = [[rng.choice((1, -1)) * v
+                for v in rng.sample(range(1, n + 1), rng.choice((1, 2, 2, 3, 3, 3)))]
+               for _ in range(rng.randint(1, 3 * n))]
+    pairs = {v: rng.randint(0, 1)
+             for v in rng.sample(range(1, n + 1), rng.randint(0, n - 1))}
+    return F(n, clauses), pairs
+
+
+def test_kernel_matches_oracle_on_random_restrictions():
+    rng = random.Random(21)
+    verdicts = set()
+    unsat = contradicted = 0
+    for _ in range(150):
+        f, pairs = _random_restriction(rng)
+        restricted = restrict(f, A(f.num_vars, pairs))
+        unsat += not brute_force_satisfiable(restricted)
+        contradicted += restricted.has_empty_clause
+        for var in range(1, f.num_vars + 1):
+            if var in pairs:
+                continue
+            for s in (1, 2, 3):
+                want = s_implied_over_clauses_oracle(restricted.clauses, var, s)
+                assert s_implied_over_clauses(restricted.clauses, var, s) == want
+                verdicts.add(want)
+    assert verdicts == set(SImplication)
+    assert unsat > contradicted > 0
+
+
+def test_kernel_one_clause_layer():
+    # Clause ids listed under variable 1, each as the caller restricts it.
+    def verdict(restricted, s=1):
+        return s_implication(1, s, lambda v: list(restricted) if v == 1 else [],
+                             restricted.get)
+
+    assert verdict({0: (1,), 1: (1, 2)}) == SImplication.FORCED_TRUE
+    assert verdict({0: (-1,), 1: None}) == SImplication.FORCED_FALSE
+    assert verdict({0: (1,), 1: (-1,)}) == SImplication.CONTRADICTION
+    assert verdict({0: (1, 2), 1: None}) == SImplication.FREE
+    assert verdict({0: (1, 2), 1: (-1,)}, 2) == SImplication.FORCED_FALSE
+
+
+def test_kernel_matches_oracle_on_split_tables(monkeypatch):
+    # Subsets over more than _TABLE_VARS variables are decided one table per
+    # value of the variables past it; a tiny limit makes every subset split.
+    monkeypatch.setattr(formula, "_TABLE_VARS", 1)
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(80):
+        f, pairs = _random_restriction(rng)
+        clauses = restrict(f, A(f.num_vars, pairs)).clauses
+        for var in set(range(1, f.num_vars + 1)) - set(pairs):
+            for s in (2, 3):
+                want = s_implied_over_clauses_oracle(clauses, var, s)
+                assert s_implied_over_clauses(clauses, var, s) == want
+                verdicts.add(want)
+    assert verdicts == set(SImplication)
+
+
+def test_kernel_on_wide_clauses():
+    # 8-CNF at s=2 reaches subsets of 15 variables, past one table.
+    rng = random.Random(27)
+    for _ in range(4):
+        f = random_kcnf(rng, 16, 24, k=8)
+        for var in (10, 13, 16):
+            assert (s_implied_over_clauses(f.clauses, var, 2)
+                    == s_implied_over_clauses_oracle(f.clauses, var, 2))
+    # Two 40-literal clauses span 79 variables: free after one table.
+    wide = F(80, [list(range(1, 41)), [1] + [-v for v in range(41, 80)]])
+    assert s_implied_over_clauses(wide.clauses, 1, 2) == SImplication.FREE
+
+
+def test_engine_verdicts_equal_oracle_on_random_states():
+    rng = random.Random(22)
+    for _ in range(60):
+        f, pairs = _random_restriction(rng)
+        s = rng.choice((1, 2, 3))
+        config = treesearch.EngineConfig(kind=treesearch.DNCPPSZ,
+                                         reduction_rules=("sImplication",),
+                                         s=s).validated(f)
+        state = treesearch._EngineState(f, config)
+        oracle = OracleEngineState(f, config)
+        extra = rng.choice([v for v in range(1, f.num_vars + 1) if v not in pairs])
+        for var, value in [*pairs.items(), (extra, rng.randint(0, 1))]:
+            state.assign(var, value)
+            oracle.assign(var, value)
+        state.undo()   # the last assignment is taken back again
+        oracle.undo()
+        for var in range(1, f.num_vars + 1):
+            if var not in pairs:
+                assert state.s_implication(var, s) == oracle.s_implication(var, s)
+
+
+def test_sia_window_verdicts_equal_oracle():
+    rng = random.Random(23)
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        w = rng.randint(1, min(4, n))
+        f = bounded_width_cnf(rng, n, w, rng.randint(1, 3 * n))
+        s = rng.choice((1, 2, 3))
+        var = rng.randint(1, n)
+        window = {v: rng.randint(0, 1) for v in range(max(1, var - w), var)}
+        assert (sia._SiaCore(f, s, w).implication(window, var)
+                == OracleSiaCore(f, s, w).implication(window, var))
+    with pytest.raises(ValueError, match="index width exceeds w"):
+        sia._SiaCore(F(6, [[1, 6], [5, 6]]), 1, 2).implication({5: 0}, 6)
+
+
+def _engine_outcomes(cases, ppsz_cases):
+    out = []
+    for f, config in cases:
+        tree = treesearch.tree_stats(f, config, collect_tree=True)
+        solve = treesearch._search(f, config, exhaustive=False, collect_tree=False)
+        out.append((tree.verdict, tree.model, tree.stats.as_record(), tree.tree.to_json(),
+                    solve.verdict, solve.model, solve.stats.as_record()))
+    for f, seed in ppsz_cases:
+        r = treesearch.ppsz_proper(f, 2, 0.1, 3, seed)
+        out.append((r.verdict, r.model, r.rounds_used, r.budget))
+    return out
+
+
+def test_engine_results_equal_oracle_engine(monkeypatch):
+    rng = random.Random(24)
+    cases = []
+    for s, n_max in [(2, 9)] * 20 + [(3, 6)] * 10:
+        n = rng.randint(4, n_max)
+        f = random_kcnf(rng, n, round(rng.uniform(2.0, 7.0) * n))
+        cases.append((f, treesearch.EngineConfig(
+            kind=treesearch.DNCPPSZ, reduction_rules=("sImplication",), s=s,
+            permutation=tuple(rng.sample(range(1, n + 1), n)),
+            guess_budget=rng.randint(0, n))))
+        if s == 2 and n <= 7:
+            cases.append((f, treesearch.EngineConfig(
+                kind=treesearch.DPLL, reduction_rules=("unit", "sImplication"), s=s)))
+    ppsz_cases = [(random_kcnf(rng, 9, 38), rng.randrange(2 ** 31)) for _ in range(6)]
+    got = _engine_outcomes(cases, ppsz_cases)
+    assert {r[0] for r in got[:len(cases)]} == {treesearch.Verdict.SAT,
+                                                treesearch.Verdict.UNSAT,
+                                                treesearch.Verdict.NOT_FOUND}
+    monkeypatch.setattr(treesearch, "_EngineState", OracleEngineState)
+    assert _engine_outcomes(cases, ppsz_cases) == got
+
+
+def _sia_outcomes(cases):
+    out = []
+    for f, advice, w, s in cases:
+        reversible, trace = sia.siar_execute(f, advice, w, s)
+        composed, assignment = sia.siac_run(f, advice, w, s)
+        out.append((sia.sia_reference(f, advice, s), sia.reference_assignment(f, advice, s),
+                    reversible, trace.siab_calls, trace.peak_live_intermediate,
+                    trace.restored, composed, assignment))
+    return out
+
+
+def test_sia_results_equal_oracle_core(monkeypatch):
+    rng = random.Random(25)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        w = rng.randint(1, min(4, n))
+        f = bounded_width_cnf(rng, n, w, rng.randint(1, 3 * n))
+        advice = "".join(str(rng.randint(0, 1)) for _ in range(rng.randint(0, n)))
+        cases.append((f, advice, w, rng.choice((1, 2))))
+    got = _sia_outcomes(cases)
+    assert {r[0].kind for r in got} == {"zeroChildren", "twoChildren"}
+    monkeypatch.setattr(sia, "_SiaCore", OracleSiaCore)
+    assert _sia_outcomes(cases) == got
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_s_below_one_is_rejected(s):
+    f = F(2, [[1, 2]])
+    message = f"s must be >= 1, got {s}"
+    with pytest.raises(ValueError, match=message):
+        s_implied_over_clauses(f.clauses, 1, s)
+    with pytest.raises(ValueError, match=message):
+        treesearch.EngineConfig(kind=treesearch.DNCPPSZ, reduction_rules=("sImplication",),
+                                s=s).validated(f)
+    with pytest.raises(ValueError, match=message):
+        sia.sia_reference(f, "1", s)
 
 
 def test_restrict_monotone_composition():
