@@ -205,6 +205,8 @@ def cmd_qpe_compare(args) -> dict:
     started = time.time()
     if args.seed is None:
         raise SystemExit("--seed is mandatory")
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     records = []
     worst = 0.0

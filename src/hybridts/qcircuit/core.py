@@ -5,8 +5,9 @@ INC, REFLECT0, and UNITARY with a diagonal block, with any controls. One
 kernel, `_map_basis`, sends basis indices through a run of such gates.
 `simulate` maps all 2^W indices through each maximal run once per call and
 applies the run as one gather; `trace_basis` and `ancilla_audit` map only the
-inputs they are given. Uncontrolled H acts through a reshape of the state;
-controlled H and non-diagonal UNITARY update masked slices of it.
+inputs they are given. Uncontrolled H acts through a reshape of the state.
+Controlled H and non-diagonal UNITARY write in place into `_control_view`,
+the amplitudes whose controls hold as a view of the state.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so a
 basis state reads left-to-right as wires 0..W-1. Gates carry optional control
@@ -63,11 +64,13 @@ class Circuit:
 
     def _check(self, wires, controls):
         used = set()
-        for w in list(wires) + [c[0] for c in controls]:
+        for w, bit in [(w, 0) for w in wires] + list(controls):
             if not 0 <= w < self.num_wires:
                 raise ValueError(f"wire {w} out of range")
             if w in used:
                 raise ValueError(f"wire {w} used twice in one gate")
+            if bit not in (0, 1):
+                raise ValueError(f"control bit {bit!r} on wire {w} is not 0 or 1")
             used.add(w)
 
     def x(self, target: int, controls=()):
@@ -282,7 +285,7 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
     idx = np.arange(dim, dtype=np.int64)
     for part in parts:
         if isinstance(part, Gate):
-            state = _apply_gate(state, part, width, idx)
+            state = _apply_gate(state, part, width)
             continue
         key = tuple(map(id, part))
         pending[key] -= 1
@@ -295,56 +298,55 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
     return state
 
 
-def _apply_gate(state: np.ndarray, gate: Gate, width: int, idx: np.ndarray) -> np.ndarray:
-    """Apply one H or UNITARY gate to the statevector."""
-    cmask, cwant = _control_masks(width, gate.controls)
-    sel = (idx & cmask) == cwant if cmask else None
+def _control_view(state: np.ndarray, width: int, gate: Gate) -> np.ndarray:
+    """The amplitudes whose controls hold, as a view of the state with one
+    axis per run of other wires, in wire order, then one axis per target, in
+    gate order. Indexing the control axes by their bits keeps it a view, so
+    writes to it update the state."""
+    shape: list[int] = []
+    axis: dict[int, int] = {}
+    start = 0
+    for wire in sorted([*(w for w, _ in gate.controls), *gate.targets, width]):
+        if wire > start:            # a run of untouched wires is one axis
+            shape.append(2 ** (wire - start))
+        if wire < width:
+            axis[wire] = len(shape)
+            shape.append(2)
+        start = wire + 1
+    c, k, ndim = len(gate.controls), len(gate.targets), len(shape)
+    tensor = np.moveaxis(state.reshape(shape),
+                         [axis[w] for w, _ in gate.controls] + [axis[w] for w in gate.targets],
+                         [*range(c), *range(ndim - k, ndim)])
+    return tensor[tuple(int(bit) for _, bit in gate.controls)]   # a bool would add an axis
 
+
+def _apply_gate(state: np.ndarray, gate: Gate, width: int) -> np.ndarray:
+    """Apply one H or UNITARY gate to a C-contiguous statevector that the
+    caller owns.
+
+    Uncontrolled H is a butterfly over a reshape of the state into a new
+    array. Every other gate writes into the state through `_control_view`:
+    controlled H as the same butterfly on the target axis, and UNITARY as one
+    matmul, rows @ block.T, whose rows run over the other wires in ascending
+    order and whose columns are the target patterns, first target most
+    significant."""
+    if gate.kind == H_KIND and not gate.controls:
+        halves = state.reshape(2 ** gate.targets[0], 2, -1)
+        a, b = halves[:, 0], halves[:, 1]
+        out = np.empty_like(halves)
+        out[:, 0] = (a + b) * SQRT1_2
+        out[:, 1] = (a - b) * SQRT1_2
+        return out.reshape(-1)
+    if gate.kind not in (H_KIND, UNITARY_KIND):
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    view = _control_view(state, width, gate)
     if gate.kind == H_KIND:
-        if sel is None:
-            halves = state.reshape(2 ** gate.targets[0], 2, -1)
-            a, b = halves[:, 0], halves[:, 1]
-            out = np.empty_like(halves)
-            out[:, 0] = (a + b) * SQRT1_2
-            out[:, 1] = (a - b) * SQRT1_2
-            return out.reshape(-1)
-        bit = _wire_bit(width, gate.targets[0])
-        base = ((idx & bit) == 0) & sel
-        i0 = idx[base]
-        i1 = i0 | bit
-        out = state.copy()
-        a, b = state[i0], state[i1]
-        out[i0] = (a + b) * SQRT1_2
-        out[i1] = (a - b) * SQRT1_2
-        return out
-
-    if gate.kind == UNITARY_KIND:
-        k = len(gate.targets)
-        tbits = [_wire_bit(width, w) for w in gate.targets]
-        tmask = 0
-        for b in tbits:
-            tmask |= b
-        base_sel = (idx & tmask) == 0
-        if sel is not None:
-            base_sel &= sel
-        bases = idx[base_sel]
-        if bases.size == 0:
-            return state
-        pattern_bits = []
-        for j in range(2 ** k):
-            bits = 0
-            for pos, b in enumerate(tbits):
-                if (j >> (k - 1 - pos)) & 1:
-                    bits |= b
-            pattern_bits.append(bits)
-        sub = np.stack([state[bases | pb] for pb in pattern_bits])
-        new_sub = gate.block @ sub
-        out = state.copy()
-        for j, pb in enumerate(pattern_bits):
-            out[bases | pb] = new_sub[j]
-        return out
-
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+        a, b = view[..., 0], view[..., 1]
+        a[...], b[...] = (a + b) * SQRT1_2, (a - b) * SQRT1_2
+    else:
+        rows = view.reshape(-1, 2 ** len(gate.targets))
+        view[...] = (rows @ gate.block.T).reshape(view.shape)
+    return state
 
 
 def append_increment(circuit: Circuit, register, controls=(), step: int = 1):

@@ -155,10 +155,21 @@ class _SiaCore:
         return sat_count, FLAG_ALIVE
 
 
+_ADVICE_BIT = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+def _advice_bits(advice: str | tuple[int, ...]) -> tuple[int, ...]:
+    """Advice as a tuple of 0/1 ints; any other symbol is a ValueError."""
+    bits = tuple(map(_ADVICE_BIT.get, advice))
+    if None in bits:
+        raise ValueError(f"advice symbol {advice[bits.index(None)]!r} is not 0 or 1")
+    return bits
+
+
 def _reference_walk(formula: CnfFormula, advice: str | tuple[int, ...],
                     s: int) -> tuple[SiaOutcome, dict[int, int]]:
     """The irreversible walk: its outcome and the values it assigned."""
-    bits = tuple(int(b) for b in advice)
+    bits = _advice_bits(advice)
     core = _SiaCore(formula, s, None)
     window: dict[int, int] = {}
     if formula.has_empty_clause:
@@ -221,7 +232,7 @@ def siab_block(formula: CnfFormula, block_index: int, w: int,
         if index_width(formula) > w:
             raise ValueError("formula index width exceeds the block width w")
         core = _SiaCore(formula, s, w)
-    bits = tuple(int(b) for b in advice)
+    bits = _advice_bits(advice)
     if block_index == 1:
         input_cell = Cell.zero(w)
         if formula.has_empty_clause:
@@ -336,6 +347,7 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     cell reproduces the reference outcome."""
     if index_width(formula) > w:
         raise ValueError("formula index width exceeds the block width w")
+    advice = _advice_bits(advice)
     padded, blocks, target = _pad_formula(formula, w)
     core = _SiaCore(padded, s, w, target_clauses=target)
     k = blocks.bit_length() - 1
@@ -380,6 +392,7 @@ def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     the full assignment observed along the way."""
     if index_width(formula) > w:
         raise ValueError("formula index width exceeds the block width w")
+    advice = _advice_bits(advice)
     padded, blocks, target = _pad_formula(formula, w)
     core = _SiaCore(padded, s, w, target_clauses=target)
     cell = Cell.zero(w)
@@ -403,6 +416,7 @@ def double_execute_cells(formula: CnfFormula, advice: str | tuple[int, ...],
                          w: int, s: int = 1) -> dict[int, Cell]:
     """Run the schedule twice; SIAR is its own reverse, so every cell
     (including the output) returns to zero."""
+    advice = _advice_bits(advice)
     padded, blocks, target = _pad_formula(formula, w)
     core = _SiaCore(padded, s, w, target_clauses=target)
     k = blocks.bit_length() - 1

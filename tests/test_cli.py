@@ -183,6 +183,17 @@ def test_qpe_compare(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_qpe_compare_trials_below_one_exit_2(trials, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qpe-compare", "--seed", "5", "--trials", trials, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"hybridts qpe-compare: error: trials must be at least 1, got {trials}\n"
+    assert not out.exists()
+
+
 def test_qpe_compare_requires_seed(tmp_path):
     with pytest.raises(SystemExit):
         main(["qpe-compare", "--trials", "2"])
@@ -194,6 +205,17 @@ def test_sia_run(small_instance, tmp_path):
     rec = report["records"][0]
     assert rec["match"] and rec["intermediatesRestored"]
     assert code == 0
+
+
+def test_sia_run_bad_advice_exit_2(small_instance, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["sia-run", "--input", str(small_instance), "--advice", "012",
+              "--w", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "hybridts sia-run: error: advice symbol '2' is not 0 or 1\n"
+    assert not out.exists()
 
 
 def test_pebble_schedule(tmp_path, capsys):

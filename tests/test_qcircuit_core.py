@@ -20,8 +20,9 @@ from hybridts.qcircuit.core import (
 # ---------------------------------------------------------------------------
 # Gate-by-gate reference: every gate is a masked update of the whole state.
 # simulate compiles runs of X, INC, REFLECT0 and diagonal UNITARY gates into
-# one gather and applies uncontrolled H through a reshape; this applies each
-# gate on its own, and UNITARY blocks through the library's per-gate matmul.
+# one gather, applies uncontrolled H through a reshape, and writes controlled
+# H and UNITARY into a view of the state; this applies each gate on its own
+# through index masks over all 2^W basis states.
 
 def oracle_apply(state, gate, width, idx):
     cmask, cwant = core._control_masks(width, gate.controls)
@@ -78,7 +79,18 @@ def oracle_apply(state, gate, width, idx):
         return out
 
     assert gate.kind == "unitary"
-    return core._apply_gate(state, gate, width, idx)
+    k = len(gate.targets)
+    tbits = [core._wire_bit(width, w) for w in gate.targets]
+    base = (idx & sum(tbits)) == 0
+    bases = idx[base if sel is None else base & sel]
+    patterns = [sum(b for pos, b in enumerate(tbits) if (j >> (k - 1 - pos)) & 1)
+                for j in range(2 ** k)]
+    rows = np.stack([state[bases | pb] for pb in patterns], axis=1)
+    new_rows = rows @ gate.block.T
+    out = state.copy()
+    for j, pb in enumerate(patterns):
+        out[bases | pb] = new_rows[:, j]
+    return out
 
 
 def oracle_simulate(circuit, basis_input=None, state=None):
@@ -323,6 +335,43 @@ def test_simulate_equals_gate_by_gate_oracle(complex_phases):
                 assert np.abs(got - want).max() < 1e-12
             else:
                 assert np.array_equal(got, want)
+
+
+def test_single_dense_gate_equals_oracle_exactly():
+    # Targets in any order and any spacing, controls of either polarity on
+    # any other wires: the control view must pick the oracle's rows and
+    # columns, so the products agree bit for bit.
+    rng = random.Random(74)
+    gen = np.random.default_rng(74)
+    for _ in range(300):
+        w = rng.randint(1, 10)
+        kind = rng.choice(("h", "unitary"))
+        targets = rng.sample(range(w), k=1 if kind == "h" else rng.randint(1, min(3, w)))
+        pool = [u for u in range(w) if u not in targets]
+        controls = [(u, rng.randint(0, 1))
+                    for u in rng.sample(pool, k=rng.randint(0, min(3, len(pool))))]
+        circ = Circuit(w)
+        if kind == "h":
+            circ.h(targets[0], controls)
+        else:
+            dim = 2 ** len(targets)
+            z = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+            circ.unitary(targets, np.linalg.qr(z)[0], controls)
+        init = gen.normal(size=2 ** w) + 1j * gen.normal(size=2 ** w)
+        init /= np.linalg.norm(init)
+        assert np.array_equal(simulate(circ, state=init), oracle_simulate(circ, state=init))
+
+
+@pytest.mark.parametrize("bit", [2, -1, None, "1"])
+def test_control_bit_must_be_0_or_1(bit):
+    c = Circuit(2)
+    with pytest.raises(ValueError, match=f"control bit {bit!r} on wire 0 is not 0 or 1"):
+        c.x(1, [(0, bit)])
+    assert not c.gates
+    # A bool bit is a bit: True controls like 1.
+    c.h(1, [(0, True)])
+    assert np.array_equal(simulate(c, basis_input=0b00), [1, 0, 0, 0])
+    assert np.array_equal(simulate(c, basis_input=0b10), [0, 0, SQRT1_2, SQRT1_2])
 
 
 def test_compiled_maps_live_only_while_their_run_recurs(monkeypatch):

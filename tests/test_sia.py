@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hybridts import sia
 from hybridts.formula import CnfFormula, index_width
 from hybridts.generators import bounded_width_cnf
 from hybridts.sia import (
@@ -170,6 +171,35 @@ def test_width_precondition():
         siar_execute(f, "1", 2)
     with pytest.raises(ValueError):
         siab_block(f, 1, 2, Cell.zero(2), "1")
+
+
+@pytest.mark.parametrize("advice, symbol", [("22", "'2'"), ("012", "'2'"),
+                                           ((5, -1), "5"), ("1 0", "' '")])
+def test_advice_symbols_must_be_0_or_1(advice, symbol):
+    # Var 1 is forced, so no advice is read: each symbol is still checked.
+    f = F(1, [[1]])
+    message = f"advice symbol {symbol} is not 0 or 1"
+    for run in (lambda: sia_reference(f, advice), lambda: reference_assignment(f, advice),
+                lambda: siar_execute(f, advice, 2), lambda: siac_run(f, advice, 2),
+                lambda: siab_block(f, 1, 2, Cell.zero(2), advice),
+                lambda: double_execute_cells(f, advice, 2)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_siar_execute_passes_one_advice_tuple(monkeypatch):
+    seen = []
+    real = sia.siab_block
+
+    def spy(formula, block_index, w, cell, advice, *args, **kwargs):
+        seen.append(advice)
+        return real(formula, block_index, w, cell, advice, *args, **kwargs)
+
+    monkeypatch.setattr(sia, "siab_block", spy)
+    f = bounded_width_cnf(random.Random(87), 8, 1, 12)
+    siar_execute(f, "1011", 1)
+    assert len(seen) == 27 and seen[0] == (1, 0, 1, 1)
+    assert all(advice is seen[0] for advice in seen)
 
 
 def test_locality_examples():
