@@ -97,12 +97,11 @@ def cmd_solve(args) -> dict:
     started = time.time()
     formula = _load_formula(args)
     if args.engine == DPLL:
-        config = EngineConfig(kind=DPLL, rng_seed=args.seed)
+        config = EngineConfig(kind=DPLL)
         result = dpll_solve(formula, config)
     else:
         config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
-                              s=args.s, guess_budget=args.budget,
-                              rng_seed=args.seed).validated(formula)
+                              s=args.s, guess_budget=args.budget).validated(formula)
         result = dnc_ppsz_solve(formula, config)
     rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
                         time.time() - started)
@@ -114,11 +113,10 @@ def cmd_solve(args) -> dict:
 def cmd_tree_stats(args) -> dict:
     started = time.time()
     formula = _load_formula(args)
-    config = EngineConfig(kind=args.engine, rng_seed=args.seed)
+    config = EngineConfig(kind=args.engine)
     if args.engine == DNCPPSZ:
         config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
-                              s=args.s, guess_budget=args.budget,
-                              rng_seed=args.seed)
+                              s=args.s, guess_budget=args.budget)
     result = tree_stats(formula, config)
     rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
                         time.time() - started)
@@ -292,10 +290,9 @@ def seth_hybrid_queries(formula: CnfFormula, kappa: float) -> dict:
     suffix = max(1, math.floor(kappa * n))
     prefix = n - suffix
     truth = generators.truth_table(formula)
-    # truth index bit v-1 = variable v; prefix variables are 1..prefix.
-    idx = np.arange(2 ** n, dtype=np.int64)
-    prefix_key = idx & ((1 << prefix) - 1)
-    counts = np.bincount(prefix_key[truth], minlength=2 ** prefix)
+    # Variable 1 is the truth index's top bit, so the prefix variables
+    # 1..prefix are the bits above the suffix.
+    counts = np.bincount(np.flatnonzero(truth) >> suffix, minlength=2 ** prefix)
     m_suffix = 2 ** suffix
     full_budget = math.ceil((math.pi / 4) * math.sqrt(m_suffix))
     queries = 0

@@ -89,14 +89,6 @@ class PartialAssignment:
     def num_vars(self) -> int:
         return len(self.values)
 
-    @property
-    def set_count(self) -> int:
-        return sum(1 for v in self.values if v != UNSET)
-
-    @property
-    def is_full(self) -> bool:
-        return all(v != UNSET for v in self.values)
-
 
 @dataclass(frozen=True)
 class CnfFormula:

@@ -34,32 +34,25 @@ def bounded_width_cnf(rng: random.Random, num_vars: int, width: int,
     return CnfFormula.from_clauses(num_vars, clauses)
 
 
-def _assignment_table(num_vars: int) -> np.ndarray:
-    # Row i = bits of i; column v-1 = value of variable v.
-    idx = np.arange(2 ** num_vars, dtype=np.uint32)
-    return (idx[:, None] >> np.arange(num_vars, dtype=np.uint32)) & 1
-
-
 def truth_table(formula: CnfFormula) -> np.ndarray:
-    """Boolean vector over all 2^n assignments (variable v = bit v-1)."""
-    table = _assignment_table(formula.num_vars)
-    ok = np.ones(table.shape[0], dtype=bool)
+    """Satisfying-assignment mask over all 2^n assignments, in circuit order:
+    variable v is bit n - v of the index, so variable 1 is most significant."""
+    n = formula.num_vars
+    idx = np.arange(2 ** n, dtype=np.int64)
+    ok = np.ones(idx.shape, dtype=bool)
     for clause in formula.clauses:
-        if not clause:
-            ok[:] = False
-            break
-        sat = np.zeros(table.shape[0], dtype=bool)
+        sat = np.zeros(idx.shape, dtype=bool)
         for lit in clause:
-            col = table[:, abs(lit) - 1]
-            sat |= (col == 1) if lit > 0 else (col == 0)
+            bit = (idx >> (n - abs(lit))) & 1
+            sat |= (bit == 1) if lit > 0 else (bit == 0)
         ok &= sat
     return ok
 
 
 def brute_force_models(formula: CnfFormula) -> list[tuple[int, ...]]:
-    ok = truth_table(formula)
-    table = _assignment_table(formula.num_vars)
-    return [tuple(int(b) for b in table[i]) for i in np.flatnonzero(ok)]
+    n = formula.num_vars
+    return [tuple((int(i) >> (n - v)) & 1 for v in range(1, n + 1))
+            for i in np.flatnonzero(truth_table(formula))]
 
 
 def brute_force_count(formula: CnfFormula) -> int:

@@ -20,7 +20,6 @@ from .oracles import (
     grover_search,
     oracle_cost_report,
     oracle_phases,
-    qubit_cost,
 )
 from .qpe import qpe_counter, qpe_standard
 from .walk import build_walk_components, walk_cost_report

@@ -1,7 +1,7 @@
 """Dense statevector simulation of reversible and quantum gate circuits.
 
 A phase-permutation gate maps each basis state to a phased basis state: X,
-INC, REFLECT0, and UNITARY with a diagonal block, with any controls. One
+REFLECT0, and UNITARY with a diagonal block, with any controls. One
 kernel, `_map_basis`, sends basis indices through a run of such gates.
 `simulate` maps all 2^W indices through each maximal run once per call and
 applies the run as one gather; `trace_basis` and `ancilla_audit` map only the
@@ -30,10 +30,9 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 X_KIND = "x"
 H_KIND = "h"
 UNITARY_KIND = "unitary"
-INC_KIND = "inc"
 REFLECT0_KIND = "reflect0"
 
-_CLASSICAL_KINDS = {X_KIND, INC_KIND, REFLECT0_KIND}
+_CLASSICAL_KINDS = {X_KIND, REFLECT0_KIND}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +41,8 @@ class Gate:
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     block: np.ndarray | None = field(default=None)
-    step: int = 1          # increment direction for INC gates
 
     def inverse(self) -> "Gate":
-        if self.kind == INC_KIND:
-            return Gate(INC_KIND, self.targets, self.controls, step=-self.step)
         if self.kind == UNITARY_KIND:
             return Gate(UNITARY_KIND, self.targets, self.controls,
                         block=self.block.conj().T)
@@ -79,9 +75,6 @@ class Circuit:
         self.gates.append(Gate(X_KIND, (target,), controls))
         return self
 
-    def mcx(self, controls, target: int):
-        return self.x(target, controls)
-
     def h(self, target: int, controls=()):
         controls = tuple(controls)
         self._check([target], controls)
@@ -99,13 +92,6 @@ class Circuit:
         if np.abs(block @ block.conj().T - np.eye(dim)).max() > 1e-12:
             raise ValueError("controlled-unitary block is not unitary")
         self.gates.append(Gate(UNITARY_KIND, targets, controls, block=block))
-        return self
-
-    def inc(self, register, controls=(), step: int = 1):
-        register = tuple(register)
-        controls = tuple(controls)
-        self._check(register, controls)
-        self.gates.append(Gate(INC_KIND, register, controls, step=step))
         return self
 
     def reflect0(self, targets, controls=()):
@@ -126,17 +112,11 @@ class Circuit:
         inv.gates = [g.inverse() for g in reversed(self.gates)]
         return inv
 
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
-
 
 def _is_phase_permutation(gate: Gate) -> bool:
     """True when the gate maps each basis state to a phased basis state: X,
-    INC, REFLECT0, and a UNITARY whose block has no nonzero off-diagonal
-    entry, with any controls."""
+    REFLECT0, and a UNITARY whose block has no nonzero off-diagonal entry,
+    with any controls."""
     if gate.kind == UNITARY_KIND:
         block = gate.block
         return not np.count_nonzero(block - np.diag(np.diag(block)))
@@ -186,7 +166,7 @@ def _map_basis(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
             continue
         shifts = [width - 1 - w for w in gate.targets]
         if gate.kind == X_KIND:
-            idx ^= 1 << shifts[0] if live is None else live * (1 << shifts[0])
+            idx ^= 1 << shifts[0] if live is None else live.astype(idx.dtype) * (1 << shifts[0])
             continue
         if gate.kind == REFLECT0_KIND:
             hit = (idx & sum(1 << sh for sh in shifts)) == 0
@@ -196,13 +176,6 @@ def _map_basis(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
             value = 0
             for pos, sh in enumerate(shifts):
                 value = value | ((idx >> sh) & 1) << (k - 1 - pos)
-            if gate.kind == INC_KIND:
-                value = (value + gate.step) % (2 ** k)
-                new = idx & ~sum(1 << sh for sh in shifts)
-                for pos, sh in enumerate(shifts):
-                    new |= ((value >> (k - 1 - pos)) & 1) << sh
-                idx = new if live is None else np.where(live, new, idx)
-                continue
             factor = np.diag(gate.block)[value.astype(np.int64)]
             if live is not None:
                 factor = np.where(live, factor, 1.0 + 0j)
@@ -390,8 +363,6 @@ def export_text(circuit: Circuit) -> str:
         if gate.controls:
             parts.append("ctrl " + " ".join(f"{w}{'+' if b else '-'}"
                                             for w, b in gate.controls))
-        if gate.kind == INC_KIND:
-            parts.append(f"step {gate.step:+d}")
         if gate.block is not None:
             parts.append(f"block b{blocks}")
             blocks += 1

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..formula import CnfFormula
+from ..generators import truth_table
 from .core import Circuit, append_increment, simulate
 
 Z_BLOCK = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -122,21 +123,6 @@ def oracle_phases(oracle: OracleCircuit) -> np.ndarray:
     return np.sign(phases.real)
 
 
-def circuit_order_truth(formula: CnfFormula) -> np.ndarray:
-    """Satisfying-assignment mask indexed by circuit input patterns
-    (variable v on wire v-1, most significant first)."""
-    n = formula.num_vars
-    idx = np.arange(2 ** n, dtype=np.int64)
-    ok = np.ones(idx.shape, dtype=bool)
-    for clause in formula.clauses:
-        sat = np.zeros(idx.shape, dtype=bool)
-        for lit in clause:
-            bit = (idx >> (n - abs(lit))) & 1
-            sat |= (bit == 1) if lit > 0 else (bit == 0)
-        ok &= sat
-    return ok
-
-
 def build_oracle(formula: CnfFormula, kind: str = "auto") -> OracleCircuit:
     if kind == "naive":
         return clause_oracle_naive(formula)
@@ -185,7 +171,7 @@ def grover_search(formula: CnfFormula, iterations: int,
     anc = circ.num_wires - n
     marginal = np.abs(state.reshape(2 ** n, 2 ** anc)) ** 2
     marginal = marginal.sum(axis=1)
-    sat_mask = circuit_order_truth(formula)
+    sat_mask = truth_table(formula)
     success = float(marginal[sat_mask].sum())
     best = int(np.argmax(marginal))
     assignment = tuple((best >> (n - v)) & 1 for v in range(1, n + 1))
@@ -206,11 +192,6 @@ def optimal_iterations(num_vars: int, num_solutions: int) -> int:
     if num_solutions == 0:
         return math.ceil((math.pi / 4) * math.sqrt(2 ** num_vars))
     return max(0, math.floor((math.pi / 4) * math.sqrt(2 ** num_vars / num_solutions)))
-
-
-def qubit_cost(circuit: Circuit | OracleCircuit) -> int:
-    """Exact wire count including ancillas."""
-    return circuit.num_wires
 
 
 def oracle_cost_report(formula: CnfFormula) -> dict:

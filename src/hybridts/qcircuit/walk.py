@@ -14,7 +14,7 @@ bit) identifies the firing step and the whole scan uncomputes by reversal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -397,20 +397,13 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
 
 
 def _rebase(circuit: Circuit, wire_map: dict[int, int], new_width: int) -> Circuit:
+    """The circuit's gates on relabeled wires; a UNITARY keeps its block."""
     out = Circuit(new_width)
     for gate in circuit.gates:
         targets = tuple(wire_map[w] for w in gate.targets)
         controls = tuple((wire_map[w], bit) for w, bit in gate.controls)
-        if gate.kind == "x":
-            out.x(targets[0], controls)
-        elif gate.kind == "h":
-            out.h(targets[0], controls)
-        elif gate.kind == "inc":
-            out.inc(targets, controls, step=gate.step)
-        elif gate.kind == "reflect0":
-            out.reflect0(targets, controls)
-        else:
-            out.unitary(targets, gate.block, controls)
+        out._check(targets, controls)
+        out.gates.append(replace(gate, targets=targets, controls=controls))
     return out
 
 

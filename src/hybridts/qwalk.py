@@ -109,9 +109,6 @@ class WalkOperator:
             return float(mass.sum())
         return float(mass[1.0 - lam < gap].sum())
 
-    def mass_at_zero(self, tol: float = 1e-9) -> float:
-        return self.mass_in_window(tol)
-
 
 def _window_pass(tree: SearchTree, x: float) -> tuple[float, int]:
     """(phase-0 root mass, count of singular values of D = Psi_A^T Psi_B at

@@ -68,7 +68,6 @@ class EngineConfig:
     s: int = 1
     permutation: tuple[int, ...] | None = None
     guess_budget: int | None = None
-    rng_seed: int | None = None
 
     def validated(self, formula: CnfFormula) -> "EngineConfig":
         n = formula.num_vars
@@ -90,8 +89,7 @@ class EngineConfig:
         for rule in self.reduction_rules:
             if rule not in ("unit", "pureLiteral", "sImplication"):
                 raise ValueError(f"unknown reduction rule {rule!r}")
-        return EngineConfig(self.kind, self.reduction_rules, self.s, perm,
-                            budget, self.rng_seed)
+        return EngineConfig(self.kind, self.reduction_rules, self.s, perm, budget)
 
 
 @dataclass
@@ -643,8 +641,7 @@ def ppsz_proper(formula: CnfFormula, s: int, epsilon: float, max_rounds: int,
     for round_idx in range(1, max_rounds + 1):
         perm = tuple(rng.sample(range(1, n + 1), n))
         config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
-                              s=s, permutation=perm, guess_budget=budget,
-                              rng_seed=seed)
+                              s=s, permutation=perm, guess_budget=budget)
         result = dnc_ppsz_solve(formula, config)
         if result.verdict == Verdict.SAT:
             return PpszProperResult(Verdict.SAT, result.model, round_idx, budget, seed)

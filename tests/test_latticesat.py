@@ -177,6 +177,6 @@ def test_pad_to_3cnf_preserves_models():
         # Model counts over the original variables are preserved exactly.
         originals = truth_table(f).sum()
         lifted = truth_table(padded).reshape(
-            -1, 2 ** f.num_vars).sum(axis=0).astype(bool).sum() \
+            2 ** f.num_vars, -1).sum(axis=1).astype(bool).sum() \
             if padded.num_vars > f.num_vars else truth_table(padded).sum()
         assert bool(originals) == bool(lifted)

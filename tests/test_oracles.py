@@ -9,13 +9,13 @@ from hybridts.generators import (
     brute_force_count,
     brute_force_models,
     random_kcnf,
+    truth_table,
     unique_sat_3cnf,
 )
 from hybridts.qcircuit import qpe
-from hybridts.qcircuit.core import Circuit, simulate
+from hybridts.qcircuit.core import Circuit, append_increment, simulate
 from hybridts.qcircuit.oracles import (
     build_oracle,
-    circuit_order_truth,
     clause_oracle_counter,
     clause_oracle_naive,
     closed_form_success,
@@ -25,7 +25,6 @@ from hybridts.qcircuit.oracles import (
     optimal_iterations,
     oracle_cost_report,
     oracle_phases,
-    qubit_cost,
 )
 from test_qcircuit_core import oracle_simulate
 
@@ -39,7 +38,7 @@ def test_single_clause_truth_table():
         phases = oracle_phases(build_oracle(f, kind))
         idx = 0b110  # x=1, y=1, z=0 on wires 0,1,2
         assert phases[idx] == 1.0
-        truth = circuit_order_truth(f)
+        truth = truth_table(f)
         assert np.array_equal(phases < 0, truth)
 
 
@@ -48,7 +47,7 @@ def test_oracle_phase_exhaustive_both_variants():
     for _ in range(12):
         n = rng.randint(3, 6)
         f = random_kcnf(rng, n, rng.randint(1, 8))
-        want = np.where(circuit_order_truth(f), -1.0, 1.0)
+        want = np.where(truth_table(f), -1.0, 1.0)
         for kind in ("naive", "counter"):
             phases = oracle_phases(build_oracle(f, kind))
             assert np.abs(phases - want).max() < 1e-9
@@ -66,8 +65,8 @@ def test_wire_counts():
     f = F(4, [[1, 2, 3], [2, 3, 4], [-1, -4]])
     naive = clause_oracle_naive(f)
     counter = clause_oracle_counter(f)
-    assert qubit_cost(naive) == 4 + 3 + 2          # n + m + 2
-    assert qubit_cost(counter) == 4 + 2 + 1        # n + floor(log 3) + 2
+    assert naive.num_wires == 4 + 3 + 2            # n + m + 2
+    assert counter.num_wires == 4 + 2 + 1          # n + floor(log 3) + 2
     report = oracle_cost_report(f)
     assert report["naive"] == 9
     assert report["counterAncillas"] == 3          # floor(log m) + 1 + scratch
@@ -76,8 +75,9 @@ def test_wire_counts():
 
 def test_incrementer_width_cost():
     c = Circuit(3)
-    c.inc((0, 1, 2))
-    assert qubit_cost(c) == 3
+    append_increment(c, (0, 1, 2))
+    assert c.num_wires == 3
+    assert len(c.gates) == 3                       # one X per register wire
 
 
 def test_grover_single_solution_n2():

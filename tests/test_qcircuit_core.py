@@ -19,7 +19,7 @@ from hybridts.qcircuit.core import (
 
 # ---------------------------------------------------------------------------
 # Gate-by-gate reference: every gate is a masked update of the whole state.
-# simulate compiles runs of X, INC, REFLECT0 and diagonal UNITARY gates into
+# simulate compiles runs of X, REFLECT0 and diagonal UNITARY gates into
 # one gather, applies uncontrolled H through a reshape, and writes controlled
 # H and UNITARY into a view of the state; this applies each gate on its own
 # through index masks over all 2^W basis states.
@@ -60,24 +60,6 @@ def oracle_apply(state, gate, width, idx):
         out[zero] = -out[zero]
         return out
 
-    if gate.kind == "inc":
-        k = len(gate.targets)
-        shifts = [width - 1 - w for w in gate.targets]
-        value = np.zeros_like(idx)
-        for pos, sh in enumerate(shifts):
-            value |= ((idx >> sh) & 1) << (k - 1 - pos)
-        new_value = (value + gate.step) % (2 ** k)
-        new_idx = idx.copy()
-        for pos, sh in enumerate(shifts):
-            bit = 1 << sh
-            on = ((new_value >> (k - 1 - pos)) & 1).astype(bool)
-            new_idx = np.where(on, new_idx | bit, new_idx & ~bit)
-        out = state.copy() if sel is not None else np.empty_like(state)
-        src = idx if sel is None else idx[sel]
-        dst = new_idx if sel is None else new_idx[sel]
-        out[dst] = state[src]
-        return out
-
     assert gate.kind == "unitary"
     k = len(gate.targets)
     tbits = [core._wire_bit(width, w) for w in gate.targets]
@@ -113,7 +95,8 @@ def random_controls(rng, w, used):
 
 
 def random_block(rng, gen, w, complex_phases, classical):
-    """A circuit fragment of every gate kind simulate distinguishes."""
+    """A circuit fragment of every gate kind simulate distinguishes, and of
+    increment cascades."""
     kinds = ["x", "inc", "reflect0", "diag"] + ([] if classical else ["h", "unitary"])
     block = Circuit(w)
     for _ in range(rng.randint(1, 8)):
@@ -123,7 +106,8 @@ def random_block(rng, gen, w, complex_phases, classical):
             getattr(block, kind)(t, random_controls(rng, w, {t}))
         elif kind == "inc":
             reg = tuple(rng.sample(range(w), k=rng.randint(1, w)))
-            block.inc(reg, random_controls(rng, w, set(reg)), step=rng.choice((1, -1)))
+            append_increment(block, reg, random_controls(rng, w, set(reg)),
+                             step=rng.choice((1, -1)))
         elif kind == "reflect0":
             ts = tuple(rng.sample(range(w), k=rng.randint(1, w)))
             block.reflect0(ts, random_controls(rng, w, set(ts)))
@@ -211,7 +195,7 @@ def test_random_circuit_inverse_is_identity():
                               for u in rng.sample(pool, k=min(2, len(pool))))
                 circ.x(t, ctrls)
             elif kind == "inc":
-                circ.inc(tuple(rng.sample(range(w), k=rng.randint(1, w))))
+                append_increment(circ, rng.sample(range(w), k=rng.randint(1, w)))
             elif kind == "reflect0":
                 circ.reflect0((t,))
             else:
@@ -228,17 +212,32 @@ def test_random_circuit_inverse_is_identity():
 
 
 def test_ripple_incrementer_matches_primitive():
-    for w in (1, 2, 3, 4):
-        prim = Circuit(w)
-        prim.inc(tuple(range(w)))
-        ripple = Circuit(w)
-        append_increment(ripple, tuple(range(w)))
-        dec = Circuit(w)
-        append_increment(dec, tuple(range(w)), step=-1)
-        for basis in range(2 ** w):
-            assert trace_basis(prim, basis).output_index == (basis + 1) % 2 ** w
-            assert trace_basis(ripple, basis).output_index == (basis + 1) % 2 ** w
-            assert trace_basis(dec, basis).output_index == (basis - 1) % 2 ** w
+    # The cascade adds step mod 2^k to the register, read most significant
+    # wire first, where every control holds, and touches no other wire.
+    rng = random.Random(43)
+    for _ in range(60):
+        w = rng.randint(1, 6)
+        reg = rng.sample(range(w), k=rng.randint(1, w))
+        pool = [u for u in range(w) if u not in reg]
+        controls = tuple((u, rng.randint(0, 1))
+                         for u in rng.sample(pool, k=rng.randint(0, len(pool))))
+        k = len(reg)
+        for step in (1, -1):
+            c = Circuit(w)
+            append_increment(c, reg, controls, step=step)
+            assert len(c.gates) == k
+            for basis in range(2 ** w):
+                bits = [(basis >> (w - 1 - u)) & 1 for u in range(w)]
+                value = sum(bits[u] << (k - 1 - pos) for pos, u in enumerate(reg))
+                if all(bits[u] == want for u, want in controls):
+                    value = (value + step) % 2 ** k
+                tr = trace_basis(c, basis)
+                got = [(tr.output_index >> (w - 1 - u)) & 1 for u in range(w)]
+                assert sum(got[u] << (k - 1 - pos) for pos, u in enumerate(reg)) == value
+                assert [got[u] for u in pool] == [bits[u] for u in pool]
+                assert tr.phase == 1
+    with pytest.raises(ValueError, match="step must be"):
+        append_increment(Circuit(2), (0, 1), step=2)
 
 
 def test_controlled_increment():
@@ -259,7 +258,7 @@ def test_trace_fast_path_matches_dense():
             if choice < 0.5:
                 circ.x(t)
             elif choice < 0.8:
-                circ.inc(tuple(rng.sample(range(w), k=2)) if w >= 2 else (t,))
+                append_increment(circ, rng.sample(range(w), k=2) if w >= 2 else (t,))
             else:
                 circ.reflect0((t,))
         assert is_classical(circ)
@@ -296,14 +295,16 @@ def test_export_text():
     c.x(0)
     c.h(1)
     c.x(2, ((0, 1), (1, 0)))
-    c.inc((1, 2), step=-1)
+    append_increment(c, (1, 2), ((0, 0),), step=-1)
     c.unitary((0,), np.eye(2))
-    text = export_text(c)
-    lines = text.strip().splitlines()
-    assert lines[0] == "wires 3"
-    assert lines[3] == "x 2 ctrl 0+ 1-"
-    assert "step -1" in lines[4]
-    assert "block b0" in lines[5]
+    assert export_text(c) == (
+        "wires 3\n"
+        "x 0\n"
+        "h 1\n"
+        "x 2 ctrl 0+ 1-\n"
+        "x 2 ctrl 0-\n"           # decrement: the low bit flips first,
+        "x 1 ctrl 2+ 0-\n"        # then the high bit borrows where it became 1
+        "unitary 0 block b0\n")
 
 
 def test_norm_validation():
@@ -432,7 +433,7 @@ def test_trace_past_62_wires():
     w = 70
     c = Circuit(w)
     c.x(0)
-    c.inc(tuple(range(1, w)), ((0, 1),))
+    append_increment(c, range(1, w), ((0, 1),))
     c.x(w - 1, ((0, 1), (2, 0)))
     c.reflect0((1, 2), ((w - 1, 1),))
     for basis, out, phase in [(7, (1 << 69) | 9, -1),
@@ -444,3 +445,19 @@ def test_trace_past_62_wires():
     assert not ancilla_audit(c, [7], [0])
     with pytest.raises(ValueError, match="basis input out of range"):
         trace_basis(c, 2 ** w)
+
+
+@pytest.mark.parametrize("want", [0, 1])
+def test_controlled_x_past_63_bits(want):
+    # Wire 0 of 70 is bit 2^69, past int64: the controlled flip must grow
+    # the Python int, not overflow a fixed-width product.
+    w = 70
+    for target, control in ((0, 5), (5, 0)):
+        c = Circuit(w)
+        c.x(target, ((control, want),))
+        tbit, cbit = 1 << (w - 1 - target), 1 << (w - 1 - control)
+        for basis in (0, 7, cbit | 3, tbit | cbit, 2 ** w - 1):
+            hit = bool(basis & cbit) == bool(want)
+            assert trace_basis(c, basis).output_index == (basis ^ tbit if hit else basis)
+            assert ancilla_audit(c, [basis], [target]) == (not hit)
+            assert ancilla_audit(c, [basis], [control])

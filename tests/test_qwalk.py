@@ -281,7 +281,7 @@ def test_closed_form_single_marked_vertex(n, depth):
     marked[-2] = True
     tree = walk_tree(parents, depths, marked, n)
     expected = n / (n + depth)
-    assert build_walk_operator(tree).mass_at_zero() == pytest.approx(expected, abs=1e-12)
+    assert build_walk_operator(tree).mass_in_window(1e-9) == pytest.approx(expected, abs=1e-12)
     assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(expected, abs=1e-12)
 
 
@@ -293,7 +293,7 @@ def test_closed_form_two_marked_leaves():
     tree = walk_tree([-1, 0, 0, 2, 3, 2], [0, 1, 1, 2, 3, 2],
                      [False, True, False, False, True, False], 3)
     op = build_walk_operator(tree)
-    assert op.mass_at_zero() == pytest.approx(0.8, abs=1e-12)
+    assert op.mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
     assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
     assert op.mass_in_window(detection_precision(tree)) == pytest.approx(0.8, abs=1e-12)
     assert op.blocks is None
@@ -330,7 +330,7 @@ def test_detection_and_search_equal_schur_oracle(monkeypatch):
 def test_two_node_closed_form():
     op = build_walk_operator(two_node_marked())
     assert op.unitarity_residual() < 1e-12
-    assert abs(op.mass_at_zero() - 0.5) < 1e-12
+    assert abs(op.mass_in_window(1e-9) - 0.5) < 1e-12
     det = detect_marked(two_node_marked(), delta=0.1, seed=0)
     assert det.per_trial_phase_mass[0] >= 0.5 - 1e-9
 
@@ -385,7 +385,7 @@ def test_marked_trees_have_zero_phase_root_overlap():
         if tree.marked[0] or tree.size > 500:
             continue
         op = build_walk_operator(tree)
-        mass = op.mass_at_zero()
+        mass = op.mass_in_window(1e-9)
         n = max(1, tree.depth_bound)
         window = DETECTION_BETA / math.sqrt(tree.size * n)
         if res.stats.sat_leaves:
@@ -473,7 +473,7 @@ def test_window_pass_requires_preorder():
     # before its child, so it refuses instead of answering.
     tree = walk_tree([-1, 2, 0], [0, 2, 1], [False, True, False], 2)
     with pytest.raises(ValueError, match="vertex 1 has parent 2: .* not in preorder"):
-        build_walk_operator(tree).mass_at_zero()
+        build_walk_operator(tree).mass_in_window(1e-9)
 
 
 def test_dim_cap_env_must_parse(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from hybridts.formula import (
     UNSET,
@@ -14,8 +15,9 @@ from hybridts.formula import (
     unit_rule,
 )
 from hybridts.generators import random_kcnf
-from hybridts.qcircuit.core import simulate, trace_basis
+from hybridts.qcircuit.core import Circuit, simulate, trace_basis
 from hybridts.qcircuit.walk import (
+    _rebase,
     assembled_r_a_wires,
     build_v_a_static,
     build_v_leaf,
@@ -265,3 +267,32 @@ def test_build_walk_components_and_report():
     report = walk_cost_report(f)
     assert report["naive"] == 3 + 2 + 2
     assert "walkOperatorWires" in report and "bound4nPlusW" in report
+
+
+def test_rebase_relabels_wires():
+    f = F(3, [[1, -2], [2, 3], [-1, -3]])
+    leaf = build_v_leaf(f)
+    w = leaf.num_wires
+    perm = list(range(w))
+    random.Random(5).shuffle(perm)
+    wire_map = {u: perm[u] + 1 for u in range(w)}      # wires 0 and w+1 idle
+    moved = _rebase(leaf.circuit, wire_map, w + 2)
+
+    def relabel(index):
+        return sum(1 << (w + 1 - wire_map[u])
+                   for u in range(w) if (index >> (w - 1 - u)) & 1)
+
+    for pairs in all_partials(3):
+        idx, out = run_on(leaf, pairs, 3)
+        assert trace_basis(moved, relabel(idx)).output_index == relabel(out)
+
+    c = Circuit(3)
+    block = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0]
+    c.unitary((0, 2), block, ((1, 0),))
+    gate = _rebase(c, {0: 2, 1: 0, 2: 1}, 3).gates[0]
+    assert (gate.kind, gate.targets, gate.controls) == ("unitary", (2, 1), ((0, 0),))
+    assert gate.block is c.gates[0].block
+    with pytest.raises(ValueError, match="wire 3 out of range"):
+        _rebase(c, {0: 3, 1: 0, 2: 1}, 3)
+    with pytest.raises(ValueError, match="used twice"):
+        _rebase(c, {0: 1, 1: 0, 2: 1}, 3)
