@@ -93,16 +93,25 @@ def _stats_record(instance_id: str, engine: str, seed, result, wall: float) -> d
     return rec
 
 
+def _engine_config(args, formula: CnfFormula) -> EngineConfig:
+    """The engine config of `solve` and `tree-stats`. --s and --budget set
+    dncPPSZ only; with --engine dpll either one is an error."""
+    if args.engine == DPLL:
+        for flag, value in (("--s", args.s), ("--budget", args.budget)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --engine {DNCPPSZ}")
+        return EngineConfig(kind=DPLL)
+    return EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
+                        s=1 if args.s is None else args.s,
+                        guess_budget=args.budget).validated(formula)
+
+
 def cmd_solve(args) -> dict:
     started = time.time()
     formula = _load_formula(args)
-    if args.engine == DPLL:
-        config = EngineConfig(kind=DPLL)
-        result = dpll_solve(formula, config)
-    else:
-        config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
-                              s=args.s, guess_budget=args.budget).validated(formula)
-        result = dnc_ppsz_solve(formula, config)
+    config = _engine_config(args, formula)
+    solve = dpll_solve if args.engine == DPLL else dnc_ppsz_solve
+    result = solve(formula, config)
     rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
                         time.time() - started)
     if result.model:
@@ -113,11 +122,7 @@ def cmd_solve(args) -> dict:
 def cmd_tree_stats(args) -> dict:
     started = time.time()
     formula = _load_formula(args)
-    config = EngineConfig(kind=args.engine)
-    if args.engine == DNCPPSZ:
-        config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",),
-                              s=args.s, guess_budget=args.budget)
-    result = tree_stats(formula, config)
+    result = tree_stats(formula, _engine_config(args, formula))
     rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
                         time.time() - started)
     return _report("tree-stats", args, [rec], {}, started)
@@ -340,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one engine on one instance")
     common(p)
     p.add_argument("--engine", choices=(DPLL, DNCPPSZ), default=DPLL)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--s", type=int, default=None, help="dncppsz only (default 1)")
+    p.add_argument("--budget", type=int, default=None, help="dncppsz only (default n)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tree-stats", help="exhaustive tree instrumentation")
     common(p)
     p.add_argument("--engine", choices=(DPLL, DNCPPSZ), default=DPLL)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--s", type=int, default=None, help="dncppsz only (default 1)")
+    p.add_argument("--budget", type=int, default=None, help="dncppsz only (default n)")
     p.set_defaults(func=cmd_tree_stats)
 
     p = sub.add_parser("decompose", help="search-tree decomposition report")

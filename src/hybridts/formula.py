@@ -28,6 +28,9 @@ class Predicate(Enum):
     UNDETERMINED = "undetermined"
 
 
+_FORCED_VALUE = {"forcedTrue": 1, "forcedFalse": 0, "free": None, "contradiction": 1}
+
+
 class SImplication(Enum):
     FORCED_TRUE = "forcedTrue"
     FORCED_FALSE = "forcedFalse"
@@ -44,6 +47,13 @@ class SImplication(Enum):
         if found_true:
             return cls.FORCED_TRUE
         return cls.FORCED_FALSE if found_false else cls.FREE
+
+    def __init__(self, value: str):
+        # `forced` is the value the verdict sets: 0 for FORCED_FALSE, 1 for
+        # FORCED_TRUE and CONTRADICTION (the positive test fires first, the
+        # paper's Alg. 2), None for FREE. A plain attribute, since the engine
+        # and SIA read it once per variable.
+        self.forced: int | None = _FORCED_VALUE[value]
 
 
 def lit_satisfied(lit: int, value: int) -> bool:

@@ -2,11 +2,14 @@
 bounded-index-width formulas, the Bennett pebbling schedule, and reversible
 execution with xor-cell semantics.
 
-Every path runs the same per-variable step, `_SiaCore`: the forcing verdict
-comes from `formula.s_implication` over the clauses reached from the variable
+Every path runs the same per-variable step, `_SiaCore.step`: it forces the
+variable by s-implication, setting the value `SImplication.forced` names, or
+spends the next advice bit on it, or stops out of advice. The verdict comes
+from `formula.s_implication` over the clauses reached from the variable
 through the per-variable clause index, each restricted by the window of the
 last w assigned values alone. The reference and its audit trail
-(`reference_assignment`) are one walk over the variables.
+(`reference_assignment`) are one walk over the variables; the blocks take w
+steps each.
 
 Flag values carried in a memory cell: 0 alive, 1 contradiction, 2 out of
 advice (the two-children verdict), 3 satisfied early. The cell also carries a
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .formula import (
-    UNSET,
     CnfFormula,
     PartialAssignment,
     SImplication,
@@ -126,6 +128,20 @@ class _SiaCore:
 
         return s_implication(var, self.s, self.by_var.__getitem__, restricted)
 
+    def step(self, window: dict[int, int], var: int, bits: tuple[int, ...],
+             cursor: int, sat_count: int) -> tuple[int, int, int]:
+        """Set `var` in the window, forced or from advice bit `cursor`; returns
+        (cursor, sat_count, flag). Out of advice, `var` stays unset."""
+        value = self.implication(window, var).forced
+        if value is None:
+            if cursor == len(bits):
+                return cursor, sat_count, FLAG_OUT_OF_ADVICE
+            value = bits[cursor]
+            cursor += 1
+        window[var] = value
+        sat_count, flag = self.post_assign(window, var, sat_count)
+        return cursor, sat_count, flag
+
     def post_assign(self, window: dict[int, int], var: int, sat_count: int) -> tuple[int, int]:
         """Clause fates sealed by assigning `var`: returns (sat_count, flag)."""
         for idx in self.by_var[var]:
@@ -158,6 +174,16 @@ class _SiaCore:
 _ADVICE_BIT = {"0": 0, "1": 1, 0: 0, 1: 1}
 
 
+def _outcome(flag: int, cursor: int, at_variable: int | None = None) -> SiaOutcome:
+    """The outcome a stop flag reports; `at_variable` is kept only for the
+    out-of-advice guess. A cell does not carry that variable, so the paths
+    that end in a cell leave it None."""
+    if flag == FLAG_OUT_OF_ADVICE:
+        return SiaOutcome("twoChildren", None, at_variable, cursor, flag)
+    return SiaOutcome("zeroChildren", _REASON.get(flag, "fullAssignment"), None,
+                      cursor, flag)
+
+
 def _advice_bits(advice: str | tuple[int, ...]) -> tuple[int, ...]:
     """Advice as a tuple of 0/1 ints; any other symbol is a ValueError."""
     bits = tuple(map(_ADVICE_BIT.get, advice))
@@ -173,29 +199,18 @@ def _reference_walk(formula: CnfFormula, advice: str | tuple[int, ...],
     core = _SiaCore(formula, s, None)
     window: dict[int, int] = {}
     if formula.has_empty_clause:
-        return SiaOutcome("zeroChildren", "contradiction", None, 0,
-                          FLAG_CONTRADICTION), window
+        return _outcome(FLAG_CONTRADICTION, 0), window
     if core.target == 0:
-        return SiaOutcome("zeroChildren", "satisfied", None, 0, FLAG_SATISFIED), window
+        return _outcome(FLAG_SATISFIED, 0), window
     cursor = 0
     sat_count = 0
     for var in range(1, formula.num_vars + 1):
-        verdict = core.implication(window, var)
-        if verdict == SImplication.FREE:
-            if cursor == len(bits):
-                return SiaOutcome("twoChildren", None, var, cursor,
-                                  FLAG_OUT_OF_ADVICE), window
-            window[var] = bits[cursor]
-            cursor += 1
-        else:
-            # Alg. 2 order: the positive test fires first on a double force.
-            window[var] = 0 if verdict == SImplication.FORCED_FALSE else 1
-        sat_count, flag = core.post_assign(window, var, sat_count)
-        if flag in _REASON:
-            return SiaOutcome("zeroChildren", _REASON[flag], None, cursor, flag), window
+        cursor, sat_count, flag = core.step(window, var, bits, cursor, sat_count)
+        if flag != FLAG_ALIVE:
+            return _outcome(flag, cursor, var), window
     # Unreachable for formulas with clauses: a full assignment satisfies or
     # contradicts some clause. Kept for the m == 0 guard above.
-    return SiaOutcome("zeroChildren", "fullAssignment", None, cursor, FLAG_ALIVE), window
+    return _outcome(FLAG_ALIVE, cursor), window
 
 
 def sia_reference(formula: CnfFormula, advice: str | tuple[int, ...],
@@ -255,39 +270,32 @@ def siab_block(formula: CnfFormula, block_index: int, w: int,
         var = first + offset
         if var > formula.num_vars:
             break
-        verdict = core.implication(window, var)
-        if verdict == SImplication.FREE:
-            if cursor == len(bits):
-                flag = FLAG_OUT_OF_ADVICE
-                at_variable = var
-                break
-            window[var] = bits[cursor]
-            cursor += 1
-        else:
-            window[var] = 0 if verdict == SImplication.FORCED_FALSE else 1
+        cursor, sat_count, flag = core.step(window, var, bits, cursor, sat_count)
+        if flag == FLAG_OUT_OF_ADVICE:
+            at_variable = var
+            break
         values[offset] = window[var]
         assigned.append((var, window[var]))
-        sat_count, flag = core.post_assign(window, var, sat_count)
         if flag != FLAG_ALIVE:
             break
     out = Cell(tuple(values), cursor, flag, sat_count)
     return (out, BlockInfo(at_variable, tuple(assigned))) if with_info else out
 
 
-def _pad_formula(formula: CnfFormula, w: int) -> tuple[CnfFormula, int, int]:
-    """Pad with forced-true dummy unit variables so w divides n and the block
-    count is a power of two. Returns (padded, num_blocks, original clauses)."""
+def _block_setup(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
+                 s: int) -> tuple[CnfFormula, int, tuple[int, ...], _SiaCore]:
+    """The start of every block path: the width check, the advice bits, and
+    the formula padded with forced-true dummy unit variables so that w divides
+    n and the block count is a power of two. Returns (padded, num_blocks,
+    bits, core); the core's satisfaction target leaves the padding out."""
+    if index_width(formula) > w:
+        raise ValueError("formula index width exceeds the block width w")
+    bits = _advice_bits(advice)
     n = formula.num_vars
-    blocks = max(1, math.ceil(n / w))
-    k = max(0, (blocks - 1).bit_length())
-    blocks = 2 ** k
-    padded_n = blocks * w
-    clauses = list(formula.clauses)
-    target = len(clauses)
-    for var in range(n + 1, padded_n + 1):
-        clauses.append((var,))
-    padded = CnfFormula.from_clauses(padded_n, clauses, allow_empty_clause=True)
-    return padded, blocks, target
+    blocks = 2 ** (max(1, math.ceil(n / w)) - 1).bit_length()
+    clauses = [*formula.clauses, *((var,) for var in range(n + 1, blocks * w + 1))]
+    padded = CnfFormula.from_clauses(blocks * w, clauses, allow_empty_clause=True)
+    return padded, blocks, bits, _SiaCore(padded, s, w, target_clauses=len(formula.clauses))
 
 
 @dataclass
@@ -345,11 +353,7 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
                  s: int = 1) -> tuple[SiaOutcome, ReversibleTrace]:
     """Run the pebbling schedule under xor-cell semantics; the final output
     cell reproduces the reference outcome."""
-    if index_width(formula) > w:
-        raise ValueError("formula index width exceeds the block width w")
-    advice = _advice_bits(advice)
-    padded, blocks, target = _pad_formula(formula, w)
-    core = _SiaCore(padded, s, w, target_clauses=target)
+    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
     k = blocks.bit_length() - 1
     schedule = siar_schedule(k)
     cells: dict[int, Cell] = {i: Cell.zero(w) for i in range(-1, k + 1)}
@@ -364,7 +368,7 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
         peak = max(peak, live)
     restored = all(cells[i].is_zero() for i in range(k))
     out_cell = cells[k]
-    outcome = _outcome_from_cell(out_cell)
+    outcome = _outcome(out_cell.flag, out_cell.cursor)
     trace = ReversibleTrace(
         live_counts=live_counts,
         peak_live_intermediate=peak,
@@ -375,26 +379,11 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     return outcome, trace
 
 
-def _outcome_from_cell(cell: Cell) -> SiaOutcome:
-    if cell.flag == FLAG_OUT_OF_ADVICE:
-        # The cell does not carry the guess variable; the concatenation path
-        # (siac_run) checks it against the reference instead.
-        return SiaOutcome("twoChildren", None, None, cell.cursor, cell.flag)
-    if cell.flag in _REASON:
-        return SiaOutcome("zeroChildren", _REASON[cell.flag], None, cell.cursor,
-                          cell.flag)
-    return SiaOutcome("zeroChildren", "fullAssignment", None, cell.cursor, cell.flag)
-
-
 def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
              s: int = 1) -> tuple[SiaOutcome, dict[int, int]]:
     """Plain composition of the blocks (no pebbling); returns the outcome and
     the full assignment observed along the way."""
-    if index_width(formula) > w:
-        raise ValueError("formula index width exceeds the block width w")
-    advice = _advice_bits(advice)
-    padded, blocks, target = _pad_formula(formula, w)
-    core = _SiaCore(padded, s, w, target_clauses=target)
+    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
     cell = Cell.zero(w)
     assignment: dict[int, int] = {}
     at_variable = None
@@ -406,19 +395,14 @@ def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
                 assignment[var] = val
         if info.at_variable is not None and at_variable is None:
             at_variable = info.at_variable
-    outcome = _outcome_from_cell(cell)
-    if outcome.kind == "twoChildren":
-        outcome = replace(outcome, at_variable=at_variable)
-    return outcome, assignment
+    return _outcome(cell.flag, cell.cursor, at_variable), assignment
 
 
 def double_execute_cells(formula: CnfFormula, advice: str | tuple[int, ...],
                          w: int, s: int = 1) -> dict[int, Cell]:
     """Run the schedule twice; SIAR is its own reverse, so every cell
     (including the output) returns to zero."""
-    advice = _advice_bits(advice)
-    padded, blocks, target = _pad_formula(formula, w)
-    core = _SiaCore(padded, s, w, target_clauses=target)
+    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
     k = blocks.bit_length() - 1
     schedule = siar_schedule(k)
     cells: dict[int, Cell] = {i: Cell.zero(w) for i in range(-1, k + 1)}

@@ -1,9 +1,17 @@
 """Backtracking engines (DPLL, dncPPSZ), PPSZ-proper, and tree instrumentation.
 
-The generic framework is the chNo/ch1/ch2 triple over partial assignments;
-`ch_no`, `ch1`, `ch2` are the restriction-based reference implementations and
-the incremental `_EngineState` used by the solvers is tested to generate the
-identical tree.
+Every tree is built from one child rule over partial assignments, the paper's
+chNo/ch1/ch2 triple. A node whose predicate is decided is a leaf. Otherwise
+the rule takes the engine's next variable and forces it when it can: DPLL by
+its reduction rules in order, dncPPSZ by s-implication of the next variable
+of its permutation. An s-implication verdict sets the value
+`SImplication.forced` names, the positive literal first on a contradiction
+(the paper's Alg. 2). A variable that is not forced is guessed, 0 before 1;
+dncPPSZ makes a leaf instead once the guesses reach its budget.
+
+`ch_no`, `ch1` and `ch2` are the restriction-based reference of the rule.
+`_EngineState.decide` is the incremental one that the solvers run, and it is
+tested to generate the identical tree.
 """
 
 from __future__ import annotations
@@ -192,9 +200,13 @@ class SearchTree:
     def from_json(cls, text: str) -> "SearchTree":
         data = json.loads(text)
         parents = list(data["parents"])
+        path: list[int] = []   # root to vertex c - 1: where c's parent must lie
         for c, p in enumerate(parents):
-            if not (p == -1 if c == 0 else 0 <= p < c):
+            while path and path[-1] != p:
+                path.pop()
+            if (p == -1) != (c == 0) or (c > 0 and not path):
                 raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
+            path.append(c)
         return cls(data["numVars"], parents,
                    [tuple(e) if e else None for e in data["edges"]],
                    list(data["depths"]), [bool(m) for m in data["marked"]],
@@ -217,92 +229,66 @@ def _forced_dpll(formula: CnfFormula, assignment: PartialAssignment,
                 restricted = restrict(formula, assignment).clauses
             hit = None
             for var in range(1, formula.num_vars + 1):
-                if assignment.value(var) != UNSET:
-                    continue
-                verdict = s_implied_over_clauses(restricted, var, config.s)
-                if verdict == SImplication.FORCED_TRUE:
-                    hit = (var, 1)
-                elif verdict == SImplication.FORCED_FALSE:
-                    hit = (var, 0)
-                elif verdict == SImplication.CONTRADICTION:
-                    hit = (var, 1)  # Alg. 2 order: the positive test fires first
-                if hit:
-                    break
+                if assignment.value(var) == UNSET:
+                    value = s_implied_over_clauses(restricted, var, config.s).forced
+                    if value is not None:
+                        hit = (var, value)
+                        break
         if hit:
             return hit
     return None
 
 
-def _next_perm_var(assignment: PartialAssignment, config: EngineConfig) -> int | None:
-    for var in config.permutation:
-        if assignment.value(var) == UNSET:
-            return var
-    return None
-
-
-def _dnc_force(formula: CnfFormula, assignment: PartialAssignment, var: int,
-               s: int) -> tuple[int, int] | None:
-    restricted = restrict(formula, assignment).clauses
-    verdict = s_implied_over_clauses(restricted, var, s)
-    if verdict in (SImplication.FORCED_TRUE, SImplication.CONTRADICTION):
-        return (var, 1)
-    if verdict == SImplication.FORCED_FALSE:
-        return (var, 0)
-    return None
+def _child_rule(node: TreeNode, formula: CnfFormula,
+                config: EngineConfig) -> tuple[int, int | None] | None:
+    """The reference child rule: the forced (var, value), else (var, None) for
+    the guessed variable, else None at a leaf."""
+    config = config.validated(formula)
+    assignment = node.assignment
+    if evaluate_predicate(formula, assignment) != Predicate.UNDETERMINED:
+        return None
+    if config.kind == DPLL:
+        forced = _forced_dpll(formula, assignment, config)
+        if forced is not None:
+            return forced
+        return next(((v, None) for v in range(1, formula.num_vars + 1)
+                     if assignment.value(v) == UNSET), None)
+    var = next((v for v in config.permutation if assignment.value(v) == UNSET), None)
+    if var is None:
+        return None
+    value = s_implied_over_clauses(restrict(formula, assignment).clauses,
+                                   var, config.s).forced
+    if value is None and node.guess_count >= config.guess_budget:
+        return None  # out of guesses
+    return var, value
 
 
 def ch_no(node: TreeNode, formula: CnfFormula, config: EngineConfig) -> ChildCount:
     """Number of children: 0 (leaf), 1 (forced), or 2 (guessed)."""
-    config = config.validated(formula)
-    if evaluate_predicate(formula, node.assignment) != Predicate.UNDETERMINED:
+    choice = _child_rule(node, formula, config)
+    if choice is None:
         return ChildCount.ZERO_LEAF
-    if config.kind == DPLL:
-        if _forced_dpll(formula, node.assignment, config):
-            return ChildCount.ONE_CHILD
-        return ChildCount.TWO_CHILDREN
-    var = _next_perm_var(node.assignment, config)
-    if var is None:
-        return ChildCount.ZERO_LEAF
-    if _dnc_force(formula, node.assignment, var, config.s):
-        return ChildCount.ONE_CHILD
-    if node.guess_count >= config.guess_budget:
-        return ChildCount.ZERO_LEAF  # out of guesses
-    return ChildCount.TWO_CHILDREN
+    return ChildCount.TWO_CHILDREN if choice[1] is None else ChildCount.ONE_CHILD
 
 
 def ch1(node: TreeNode, formula: CnfFormula, config: EngineConfig) -> TreeNode:
     """The only child of a forced node."""
-    config = config.validated(formula)
-    if ch_no(node, formula, config) != ChildCount.ONE_CHILD:
+    choice = _child_rule(node, formula, config)
+    if choice is None or choice[1] is None:
         raise ValueError("ch1 called on a node that is not forced")
-    if config.kind == DPLL:
-        var, value = _forced_dpll(formula, node.assignment, config)
-    else:
-        var = _next_perm_var(node.assignment, config)
-        var, value = _dnc_force(formula, node.assignment, var, config.s)
+    var, value = choice
     return TreeNode(node.assignment.assign(var, value), node.depth + 1,
                     node.guess_count)
-
-
-def branch_variable(node: TreeNode, formula: CnfFormula, config: EngineConfig) -> int:
-    config = config.validated(formula)
-    if config.kind == DPLL:
-        for var in range(1, formula.num_vars + 1):
-            if node.assignment.value(var) == UNSET:
-                return var
-        raise ValueError("no free variable to branch on")
-    return _next_perm_var(node.assignment, config)
 
 
 def ch2(node: TreeNode, formula: CnfFormula, config: EngineConfig, b: int) -> TreeNode:
     """Child b in {0, 1} of a guessed node."""
     if b not in (0, 1):
         raise ValueError("branch value must be 0 or 1")
-    config = config.validated(formula)
-    if ch_no(node, formula, config) != ChildCount.TWO_CHILDREN:
+    choice = _child_rule(node, formula, config)
+    if choice is None or choice[1] is not None:
         raise ValueError("ch2 called on a node that is not guessed")
-    var = branch_variable(node, formula, config)
-    return TreeNode(node.assignment.assign(var, b), node.depth + 1,
+    return TreeNode(node.assignment.assign(choice[0], b), node.depth + 1,
                     node.guess_count + 1)
 
 
@@ -317,6 +303,8 @@ class _EngineState:
         self.config = config
         n = formula.num_vars
         self.values = [UNSET] * (n + 1)   # 1-indexed
+        # Variables in the order the engine takes them.
+        self.order = config.permutation if config.kind == DNCPPSZ else range(1, n + 1)
         clauses = formula.clauses
         self.clause_lits = clauses
         self.n_unassigned = [len(c) for c in clauses]
@@ -333,8 +321,9 @@ class _EngineState:
                     self.occ_neg[-lit].append(ci)
         self.occ = [p + q for p, q in zip(self.occ_pos, self.occ_neg)]
         self.unit_set = {ci for ci, c in enumerate(clauses) if len(c) == 1}
-        # The pure-literal counters are kept only for the rule that reads them.
-        self.track_pure = "pureLiteral" in config.reduction_rules
+        # The pure-literal counters are kept only for the DPLL rule that reads
+        # them; dncPPSZ forces by s-implication alone.
+        self.track_pure = config.kind == DPLL and "pureLiteral" in config.reduction_rules
         self.alive_pos = [len(occ) for occ in self.occ_pos]
         self.alive_neg = [len(occ) for occ in self.occ_neg]
         self.pure_heap = [var for var in range(1, n + 1)
@@ -429,12 +418,6 @@ class _EngineState:
                 return (var, 0)
         return None
 
-    def find_first_free(self) -> int | None:
-        for var in range(1, self.formula.num_vars + 1):
-            if self.values[var] == UNSET:
-                return var
-        return None
-
     def restricted(self, ci: int) -> tuple[int, ...] | None:
         """Clause ci restricted to its unset literals; None once satisfied."""
         if self.n_true[ci]:
@@ -453,35 +436,46 @@ class _EngineState:
                     for ci in self.occ_neg[var]))
         return s_implication(var, s, self.occ.__getitem__, self.restricted)
 
-    def forced_dpll(self, rules: tuple[str, ...], s: int) -> tuple[int, int] | None:
-        for rule in rules:
+    def forced_dpll(self) -> tuple[int, int] | None:
+        """The first hit of the DPLL reduction rules, in their order."""
+        for rule in self.config.reduction_rules:
             if rule == "unit":
                 hit = self.find_unit()
             elif rule == "pureLiteral":
                 hit = self.find_pure()
-            else:
+            else:  # sImplication: the lowest forced variable
                 hit = None
-                for var in range(1, self.formula.num_vars + 1):
-                    if self.values[var] != UNSET:
-                        continue
-                    verdict = self.s_implication(var, s)
-                    if verdict == SImplication.FORCED_TRUE:
-                        hit = (var, 1)
-                    elif verdict == SImplication.FORCED_FALSE:
-                        hit = (var, 0)
-                    elif verdict == SImplication.CONTRADICTION:
-                        hit = (var, 1)
-                    if hit:
-                        break
+                for var in self.order:
+                    if self.values[var] == UNSET:
+                        value = self.s_implication(var, self.config.s).forced
+                        if value is not None:
+                            hit = (var, value)
+                            break
             if hit:
                 return hit
         return None
 
-    def next_perm_free(self) -> int | None:
-        for var in self.config.permutation:
+    def next_free(self) -> int | None:
+        """The engine's next unset variable: lowest for DPLL, first in the
+        permutation for dncPPSZ."""
+        for var in self.order:
             if self.values[var] == UNSET:
                 return var
         return None
+
+    def decide(self) -> tuple[int, int | None] | None:
+        """The child rule at an undecided node: the forced (var, value), else
+        (var, None) for the variable to guess, else None when all are set."""
+        if self.config.kind == DPLL:
+            forced = self.forced_dpll()
+            if forced is not None:
+                return forced
+            var = self.next_free()
+            return None if var is None else (var, None)
+        var = self.next_free()
+        if var is None:
+            return None
+        return var, self.s_implication(var, self.config.s).forced
 
 
 @dataclass
@@ -500,25 +494,21 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
     tree = SearchTree(formula.num_vars, [], [], [], []) if collect_tree else None
     model: tuple[int, ...] | None = None
     first_sat_at: int | None = None
-    dnc = config.kind == DNCPPSZ
+    # DPLL has no budget: at a node with a free variable its guesses are < n.
+    budget = formula.num_vars if config.guess_budget is None else config.guess_budget
 
-    # Frames: ("enter", parent_id, guesses, branchings, edge)
-    #         ("assign", var, value, parent_id, guesses, branchings)
-    #         ("undo",)
-    stack: list[tuple] = [("enter", -1, 0, 0, None)]
-    stop = False
-    while stack and not stop:
+    # Frames: (var, value, parent_id, guesses) assigns var and enters that
+    # child (var is None at the root); None undoes the last assignment.
+    stack: list[tuple | None] = [(None, None, -1, 0)]
+    while stack:
         frame = stack.pop()
-        op = frame[0]
-        if op == "undo":
+        if frame is None:
             state.undo()
             continue
-        if op == "assign":
-            _, var, value, parent_id, guesses, branchings = frame
+        var, value, parent_id, guesses = frame
+        if var is not None:
             state.assign(var, value)
-            stack.append(("undo",))
-            frame = ("enter", parent_id, guesses, branchings, (var, value))
-        _, parent_id, guesses, branchings, edge = frame
+            stack.append(None)
 
         node_id = stats.size
         stats.size += 1
@@ -526,70 +516,42 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
         stats.height = max(stats.height, depth)
         if tree is not None:
             tree.parents.append(parent_id)
-            tree.edges.append(edge)
+            tree.edges.append(None if var is None else (var, value))
             tree.depths.append(depth)
             tree.marked.append(False)
 
-        # Predicate first.
-        if state.contra_count > 0:
-            is_leaf, is_sat = True, False
-        elif state.alive_count == 0:
-            is_leaf, is_sat = True, True
-        else:
-            is_leaf, is_sat = False, False
-            if dnc:
-                var = state.next_perm_free()
-                if var is None:
-                    is_leaf = True  # all variables assigned, predicate decides
-                    is_sat = state.contra_count == 0 and state.alive_count == 0
-                else:
-                    verdict = state.s_implication(var, config.s)
-                    if verdict == SImplication.FREE:
-                        if guesses >= config.guess_budget:
-                            is_leaf = True  # out of guesses
-                        else:
-                            stack.append(("assign", var, 1, node_id, guesses + 1,
-                                          branchings + 1))
-                            stack.append(("assign", var, 0, node_id, guesses + 1,
-                                          branchings + 1))
-                    else:
-                        value = 0 if verdict == SImplication.FORCED_FALSE else 1
-                        stack.append(("assign", var, value, node_id, guesses,
-                                      branchings))
+        # Predicate first, then the child rule.
+        is_sat = state.contra_count == 0 and state.alive_count == 0
+        choice = None if state.contra_count or is_sat else state.decide()
+        if choice is not None and choice[1] is None and guesses >= budget:
+            choice = None  # out of guesses
+        if choice is not None:
+            var, value = choice
+            if value is None:
+                stack.append((var, 1, node_id, guesses + 1))
+                stack.append((var, 0, node_id, guesses + 1))
             else:
-                hit = state.forced_dpll(config.reduction_rules, config.s)
-                if hit is not None:
-                    stack.append(("assign", hit[0], hit[1], node_id, guesses,
-                                  branchings))
-                else:
-                    var = state.find_first_free()
-                    if var is None:
-                        is_leaf = True
-                        is_sat = state.alive_count == 0
-                    else:
-                        stack.append(("assign", var, 1, node_id, guesses + 1,
-                                      branchings + 1))
-                        stack.append(("assign", var, 0, node_id, guesses + 1,
-                                      branchings + 1))
+                stack.append((var, value, node_id, guesses))
+            continue
 
-        if is_leaf:
-            stats.leaf_count += 1
-            stats.max_branching = max(stats.max_branching, branchings)
-            if is_sat:
-                stats.sat_leaves += 1
-                if tree is not None:
-                    tree.marked[node_id] = True
-                if first_sat_at is None:
-                    first_sat_at = stats.size
-                    model = tuple(state.values[1:])
-                    if not exhaustive:
-                        stop = True
+        # A leaf: every guess on the path is a two-child node.
+        stats.leaf_count += 1
+        stats.max_branching = max(stats.max_branching, guesses)
+        if is_sat:
+            stats.sat_leaves += 1
+            if tree is not None:
+                tree.marked[node_id] = True
+            if first_sat_at is None:
+                first_sat_at = stats.size
+                model = tuple(state.values[1:])
+                if not exhaustive:
+                    break
 
     stats.effective_size = first_sat_at if first_sat_at is not None else stats.size
     if model is not None:
         verdict = Verdict.SAT
     else:
-        verdict = Verdict.NOT_FOUND if dnc else Verdict.UNSAT
+        verdict = Verdict.UNSAT if config.kind == DPLL else Verdict.NOT_FOUND
     return SolveResult(verdict, model, stats, tree)
 
 
@@ -650,38 +612,14 @@ def ppsz_proper(formula: CnfFormula, s: int, epsilon: float, max_rounds: int,
 
 def min_guesses_to_solution(formula: CnfFormula, permutation: tuple[int, ...],
                             s: int = 1) -> int | None:
-    """Minimum guesses over all root-to-solution paths for this ordering."""
-    config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
-                          permutation=permutation,
-                          guess_budget=formula.num_vars).validated(formula)
-    state = _EngineState(formula, config)
-    best: list[int | None] = [None]
-
-    def walk(guesses: int) -> None:
-        if best[0] is not None and guesses >= best[0]:
-            return
-        if state.contra_count > 0:
-            return
-        if state.alive_count == 0:
-            best[0] = guesses
-            return
-        var = state.next_perm_free()
-        if var is None:
-            return
-        verdict = state.s_implication(var, s)
-        if verdict == SImplication.FREE:
-            for value in (0, 1):
-                state.assign(var, value)
-                walk(guesses + 1)
-                state.undo()
-        else:
-            value = 0 if verdict == SImplication.FORCED_FALSE else 1
-            state.assign(var, value)
-            walk(guesses)
-            state.undo()
-
-    walk(0)
-    return best[0]
+    """Minimum guesses over all root-to-solution paths for this ordering: the
+    least budget at which dncPPSZ finds a model, None when none does."""
+    for budget in range(formula.num_vars + 1):
+        config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
+                              permutation=permutation, guess_budget=budget)
+        if dnc_ppsz_solve(formula, config).verdict == Verdict.SAT:
+            return budget
+    return None
 
 
 def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,

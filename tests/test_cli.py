@@ -159,6 +159,23 @@ def test_s_below_one_exit_2(command, flags, instance, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "tree-stats"])
+@pytest.mark.parametrize("flags, flag", [
+    (["--budget", "3"], "--budget"),
+    (["--s", "5"], "--s"),
+    (["--s", "1", "--budget", "3"], "--s"),
+])
+def test_dncppsz_flags_with_dpll_exit_2(command, flags, flag, instance, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(instance), "--engine", "dpll",
+              "--out", str(out)] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"hybridts {command}: error: {flag} applies only to --engine dncppsz\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ,
                PYTHONPATH=str(Path(hybridts.__file__).resolve().parents[1]))

@@ -171,6 +171,9 @@ def test_width_precondition():
         siar_execute(f, "1", 2)
     with pytest.raises(ValueError):
         siab_block(f, 1, 2, Cell.zero(2), "1")
+    for run in (siar_execute, siac_run, double_execute_cells):
+        with pytest.raises(ValueError, match="index width exceeds the block width w"):
+            run(F(6, [[1, 6]]), "", 2)
 
 
 @pytest.mark.parametrize("advice, symbol", [("22", "'2'"), ("012", "'2'"),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hybridts import treesearch
 from hybridts.formula import (
     CnfFormula,
     PartialAssignment,
@@ -170,6 +171,44 @@ def test_dnc_planted_budget_boundary():
             assert short.verdict == Verdict.NOT_FOUND
 
 
+def reference_min_guesses(f, perm, s):
+    # The least guess count over satisfied leaves of the full-budget tree,
+    # walked with the restriction-based child rule.
+    config = dnc_config(f, s=s, budget=f.num_vars, perm=perm)
+    counts = []
+
+    def walk(node):
+        kind = ch_no(node, f, config)
+        if kind == ChildCount.ONE_CHILD:
+            walk(ch1(node, f, config))
+        elif kind == ChildCount.TWO_CHILDREN:
+            walk(ch2(node, f, config, 0))
+            walk(ch2(node, f, config, 1))
+        elif evaluate_predicate(f, node.assignment) == Predicate.SATISFIED:
+            counts.append(node.guess_count)
+
+    walk(TreeNode.root(f.num_vars))
+    return min(counts, default=None)
+
+
+def test_min_guesses_matches_reference_walker():
+    rng = random.Random(20)
+    results = []
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        # 3-clauses plus a few unit and 2-clauses, so some orderings need no guess.
+        clauses = [c for k, m in ((3, round(rng.uniform(1.0, 5.0) * n)),
+                                  (2, rng.randint(0, n)), (1, rng.randint(0, 2)))
+                   for c in random_kcnf(rng, n, m, k).clauses]
+        f = F(n, clauses)
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        s = rng.choice((1, 2))
+        got = min_guesses_to_solution(f, perm, s)
+        assert got == reference_min_guesses(f, perm, s)
+        results.append(got)
+    assert {None, 0, 1, 2} <= set(results)
+
+
 def test_dnc_full_budget_matches_dpll_verdict():
     rng = random.Random(14)
     for _ in range(60):
@@ -275,6 +314,34 @@ def test_search_tree_json_round_trip():
     assert back.marked == res.tree.marked
     assert back.edges == res.tree.edges
     assert back.depth_bound == res.tree.depth_bound
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        f = random_kcnf(rng, n, rng.randint(3, 25))
+        for cfg in (EngineConfig(kind=DPLL), dnc_config(f, budget=rng.randint(0, n))):
+            tree = tree_stats(f, cfg, collect_tree=True).tree
+            assert SearchTree.from_json(tree.to_json()).to_json() == tree.to_json()
+
+
+def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters():
+    # dncPPSZ forces by s-implication alone, whatever rules its config names.
+    rng = random.Random(22)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        f = random_kcnf(rng, n, rng.randint(3, 25))
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        budget = rng.randint(0, n)
+        default_rules = EngineConfig(kind=DNCPPSZ, permutation=perm, guess_budget=budget)
+        assert default_rules.reduction_rules == ("unit", "pureLiteral")
+        plain = dnc_config(f, budget=budget, perm=perm)
+        assert (tree_stats(f, default_rules, collect_tree=True).tree.to_json()
+                == tree_stats(f, plain, collect_tree=True).tree.to_json())
+    f = F(3, [[1, 2], [-2, 3]])
+    state = treesearch._EngineState(f, EngineConfig(kind=DNCPPSZ).validated(f))
+    counters = (list(state.alive_pos), list(state.alive_neg), list(state.pure_heap))
+    state.assign(1, 1)   # satisfies [1, 2]: DPLL would drop 2 from alive_pos
+    assert not state.track_pure
+    assert (state.alive_pos, state.alive_neg, state.pure_heap) == counters
 
 
 def test_search_tree_json_requires_preorder():
@@ -284,7 +351,9 @@ def test_search_tree_json_requires_preorder():
             "depths": [0, 1, 2, 3], "marked": [False] * 4, "depthBound": 3}
     assert SearchTree.from_json(json.dumps(good)).parents == [-1, 0, 1, 2]
     for parents, depths in (([-1, 2, 0, 1], [0, 2, 1, 3]), ([0, -1, 1, 1], [1, 0, 2, 2]),
-                            ([-1, 0, 2, 1], [0, 1, 2, 3]), ([-1, -1, 1, 2], [0, 0, 1, 2])):
+                            ([-1, 0, 2, 1], [0, 1, 2, 3]), ([-1, -1, 1, 2], [0, 0, 1, 2]),
+                            # Parents precede children, but subtree(1) is {1, 3}.
+                            ([-1, 0, 0, 1], [0, 1, 1, 2])):
         bad = dict(good, parents=parents, depths=depths)
         with pytest.raises(ValueError, match="not in preorder"):
             SearchTree.from_json(json.dumps(bad))
