@@ -26,7 +26,6 @@ from .treesearch import (
     DNCPPSZ,
     DPLL,
     EngineConfig,
-    Verdict,
     dnc_ppsz_solve,
     dpll_solve,
     tree_stats,
@@ -79,15 +78,9 @@ def _load_formula(args) -> CnfFormula:
     return parse_dimacs(Path(args.input).read_text())
 
 
-def _verdict_label(kind: str, verdict: Verdict) -> str:
-    if kind == DNCPPSZ and verdict == Verdict.NOT_FOUND:
-        return "not-found"
-    return verdict.value
-
-
 def _stats_record(instance_id: str, engine: str, seed, result, wall: float) -> dict:
     rec = {"instanceId": instance_id, "engine": engine, "seed": seed,
-           "verdict": _verdict_label(engine, result.verdict),
+           "verdict": result.verdict.value,
            "wallTime": wall}
     rec.update(result.stats.as_record())
     return rec

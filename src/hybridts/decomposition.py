@@ -28,18 +28,21 @@ class SubtreeMetrics:
 
 
 def subtree_metrics(tree: SearchTree) -> SubtreeMetrics:
-    kids = tree.children
+    """Size, height and branching number of every vertex's subtree, from one
+    leaf-to-root pass; parents must precede their children."""
+    parents = tree.parents
     n = tree.size
-    sizes = [1] * n
     heights = [0] * n
     brs = [0] * n
-    for v in range(n - 1, -1, -1):  # preorder: children have larger indices
-        children = kids[v]
-        if children:
-            sizes[v] = 1 + sum(sizes[c] for c in children)
-            heights[v] = 1 + max(heights[c] for c in children)
-            brs[v] = max(brs[c] for c in children) + (1 if len(children) == 2 else 0)
-    return SubtreeMetrics(sizes, heights, brs)
+    kids = [0] * n
+    for v in range(n - 1, -1, -1):  # every child of v is done: it has a larger id
+        brs[v] += kids[v] == 2
+        p = parents[v]
+        if p >= 0:
+            kids[p] += 1
+            heights[p] = max(heights[p], heights[v] + 1)
+            brs[p] = max(brs[p], brs[v])
+    return SubtreeMetrics(tree.sizes, heights, brs)
 
 
 @dataclass
@@ -71,39 +74,30 @@ class TreeDecomposition:
 
 def decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecomposition:
     """Cut at maximal runnable vertices: measure(subtree) <= budget while the
-    parent's subtree exceeds it. The top tree is what remains."""
+    parent's subtree exceeds it. The top tree is what remains. Parents must
+    precede their children."""
     if measure not in (MEASURE_HEIGHT, MEASURE_BRANCHING):
         raise ValueError(f"unknown effective-size measure {measure!r}")
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     metrics = subtree_metrics(tree)
     values = metrics.heights if measure == MEASURE_HEIGHT else metrics.branchings
-    kids = tree.children
-    for v, p in enumerate(tree.parents):
-        if p >= 0 and values[v] > values[p]:
-            raise ValueError("measure is not monotone along root-to-leaf paths")
-
+    # The measure never grows from parent to child, so the top tree is every
+    # vertex above budget and the cut-offs are the roots of the rest.
     cutoffs: list[CutSubtree] = []
     top_size = 0
     free_top_leaves = 0
-    if values[0] <= budget:
-        cutoffs.append(CutSubtree(0, metrics.sizes[0], metrics.heights[0],
-                                  metrics.branchings[0]))
-    else:
-        stack = [0]
-        while stack:
-            v = stack.pop()
+    for v, p in enumerate(tree.parents):
+        if p >= 0 and values[v] > values[p]:
+            raise ValueError("measure is not monotone along root-to-leaf paths")
+        if values[v] > budget:
             top_size += 1
-            for c in kids[v]:
-                if values[c] <= budget:
-                    cutoffs.append(CutSubtree(c, metrics.sizes[c],
-                                              metrics.heights[c],
-                                              metrics.branchings[c]))
-                else:
-                    stack.append(c)
             # A childless top-tree vertex parents no cut-off; the extended
             # bookkeeping charges it two empty trees.
-            if not kids[v]:
-                free_top_leaves += 1
-        cutoffs.sort(key=lambda c: c.root)
+            free_top_leaves += metrics.sizes[v] == 1
+        elif p < 0 or values[p] > budget:
+            cutoffs.append(CutSubtree(v, metrics.sizes[v], metrics.heights[v],
+                                      metrics.branchings[v]))
     decomp = TreeDecomposition(
         total_size=tree.size,
         top_tree_size=top_size,
@@ -122,9 +116,8 @@ def leaves_bound_check(tree: SearchTree) -> dict:
     longest root-to-leaf path (the chain-compression argument needs P, not
     the variable count)."""
     metrics = subtree_metrics(tree)
-    kids = tree.children
     total = tree.size
-    leaves = sum(1 for v in range(total) if not kids[v])
+    leaves = metrics.sizes.count(1)
     path_vertices = metrics.heights[0] + 1
     lower = (total / path_vertices + 1) / 2
     upper = (total + 1) / 2
@@ -136,7 +129,6 @@ def leaves_bound_check(tree: SearchTree) -> dict:
 @dataclass(frozen=True)
 class CostModel:
     phi: str = PHI_SQRT
-    effective_size_measure: str = MEASURE_HEIGHT
 
     def phi_value(self, subtree: CutSubtree) -> float:
         if self.phi == PHI_SQRT:
@@ -191,6 +183,8 @@ def uniform_density_scan(tree: SearchTree, eta: float, n: int | None = None,
     """Densities log2(size)/(eta*n) over sub-trees at the eta*n scale."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    if measure not in (MEASURE_HEIGHT, MEASURE_BRANCHING):
+        raise ValueError(f"unknown effective-size measure {measure!r}")
     metrics = subtree_metrics(tree)
     if n is None:
         n = metrics.heights[0]

@@ -35,6 +35,9 @@ DETECTION_BETA = 0.3
 # Smallest 1 - cos(phase) the eigensolve resolves (eigenvalues of a norm-1
 # matrix come out within a few eps; cos(1e-9) already rounds to 1.0).
 WINDOW_FLOOR = 64 * np.finfo(float).eps
+# Descents find_marked starts before it gives up: a false positive can end
+# one at an unmarked vertex where no child is detected.
+FIND_RETRIES = 3
 
 
 # Kept for callers that use the older name, such as the benchmark's
@@ -112,7 +115,7 @@ class WalkOperator:
 
 def _window_pass(tree: SearchTree, x: float) -> tuple[float, int]:
     """(phase-0 root mass, count of singular values of D = Psi_A^T Psi_B at
-    or above x) from one leaf-to-root pass; ids must be in preorder.
+    or above x) from one leaf-to-root pass; parents must precede children.
 
     Mass: with a unit resistor on each edge and the marked vertices grounded,
     C(v) is the conductance from v down, and the mass is G / (G + 1),
@@ -253,45 +256,23 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
     return DetectionResult(verdict, acceptances, k, [p_accept] * k, precision)
 
 
-def find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = None,
-                max_retries: int = 3) -> int | None:
-    """Descend from the root, following positive detection verdicts."""
+def find_marked(tree: SearchTree, delta: float = 0.1,
+                seed: int | None = None) -> int | None:
+    """Descend from the root, following positive detection verdicts on each
+    vertex's subtree; the tree must be in preorder (see `SearchTree.subtree`)."""
     detection_trials(delta)  # reject a bad delta even when the root is marked
     rng = random.Random(seed)
-    op_cache: dict[int, WalkOperator] = {}
-    sub_cache: dict[int, tuple[SearchTree, list[int]]] = {}
 
     def detect_at(vertex: int) -> bool:
-        if tree.marked[vertex]:
-            return True
-        if vertex not in sub_cache:
-            sub_cache[vertex] = tree.subtree(vertex)
-        sub, _ = sub_cache[vertex]
-        if vertex not in op_cache:
-            op_cache[vertex] = build_walk_operator(sub)
-        result = detect_marked(sub, delta, seed=rng.randrange(2 ** 30),
-                               op=op_cache[vertex])
-        return result.marked
+        return tree.marked[vertex] or detect_marked(
+            tree.subtree(vertex)[0], delta, seed=rng.randrange(2 ** 30)).marked
 
-    for _ in range(max_retries):
+    for _ in range(FIND_RETRIES):
         if not detect_at(0):
             return None
         vertex = 0
-        descended = True
-        while descended:
-            if tree.marked[vertex]:
-                return vertex
-            children = tree.children[vertex]
-            if not children:
-                descended = False  # inconsistent verdict, retry from the top
-                break
-            next_vertex = None
-            for child in children:
-                if detect_at(child):
-                    next_vertex = child
-                    break
-            if next_vertex is None:
-                descended = False
-                break
-            vertex = next_vertex
+        while vertex is not None and not tree.marked[vertex]:
+            vertex = next((c for c in tree.children[vertex] if detect_at(c)), None)
+        if vertex is not None:
+            return vertex
     return None

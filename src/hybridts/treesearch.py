@@ -12,6 +12,9 @@ dncPPSZ makes a leaf instead once the guesses reach its budget.
 `ch_no`, `ch1` and `ch2` are the restriction-based reference of the rule.
 `_EngineState.decide` is the incremental one that the solvers run, and it is
 tested to generate the identical tree.
+
+The engines number a tree's vertices in depth-first preorder, so the subtree
+of vertex v is the id range [v, v + size(v)).
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ class SearchTreeStats:
 
 @dataclass
 class SearchTree:
-    """Preorder-indexed tree snapshot: parent links, edge labels, marked flags.
-    Vertex 0 is the root; the engines record it, the decomposition and the
-    walk read it."""
+    """Tree snapshot: parent links, edge labels, marked flags. Vertex 0 is the
+    root; the engines record it, the decomposition and the walk read it.
+    Every parent precedes its children; `subtree` needs depth-first preorder,
+    which the engines and `from_json` guarantee."""
 
     num_vars: int
     parents: list[int]
@@ -155,22 +159,34 @@ class SearchTree:
         d = len(self.children[vertex])
         return d if vertex == 0 else d + 1
 
-    def subtree(self, root: int) -> tuple["SearchTree", list[int]]:
-        """Subtree rooted at `root`; returns it plus old-vertex ids."""
-        order = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        remap = {old: new for new, old in enumerate(order)}
-        parents = [-1] + [remap[self.parents[v]] for v in order[1:]]
+    @cached_property
+    def sizes(self) -> list[int]:
+        """Vertices per subtree, from one leaf-to-root pass. Built on first
+        read, like `children`."""
+        parents = self.parents
+        sizes = [1] * self.size
+        for v in range(self.size - 1, 0, -1):
+            p = parents[v]
+            if not 0 <= p < v:
+                raise ValueError(f"vertex {v} has parent {p}: the tree is not in preorder")
+            sizes[p] += sizes[v]
+        return sizes
+
+    def subtree(self, root: int) -> tuple["SearchTree", range]:
+        """Subtree rooted at `root`, relabelled by -root; returns it plus its
+        old ids, the preorder range [root, root + sizes[root])."""
+        end = root + self.sizes[root]
+        parents = [-1]
+        for u in range(root + 1, end):
+            p = self.parents[u]
+            if not root <= p < u:
+                raise ValueError(f"vertex {u} has parent {p}: the tree is not in preorder")
+            parents.append(p - root)
         base = self.depths[root]
-        depths = [self.depths[v] - base for v in order]
-        marked = [self.marked[v] for v in order]
-        edges = [None] + [self.edges[v] for v in order[1:]]
-        return (SearchTree(self.num_vars, parents, edges, depths, marked,
-                           max(1, max(depths))), order)
+        depths = [d - base for d in self.depths[root:end]]
+        return (SearchTree(self.num_vars, parents, [None] + self.edges[root + 1:end],
+                           depths, self.marked[root:end], max(1, max(depths))),
+                range(root, end))
 
     def assignment_pairs(self, vertex: int) -> dict[int, int]:
         """The (var, value) pairs set on the path from the root to `vertex`."""

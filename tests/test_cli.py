@@ -127,6 +127,18 @@ def test_command_value_error_is_one_line_exit_2(cap, message, instance, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_decompose_non_finite_budget_exit_2(budget, instance, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--input", str(instance), f"--budget={budget}",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"hybridts decompose: error: budget must be finite, got {budget}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--trials", "0"], "trials must be at least 1, got 0"),
     (["--delta", "0"], "delta must lie in \\(0, 1\\), got 0.0"),

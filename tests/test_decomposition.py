@@ -5,6 +5,8 @@ import random
 import pytest
 
 from hybridts.decomposition import (
+    MEASURE_BRANCHING,
+    MEASURE_HEIGHT,
     CostModel,
     CutSubtree,
     TreeDecomposition,
@@ -22,7 +24,8 @@ from hybridts.decomposition import (
 )
 from hybridts.formula import CnfFormula
 from hybridts.generators import random_kcnf
-from hybridts.treesearch import EngineConfig, SearchTree, tree_stats
+from hybridts.qwalk import find_marked
+from hybridts.treesearch import DNCPPSZ, EngineConfig, SearchTree, tree_stats
 
 
 def complete_tree(height):
@@ -222,6 +225,9 @@ def test_uniform_density_scan():
     rep = uniform_density_scan(complete_tree(8), 0.5, measure="branchingNumber")
     assert rep["count"] > 0 and rep["minDensity"] > 0.9
 
+    with pytest.raises(ValueError, match="unknown effective-size measure 'heigth'"):
+        uniform_density_scan(chain_tree(5), 0.5, measure="heigth")
+
 
 def test_predicted_exponent_examples():
     assert predicted_exponent(1, 1) == 0.5
@@ -304,3 +310,97 @@ def test_measure_monotonicity_guard():
     decompose(metrics_ok, "height", 1)
     with pytest.raises(ValueError):
         decompose(metrics_ok, "weirdMeasure", 1)
+
+
+# Reference walkers: a depth-first subtree copy and a stack walk of the top
+# tree over child lists, which the preorder ranges and the measure read-off
+# replace.
+
+def oracle_subtree(tree: SearchTree, root: int) -> tuple[SearchTree, list[int]]:
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree.children[v]))
+    remap = {old: new for new, old in enumerate(order)}
+    parents = [-1] + [remap[tree.parents[v]] for v in order[1:]]
+    base = tree.depths[root]
+    depths = [tree.depths[v] - base for v in order]
+    marked = [tree.marked[v] for v in order]
+    edges = [None] + [tree.edges[v] for v in order[1:]]
+    return (SearchTree(tree.num_vars, parents, edges, depths, marked,
+                       max(1, max(depths))), order)
+
+
+def oracle_decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecomposition:
+    kids = tree.children
+    n = tree.size
+    sizes, heights, brs = [1] * n, [0] * n, [0] * n
+    for v in range(n - 1, -1, -1):
+        if kids[v]:
+            sizes[v] = 1 + sum(sizes[c] for c in kids[v])
+            heights[v] = 1 + max(heights[c] for c in kids[v])
+            brs[v] = max(brs[c] for c in kids[v]) + (len(kids[v]) == 2)
+    values = heights if measure == MEASURE_HEIGHT else brs
+    cutoffs = []
+    top_size = free_top_leaves = 0
+    if values[0] <= budget:
+        cutoffs.append(CutSubtree(0, sizes[0], heights[0], brs[0]))
+    else:
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            top_size += 1
+            for c in kids[v]:
+                if values[c] <= budget:
+                    cutoffs.append(CutSubtree(c, sizes[c], heights[c], brs[c]))
+                else:
+                    stack.append(c)
+            free_top_leaves += not kids[v]
+        cutoffs.sort(key=lambda c: c.root)
+    return TreeDecomposition(n, top_size, cutoffs,
+                             sum(c.count for c in cutoffs) + 2 * free_top_leaves,
+                             measure, budget)
+
+
+def budgets(n):
+    return (-1, 0, 1, n // 2, n, n + 5, 2.5)
+
+
+def test_preorder_ranges_match_the_walkers():
+    rng = random.Random(27)
+    trees = 0
+    for _ in range(70):
+        n = rng.randint(3, 9)
+        f = random_kcnf(rng, n, rng.randint(n, 5 * n))
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        configs = [EngineConfig()] + [
+            EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
+                         permutation=perm, guess_budget=rng.randint(0, n))
+            for s in (1, 2)]
+        for config in configs:
+            tree = tree_stats(f, config, collect_tree=True).tree
+            for v in range(tree.size):
+                sub, ids = tree.subtree(v)
+                ref, order = oracle_subtree(tree, v)
+                assert sub == ref and list(ids) == order
+            for measure in (MEASURE_HEIGHT, MEASURE_BRANCHING):
+                for budget in budgets(n):
+                    assert (decompose(tree, measure, budget)
+                            == oracle_decompose(tree, measure, budget))
+            trees += 1
+    assert trees >= 200
+
+
+def test_breadth_first_tree_has_no_subtree_ranges():
+    # Complete depth-3 tree numbered breadth-first; its last leaf is marked.
+    tree = complete_tree(3)
+    tree.marked[-1] = True
+    for call in (lambda: tree.subtree(1), lambda: find_marked(tree, seed=5)):
+        with pytest.raises(ValueError, match="vertex 2 has parent 0: the tree is not in preorder"):
+            call()
+    # Parents still precede children, which is all the decomposition needs.
+    for measure in (MEASURE_HEIGHT, MEASURE_BRANCHING):
+        for budget in budgets(3):
+            assert decompose(tree, measure, budget) == oracle_decompose(tree, measure, budget)

@@ -443,18 +443,18 @@ def test_find_marked_end_to_end():
 
 
 def test_find_marked_last_leaf_no_order_bias():
-    # Complete depth-3 tree whose only marked vertex is the last leaf.
-    parents = [-1]
-    depths = [0]
-    frontier = [0]
-    for d in range(1, 4):
-        nxt = []
-        for p in frontier:
-            for _ in range(2):
-                parents.append(p)
-                depths.append(d)
-                nxt.append(len(parents) - 1)
-        frontier = nxt
+    # Complete depth-3 tree in preorder whose only marked vertex is the last leaf.
+    parents, depths = [], []
+
+    def grow(parent, depth):
+        parents.append(parent)
+        depths.append(depth)
+        if depth < 3:
+            vertex = len(parents) - 1
+            grow(vertex, depth + 1)
+            grow(vertex, depth + 1)
+
+    grow(-1, 0)
     marked = [False] * len(parents)
     marked[-1] = True
     tree = walk_tree(parents, depths, marked, 3)

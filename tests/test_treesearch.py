@@ -345,8 +345,8 @@ def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters():
 
 
 def test_search_tree_json_requires_preorder():
-    # Out of preorder, decomposition.subtree_metrics would read sizes
-    # [3, 2, 2, 1] for this tree instead of [4, 2, 3, 1].
+    # Out of preorder, a subtree need not be the id range that
+    # SearchTree.subtree reads.
     good = {"numVars": 3, "parents": [-1, 0, 1, 2], "edges": [None, [1, 0], [2, 1], [3, 0]],
             "depths": [0, 1, 2, 3], "marked": [False] * 4, "depthBound": 3}
     assert SearchTree.from_json(json.dumps(good)).parents == [-1, 0, 1, 2]
