@@ -10,14 +10,21 @@ subsets of at most s clauses that contain the variable, takes them from the
 caller's clause index (the engine's occurrence lists, SIA's per-variable
 index, or the index `s_implied_over_clauses` builds over a clause list), and
 decides each subset with one bitmask truth table.
+
+`parse_dimacs` reads DIMACS text without a loop over lines: one regex finds
+the comment, header and trailer lines, numpy converts the clause body in one
+call, and clauses of one width are normalised together.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 UNSET = -1
 
@@ -124,9 +131,14 @@ class CnfFormula:
                 if not 1 <= abs(lit) <= num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{num_vars}")
             normed.append(norm)
-        deduped = tuple(dict.fromkeys(normed))
-        k = max((len(c) for c in deduped), default=0)
-        return cls(num_vars, deduped, k)
+        return cls._of_normalized(num_vars, normed)
+
+    @classmethod
+    def _of_normalized(cls, num_vars: int,
+                       clauses: Iterable[tuple[int, ...]]) -> "CnfFormula":
+        """The formula of clauses `normalize_clause` returned, each repeat dropped."""
+        deduped = tuple(dict.fromkeys(clauses))
+        return cls(num_vars, deduped, max(map(len, deduped), default=0))
 
     @property
     def num_clauses(self) -> int:
@@ -386,45 +398,124 @@ def index_width(formula: CnfFormula) -> int:
     return width
 
 
+# A comment ("c"), header ("p") or trailer ("%") line, with the newline before
+# it: the scanned text starts with an added newline.
+_SPECIAL_LINE = re.compile(rb"\n[ \t\r\v\f]*([cp%])[^\n]*")
+_HEADER = re.compile(rb"\s*p\s+cnf\s+([0-9]+)\s+([0-9]+)\s*")
+# The class of each body byte: 0 ASCII whitespace, 1 digit, 2 sign, 3 other.
+# A token [+-]?[0-9]+ contains none of _BAD_CLASSES and does not end in a sign.
+_BYTE_CLASS = bytes(0 if b in b" \t\n\r\v\f" else 1 if b in b"0123456789"
+                    else 2 if b in b"+-" else 3 for b in range(256))
+_BAD_CLASSES = (b"\x03", b"\x02\x00", b"\x02\x02", b"\x01\x02")
+
+
 def parse_dimacs(text: str) -> CnfFormula:
-    num_vars = None
-    declared = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("%"):
-            break  # SATLIB trailer: "%" then a stray "0"
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed DIMACS header: {line!r}")
-            num_vars, declared = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ValueError("clause before DIMACS header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"non-integer DIMACS token {tok!r}") from None
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} exceeds declared {num_vars} variables")
-                current.append(lit)
-    if num_vars is None:
-        raise ValueError("missing DIMACS header")
-    if current:
+    """The formula of DIMACS CNF text.
+
+    The accepted input:
+    - lines end in LF or CRLF;
+    - a line whose first non-blank character is "c" is a comment, before or
+      after the header;
+    - a line whose first non-blank character is "%" (the SATLIB trailer) ends
+      the input: what follows it is not read;
+    - one header line "p cnf <variables> <clauses>", its counts ASCII digits;
+    - after it, the clause body: tokens separated by ASCII whitespace, each an
+      ASCII integer [+-]?[0-9]+. A clause is the literals up to a 0; clauses
+      may share a line or span lines.
+
+    Clauses are normalised as `CnfFormula.from_clauses` does. Each error is a
+    ValueError that names the first offending line, token or literal. The
+    first four are raised as the lines come; the rest are checked in order:
+    - "malformed DIMACS header: '<line>'": not "p cnf" and two counts;
+    - "duplicate DIMACS header": a second header line;
+    - "clause before DIMACS header": a body token before the header;
+    - "missing DIMACS header": no header line;
+    - "non-integer DIMACS token '<token>'": a token outside the grammar;
+    - "literal <lit> exceeds declared <n> variables": |lit| > n;
+    - "last DIMACS clause is not terminated by 0";
+    - "DIMACS header declares <m> clauses, found <k>";
+    - "num_vars must be >= 1": a header with 0 variables;
+    - "empty clause in input formula": a 0 that ends no literal.
+    """
+    num_vars, declared, body = _dimacs_body(text)
+    vals = _dimacs_literals(body, num_vars)
+    if vals.size and vals[-1] != 0:
         raise ValueError("last DIMACS clause is not terminated by 0")
-    if declared != len(clauses):
-        raise ValueError(f"DIMACS header declares {declared} clauses, "
-                         f"found {len(clauses)}")
-    return CnfFormula.from_clauses(num_vars, clauses)
+    m = vals.size - np.count_nonzero(vals)
+    if declared != m:
+        raise ValueError(f"DIMACS header declares {declared} clauses, found {m}")
+    k = vals.size // m if m else 0  # tokens per clause, its 0 included
+    if k < 2 or vals.size != m * k or vals[k - 1::k].any():
+        # Mixed widths, empty clauses or no clause: one clause at a time.
+        lits = vals.tolist()
+        ends = np.flatnonzero(vals == 0).tolist()
+        return CnfFormula.from_clauses(
+            num_vars, [lits[a + 1:b] for a, b in zip([-1] + ends, ends)])
+    rows = vals.reshape(m, k)[:, :-1]
+    # Each clause sorted by |lit|, a negative literal after its positive one.
+    key = np.sort(np.abs(rows) * 2 + (rows < 0), axis=1)
+    var = key >> 1
+    clauses = list(zip(*np.where(key & 1, -var, var).T.tolist()))
+    repeats = (var[:, 1:] == var[:, :-1]).any(axis=1)
+    if repeats.any():  # a repeated literal or a tautology
+        for i in np.flatnonzero(repeats).tolist():
+            clauses[i] = normalize_clause(clauses[i])
+        clauses = [c for c in clauses if c is not None]
+    return CnfFormula._of_normalized(num_vars, clauses)
+
+
+def _dimacs_body(text: str) -> tuple[int, int, bytes]:
+    """The header's two counts and the clause body: the text's bytes without
+    comment lines, the header line, and the trailer line and what follows it."""
+    raw = b"\n" + text.encode()
+    header = None
+    pieces = []
+    pos = 0
+    for line in _SPECIAL_LINE.finditer(raw):
+        pieces.append(raw[pos:line.start()])
+        pos = line.end()
+        kind = line[1]
+        if kind == b"%":
+            break
+        if kind == b"p":
+            if header is not None:
+                raise ValueError("duplicate DIMACS header")
+            if b"".join(pieces).strip():
+                raise ValueError("clause before DIMACS header")
+            header = _HEADER.fullmatch(line[0])
+            if header is None:
+                raise ValueError(
+                    f"malformed DIMACS header: {line[0].decode().strip()!r}")
+    else:
+        pieces.append(raw[pos:])
+    body = b"".join(pieces)
+    if header is None:
+        raise ValueError("clause before DIMACS header" if body.strip()
+                         else "missing DIMACS header")
+    return int(header[1]), int(header[2]), body
+
+
+def _dimacs_literals(body: bytes, num_vars: int) -> np.ndarray:
+    """The body's tokens as one integer array, each a literal of at most
+    `num_vars` variables or 0."""
+    classes = body.translate(_BYTE_CLASS)
+    bad = [i for i in map(classes.find, _BAD_CLASSES) if i >= 0]
+    if classes.endswith(b"\x02"):
+        bad.append(len(classes) - 1)
+    if bad:
+        at = min(bad)
+        end = classes.find(b"\x00", at)
+        token = body[classes.rfind(b"\x00", 0, at) + 1:end if end >= 0 else None]
+        raise ValueError(f"non-integer DIMACS token {token.decode()!r}")
+    if b"\x01" * 19 in classes:  # 19 digits may overflow int64: Python ints
+        vals = np.array([int(t) for t in body.split()], dtype=object)
+    else:  # stripped, since np.fromstring reads a blank string as [0]
+        vals = np.fromstring(body.strip(), dtype=np.int64, sep=" ")
+    mags = np.abs(vals)
+    if mags.max(initial=0) > num_vars:
+        lit = vals[np.argmax(mags > num_vars)]
+        raise ValueError(f"literal {lit} exceeds declared {num_vars} variables")
+    return vals
 
 
 def serialize_dimacs(formula: CnfFormula) -> str:

@@ -247,6 +247,23 @@ def test_sia_run_bad_advice_exit_2(small_instance, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf x 3\n1 0\n", "malformed DIMACS header: 'p cnf x 3'"),
+    ("p cnf -3 1\n1 0\n", "malformed DIMACS header: 'p cnf -3 1'"),
+    ("p cnf 3 -1\n", "malformed DIMACS header: 'p cnf 3 -1'"),
+    ("p cnf 3 1\n1 2 0\np cnf 2 2\n-1 0\n", "duplicate DIMACS header"),
+])
+def test_dimacs_header_error_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"hybridts solve: error: {message}\n"
+    assert not out.exists()
+
+
 def test_pebble_schedule(tmp_path, capsys):
     out = tmp_path / "sched.txt"
     main(["pebble-schedule", "--k", "3", "--out", str(out)])

@@ -586,6 +586,181 @@ def test_dimacs_satlib_trailer_ends_input():
         parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2\n%\n0\n")
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the line-by-line DIMACS parser that the one-pass parser replaced,
+# kept as it was.
+
+def _parse_dimacs_lines(text: str) -> CnfFormula:
+    num_vars = None
+    declared = None
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("%"):
+            break  # SATLIB trailer: "%" then a stray "0"
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"malformed DIMACS header: {line!r}")
+            num_vars, declared = int(parts[2]), int(parts[3])
+            continue
+        if num_vars is None:
+            raise ValueError("clause before DIMACS header")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(f"non-integer DIMACS token {tok!r}") from None
+            if lit == 0:
+                clauses.append(current)
+                current = []
+            else:
+                if abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} exceeds declared {num_vars} variables")
+                current.append(lit)
+    if num_vars is None:
+        raise ValueError("missing DIMACS header")
+    if current:
+        raise ValueError("last DIMACS clause is not terminated by 0")
+    if declared != len(clauses):
+        raise ValueError(f"DIMACS header declares {declared} clauses, "
+                         f"found {len(clauses)}")
+    return CnfFormula.from_clauses(num_vars, clauses)
+
+
+def _random_clauses(rng: random.Random, n: int) -> list[list[int]]:
+    """Clauses of one width (the vectorised path) or of widths 1-5, with
+    repeated literals, tautologies and repeated clauses."""
+    widths = [rng.randint(1, 5)] if rng.random() < 0.5 else range(1, 6)
+    clauses = []
+    for _ in range(rng.randint(1, 12)):
+        clause = [rng.choice((1, -1)) * rng.randint(1, n)
+                  for _ in range(rng.choice(widths))]
+        if len(clause) > 1 and rng.random() < 0.15:
+            clause[-1] = rng.choice((clause[0], -clause[0]))
+        clauses.append(clause)
+        if rng.random() < 0.1:
+            clauses.append(list(clause))
+    return clauses
+
+
+def _literal_token(rng: random.Random, lit: int | str) -> str:
+    """The literal as a token, now and then with a plus sign or leading zeros
+    (twenty of them: a token too long for int64)."""
+    if isinstance(lit, str):
+        return lit
+    r = rng.random()
+    zeros = "0" if r < 0.1 else "0" * 20 if r < 0.105 else ""
+    sign = "-" if lit < 0 else "+" if r < 0.05 else ""
+    return sign + zeros + str(abs(lit))
+
+
+def _dimacs_text(rng: random.Random, n: int, clauses: list[list[int]],
+                 header: str | None = None, trailer: float = 0.2) -> str:
+    """DIMACS text of the clauses, in a random layout of the accepted dialect:
+    comments before and after the header, several clauses per line and
+    clauses split across lines, tabs, CRLF, blank lines and, with
+    probability `trailer`, the SATLIB trailer."""
+    blank = lambda: rng.choice(("", "", " ", "\t", "  "))
+    sep = lambda: rng.choice((" ", " ", "\t", "  ", " \t"))
+    comment = lambda: blank() + "c" + rng.choice(("", " 3 -1 0", " p cnf 9 9", " café %"))
+    lines = [comment() for _ in range(rng.randint(0, 2))]
+    lines.append(header or blank() + sep().join(("p", "cnf", str(n), str(len(clauses)))) + blank())
+    tokens = [tok for clause in clauses
+              for tok in [_literal_token(rng, l) for l in clause] + ["0"]]
+    line: list[str] = []
+    for tok in tokens:
+        line.append(tok)
+        if rng.random() < 0.3:
+            lines.append(blank() + sep().join(line) + blank())
+            line = []
+            if rng.random() < 0.1:
+                lines.append(rng.choice(("", comment())))
+    if line:
+        lines.append(sep().join(line))
+    if rng.random() < trailer:
+        lines += ["%", "0", rng.choice(("", "x", "p cnf"))]
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("\n", ""))
+
+
+def test_parse_dimacs_matches_line_parser():
+    rng = random.Random(2024)
+    texts = [_dimacs_text(rng, n, _random_clauses(rng, n))
+             for n in (rng.randint(1, 12) for _ in range(600))]
+    texts += [_dimacs_text(rng, n, []) for n in (1, 3, 12)]  # p cnf n 0, empty body
+    for text in texts:
+        f = parse_dimacs(text)
+        assert f == _parse_dimacs_lines(text), text
+        assert all(type(l) is int for c in f.clauses for l in c)
+
+
+def _faulty_texts(rng: random.Random):
+    """(expected message start, text) pairs: each text holds one fault of the
+    kind the message names, in a random layout."""
+    n = rng.randint(2, 9)
+    clauses = _random_clauses(rng, n)
+    i = rng.randrange(len(clauses))
+    text = lambda cs=clauses, **kw: _dimacs_text(rng, n, cs, trailer=0, **kw)
+    yield "malformed DIMACS header", text(
+        header=rng.choice(("p dnf 3 1", "p cnf 3", "p cnf 3 1 1")))
+    yield "clause before DIMACS header", "1 -2 0\n" + text()
+    yield "missing DIMACS header", rng.choice(
+        ("", "c only a comment\n", "\n\n", "%\np cnf 1 0\n"))
+    bad = rng.choice(("x1", "1.5", "0x3", "one", "1e2"))
+    yield "non-integer DIMACS token", text(
+        clauses[:i] + [clauses[i] + [bad, "y"]] + clauses[i + 1:])
+    big = rng.choice((n + 1, -(n + 2), 10 ** 20, -(2 ** 63)))
+    yield "literal", text(clauses[:i] + [clauses[i] + [big, n + 5]] + clauses[i + 1:])
+    yield "last DIMACS clause", text() + f"\n{rng.randint(1, n)}\n"
+    yield "DIMACS header declares", text(
+        header=f"p cnf {n} {len(clauses) + rng.choice((-1, 1))}")
+    yield "num_vars must be", rng.choice(("p cnf 0 0\n", "p cnf 0 1\n0\n"))
+    yield "empty clause", text(clauses[:i] + [[]] + clauses[i:])
+
+
+def test_parse_dimacs_faults_match_line_parser():
+    rng = random.Random(77)
+    for _ in range(40):
+        for kind, text in _faulty_texts(rng):
+            with pytest.raises(ValueError) as expected:
+                _parse_dimacs_lines(text)
+            assert str(expected.value).startswith(kind), text
+            with pytest.raises(ValueError) as got:
+                parse_dimacs(text)
+            assert str(got.value) == str(expected.value), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf x 3\n1 0\n", "malformed DIMACS header: 'p cnf x 3'"),
+    ("p cnf -3 1\n1 0\n", "malformed DIMACS header: 'p cnf -3 1'"),
+    ("p cnf 3 -1\n", "malformed DIMACS header: 'p cnf 3 -1'"),
+    ("p cnf 3 1\n1 2 0\np cnf 2 2\n-1 0\n", "duplicate DIMACS header"),
+    ("p cnf 20 1\n1_0 0\n", "non-integer DIMACS token '1_0'"),
+    ("p cnf 3 1\n\u0661 0\n", "non-integer DIMACS token '\u0661'"),
+    ("p cnf 3 1\n1\xa02 0\n", "non-integer DIMACS token '1\\xa02'"),
+    ("p cnf 3 1\n1 -2- 0\n", "non-integer DIMACS token '-2-'"),
+    ("p cnf 3 1\n1-2 0\n", "non-integer DIMACS token '1-2'"),
+    ("p cnf 3 1\n1 % 0\n", "non-integer DIMACS token '%'"),
+    ("p cnf 3 1\n1 +-2 0\n", "non-integer DIMACS token '+-2'"),
+    ("p cnf 3 1\n1 - 2 0\n", "non-integer DIMACS token '-'"),
+    ("p cnf 3 1\n1 2 0 -\n", "non-integer DIMACS token '-'"),
+])
+def test_parse_dimacs_strict_header_and_tokens(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == message
+
+
+def test_parse_dimacs_long_literals_are_exact():
+    f = parse_dimacs("p cnf 3 1\n-0000000000000000000003 +00000000000000000000001 0\n")
+    assert f.clauses == ((1, -3),)
+    with pytest.raises(ValueError, match="^literal -9223372036854775809 exceeds"):
+        parse_dimacs("p cnf 3 1\n1 -9223372036854775809 0\n")
+
+
 def test_normalization_drops_duplicates_and_tautologies():
     f = F(3, [[1, 1, 2], [1, -1, 3], [2, 1]])
     assert f.clauses == ((1, 2),)
