@@ -21,31 +21,6 @@ PHI_CLASSICAL = "classical"
 
 
 @dataclass
-class SubtreeMetrics:
-    sizes: list[int]
-    heights: list[int]
-    branchings: list[int]
-
-
-def subtree_metrics(tree: SearchTree) -> SubtreeMetrics:
-    """Size, height and branching number of every vertex's subtree, from one
-    leaf-to-root pass; parents must precede their children."""
-    parents = tree.parents
-    n = tree.size
-    heights = [0] * n
-    brs = [0] * n
-    kids = [0] * n
-    for v in range(n - 1, -1, -1):  # every child of v is done: it has a larger id
-        brs[v] += kids[v] == 2
-        p = parents[v]
-        if p >= 0:
-            kids[p] += 1
-            heights[p] = max(heights[p], heights[v] + 1)
-            brs[p] = max(brs[p], brs[v])
-    return SubtreeMetrics(tree.sizes, heights, brs)
-
-
-@dataclass
 class CutSubtree:
     root: int            # vertex id in the source tree, -1 for synthetic entries
     size: int
@@ -80,8 +55,8 @@ def decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecompositio
         raise ValueError(f"unknown effective-size measure {measure!r}")
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget}")
-    metrics = subtree_metrics(tree)
-    values = metrics.heights if measure == MEASURE_HEIGHT else metrics.branchings
+    sizes, heights, branchings = tree.sizes, tree.heights, tree.branchings
+    values = heights if measure == MEASURE_HEIGHT else branchings
     # The measure never grows from parent to child, so the top tree is every
     # vertex above budget and the cut-offs are the roots of the rest.
     cutoffs: list[CutSubtree] = []
@@ -94,10 +69,9 @@ def decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecompositio
             top_size += 1
             # A childless top-tree vertex parents no cut-off; the extended
             # bookkeeping charges it two empty trees.
-            free_top_leaves += metrics.sizes[v] == 1
+            free_top_leaves += sizes[v] == 1
         elif p < 0 or values[p] > budget:
-            cutoffs.append(CutSubtree(v, metrics.sizes[v], metrics.heights[v],
-                                      metrics.branchings[v]))
+            cutoffs.append(CutSubtree(v, sizes[v], heights[v], branchings[v]))
     decomp = TreeDecomposition(
         total_size=tree.size,
         top_tree_size=top_size,
@@ -115,10 +89,9 @@ def leaves_bound_check(tree: SearchTree) -> dict:
     """Lemma bound (T/P + 1)/2 <= K <= (T+1)/2 with P = vertices on the
     longest root-to-leaf path (the chain-compression argument needs P, not
     the variable count)."""
-    metrics = subtree_metrics(tree)
     total = tree.size
-    leaves = metrics.sizes.count(1)
-    path_vertices = metrics.heights[0] + 1
+    leaves = tree.sizes.count(1)
+    path_vertices = tree.heights[0] + 1
     lower = (total / path_vertices + 1) / 2
     upper = (total + 1) / 2
     holds = lower <= leaves <= upper
@@ -185,20 +158,19 @@ def uniform_density_scan(tree: SearchTree, eta: float, n: int | None = None,
         raise ValueError("eta must lie in (0, 1]")
     if measure not in (MEASURE_HEIGHT, MEASURE_BRANCHING):
         raise ValueError(f"unknown effective-size measure {measure!r}")
-    metrics = subtree_metrics(tree)
     if n is None:
-        n = metrics.heights[0]
+        n = tree.heights[0]
     scale = eta * n
     if scale <= 0:
         raise ValueError("scale eta*n must be positive")
     densities = []
     for v in range(tree.size):
         if measure == MEASURE_HEIGHT:
-            eligible = tree.depths[v] <= n - scale and metrics.heights[v] >= scale
+            eligible = tree.depths[v] <= n - scale and tree.heights[v] >= scale
         else:
-            eligible = metrics.branchings[v] >= scale
+            eligible = tree.branchings[v] >= scale
         if eligible:
-            densities.append(math.log2(metrics.sizes[v]) / scale)
+            densities.append(math.log2(tree.sizes[v]) / scale)
     if not densities:
         return {"minDensity": None, "maxDensity": None, "fractionExponential": 0.0,
                 "count": 0}

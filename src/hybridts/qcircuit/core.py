@@ -229,7 +229,7 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
     on its own index."""
     width = circuit.num_wires
     dim = 2 ** width
-    if dim > config.circuit_dim_cap():
+    if dim > config.CIRCUIT_DIM_CAP:
         raise ValueError(f"statevector dimension 2^{width} exceeds the cap")
     if state is not None and basis_input is not None:
         raise ValueError("give either a basis input or a state, not both")

@@ -1,14 +1,14 @@
 """Simulation of the quantum backtracking walk in the vertex basis.
 
 W = R_B R_A, where R_A (R_B) reflects about the disjoint stars of unmarked
-even (odd) depth. Detection reads the root's spectral mass inside the
-phase-estimation window from one leaf-to-root pass over the tree: the
-phase-0 mass has a closed form in the tree's effective conductance to the
-marked set, and an inertia count on the star overlap forest certifies that
-no nonzero phase lies in the window. Only when that count is not zero, or
-the window is wider than pi, is the T x T operator assembled and
-(W + W^T)/2 eigensolved. Per-trial acceptances are drawn from that
-probability.
+even (odd) depth. Detection on the subtree of v reads the root's spectral
+mass inside the phase-estimation window from one leaf-to-root pass over the
+preorder range of v, with no copy: the phase-0 mass has a closed form in the
+effective conductance to the marked set, and an inertia count on the star
+overlap forest certifies that no nonzero phase lies in the window. Only when
+that count is not zero, or the window is wider than pi, is the T x T
+operator assembled and (W + W^T)/2 eigensolved; the dimension cap applies
+to that dense fallback. Per-trial acceptances are drawn from that probability.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ WINDOW_FLOOR = 64 * np.finfo(float).eps
 FIND_RETRIES = 3
 
 
-# Kept for callers that use the older name, such as the benchmark's
-# hybrid-walk workload.
+# Kept because the benchmark's hybrid-walk workload (benchmark/workloads.py)
+# calls WalkTree.from_search_tree.
 WalkTree = SearchTree
 
 
@@ -95,27 +95,38 @@ class WalkOperator:
         return list(zip(np.arccos(np.clip(lam, -1.0, 1.0)).tolist(), mass.tolist()))
 
     def mass_in_window(self, precision: float) -> float:
-        """Root mass on |phase| < precision, read as 1 - cos(phase) <
-        1 - cos(precision). The closed-form phase-0 mass answers whenever
-        the certificate finds no nonzero phase in the window; otherwise the
-        eigensolve does. Solver resolution, not a setting: a window wider
-        than pi takes all the mass (1 - cos is not monotone past pi), and the
-        bound is floored at WINDOW_FLOOR, so a narrower window holds phase 0."""
-        gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
-        if precision <= math.pi:
-            # |phase| < precision exactly when sigma > cos(precision / 2).
-            mass, inside = _window_pass(self.tree, math.sqrt(1.0 - 0.5 * gap))
-            if not inside:
-                return mass
-        lam, mass = self._root_spectrum()
-        if precision > math.pi:
-            return float(mass.sum())
-        return float(mass[1.0 - lam < gap].sum())
+        """Root mass on |phase| < precision (see `_mass_in_window`)."""
+        return _mass_in_window(self.tree, 0, self.tree.depth_bound, precision, self)
 
 
-def _window_pass(tree: SearchTree, x: float) -> tuple[float, int]:
+def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float,
+                    op: WalkOperator | None = None) -> float:
+    """Root mass on |phase| < precision in the walk on the subtree of `root`
+    with depth bound n, read as 1 - cos(phase) < 1 - cos(precision). The
+    closed-form phase-0 mass answers unless the certificate finds a nonzero
+    phase in the window; then the eigensolve of `op` (default: a copy of the
+    subtree) does. Solver resolution, not a setting: a window wider than pi
+    takes all the mass (1 - cos is not monotone past pi), and the bound is
+    floored at WINDOW_FLOOR, so a narrower window holds phase 0."""
+    gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
+    if precision <= math.pi:
+        # |phase| < precision exactly when sigma > cos(precision / 2).
+        mass, inside = _window_pass(tree, root, n, math.sqrt(1.0 - 0.5 * gap))
+        if not inside:
+            return mass
+    if op is None:
+        op = build_walk_operator(tree.subtree(root)[0])
+    lam, mass = op._root_spectrum()
+    if precision > math.pi:
+        return float(mass.sum())
+    return float(mass[1.0 - lam < gap].sum())
+
+
+def _window_pass(tree: SearchTree, root: int, n: int, x: float) -> tuple[float, int]:
     """(phase-0 root mass, count of singular values of D = Psi_A^T Psi_B at
-    or above x) from one leaf-to-root pass; parents must precede children.
+    or above x) for the walk on the subtree of `root` with depth bound n, from
+    one leaf-to-root pass over its preorder range [root, root + sizes[root]);
+    every parent in the range but the root's must lie inside it.
 
     Mass: with a unit resistor on each edge and the marked vertices grounded,
     C(v) is the conductance from v down, and the mass is G / (G + 1),
@@ -129,17 +140,19 @@ def _window_pass(tree: SearchTree, x: float) -> tuple[float, int]:
     has as many pivots >= 0 as M has eigenvalues >= x (Sylvester's law of
     inertia). A zero pivot pairs with its parent, which turns negative and
     leaves its own parent (Jacobs and Trevisan, Linear Algebra Appl. 2011)."""
-    parents, marked = tree.parents, tree.marked
-    t = len(parents)
+    t = tree.sizes[root] if root else tree.size   # the whole tree needs no shape pass
+    # Ids relative to the range: vertex root + c is c here.
+    parents = [p - root for p in tree.parents[root:root + t]]
+    marked = tree.marked[root:root + t]
     kids = [0] * t
     for c in range(1, t):
         p = parents[c]
         if not 0 <= p < c:
-            raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
+            raise ValueError(f"vertex {c + root} has parent {p + root}: "
+                             "the tree is not in preorder")
         kids[p] += 1
     # Squared star amplitudes: a child's in its parent's star, times its own.
     sq = [1.0 / (k + 1) for k in kids]
-    n = tree.depth_bound
     root_sq = n / (1.0 + kids[0] * n)
     conductance = [0.0] * t
     pivot = [-x] * t
@@ -232,8 +245,9 @@ def detection_trials(delta: float) -> int:
 def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
                   seed: int | None = None, beta: float = DETECTION_BETA,
                   op: WalkOperator | None = None) -> DetectionResult:
-    """Phase-estimation detection: K trials accept with the exact window mass,
-    marked verdict when acceptances reach 3K/8."""
+    """Phase-estimation detection on the whole tree, from the window mass at
+    root 0 with n = depth_bound (see `_mass_in_window`). Without `op`,
+    `build_walk_operator` holds the tree to the dimension cap."""
     k = detection_trials(delta)
     if trials is not None:
         if trials < 1:
@@ -246,7 +260,12 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
         op = build_walk_operator(tree)
     n = max(1, tree.depth_bound)
     precision = beta / math.sqrt(tree.size * n)
-    p_accept = min(1.0, op.mass_in_window(precision))
+    return _detection(op.mass_in_window(precision), k, seed, precision)
+
+
+def _detection(mass: float, k: int, seed: int | None, precision: float) -> DetectionResult:
+    """K trials accept with probability `mass`; marked at 3K/8 acceptances."""
+    p_accept = min(1.0, mass)
     if 0.0 < p_accept < 1.0:
         rng = random.Random(seed)
         acceptances = sum(1 for _ in range(k) if rng.random() < p_accept)
@@ -259,13 +278,19 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
 def find_marked(tree: SearchTree, delta: float = 0.1,
                 seed: int | None = None) -> int | None:
     """Descend from the root, following positive detection verdicts on each
-    vertex's subtree; the tree must be in preorder (see `SearchTree.subtree`)."""
-    detection_trials(delta)  # reject a bad delta even when the root is marked
+    vertex's subtree: the range pass at v with T = sizes[v] and n = max(1,
+    heights[v]). Only the dense fallback copies the subtree and is held to
+    the dimension cap. The tree must be in preorder (see `SearchTree`)."""
+    k = detection_trials(delta)  # reject a bad delta even when the root is marked
     rng = random.Random(seed)
 
     def detect_at(vertex: int) -> bool:
-        return tree.marked[vertex] or detect_marked(
-            tree.subtree(vertex)[0], delta, seed=rng.randrange(2 ** 30)).marked
+        if tree.marked[vertex]:
+            return True
+        n = max(1, tree.heights[vertex])
+        precision = DETECTION_BETA / math.sqrt(tree.sizes[vertex] * n)
+        mass = _mass_in_window(tree, vertex, n, precision)
+        return _detection(mass, k, rng.randrange(2 ** 30), precision).marked
 
     for _ in range(FIND_RETRIES):
         if not detect_at(0):

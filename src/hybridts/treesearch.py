@@ -19,7 +19,7 @@ of vertex v is the id range [v, v + size(v)).
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import heapq
 import json
 import math
@@ -122,8 +122,11 @@ class SearchTreeStats:
 class SearchTree:
     """Tree snapshot: parent links, edge labels, marked flags. Vertex 0 is the
     root; the engines record it, the decomposition and the walk read it.
-    Every parent precedes its children; `subtree` needs depth-first preorder,
-    which the engines and `from_json` guarantee."""
+    Every parent precedes its children. In depth-first preorder, which the
+    engines and `from_json` guarantee, the subtree of v is the id range
+    [v, v + sizes[v]). The shape fields `sizes`, `heights` and `branchings`
+    give each vertex's subtree its vertex count, its height and its
+    branching number (the most two-child vertices on a path down)."""
 
     num_vars: int
     parents: list[int]
@@ -138,8 +141,11 @@ class SearchTree:
 
     @classmethod
     def from_search_tree(cls, tree: "SearchTree", depth_bound: int) -> "SearchTree":
-        """The same tree (lists shared, not copied) with another depth bound."""
-        return dataclasses.replace(tree, depth_bound=depth_bound)
+        """The same tree with another depth bound: a shallow copy, so the
+        lists and the cached `children` and shape are shared."""
+        same = copy.copy(tree)
+        same.depth_bound = depth_bound
+        return same
 
     @property
     def size(self) -> int:
@@ -155,22 +161,31 @@ class SearchTree:
                 kids[p].append(v)
         return kids
 
-    def degree(self, vertex: int) -> int:
-        d = len(self.children[vertex])
-        return d if vertex == 0 else d + 1
-
     @cached_property
-    def sizes(self) -> list[int]:
-        """Vertices per subtree, from one leaf-to-root pass. Built on first
-        read, like `children`."""
+    def _shape(self) -> tuple[list[int], list[int], list[int]]:
+        """(sizes, heights, branchings) from one leaf-to-root pass. Built on
+        first read, like `children`."""
         parents = self.parents
-        sizes = [1] * self.size
-        for v in range(self.size - 1, 0, -1):
+        t = self.size
+        sizes, heights, branchings, kids = [1] * t, [0] * t, [0] * t, [0] * t
+        for v in range(t - 1, 0, -1):  # every child of v is done: it has a larger id
             p = parents[v]
             if not 0 <= p < v:
                 raise ValueError(f"vertex {v} has parent {p}: the tree is not in preorder")
+            kids[p] += 1
             sizes[p] += sizes[v]
-        return sizes
+            if heights[v] >= heights[p]:
+                heights[p] = heights[v] + 1
+            branchings[v] += kids[v] == 2
+            if branchings[v] > branchings[p]:
+                branchings[p] = branchings[v]
+        if t:
+            branchings[0] += kids[0] == 2
+        return sizes, heights, branchings
+
+    sizes = property(lambda self: self._shape[0])
+    heights = property(lambda self: self._shape[1])
+    branchings = property(lambda self: self._shape[2])
 
     def subtree(self, root: int) -> tuple["SearchTree", range]:
         """Subtree rooted at `root`, relabelled by -root; returns it plus its
@@ -185,7 +200,7 @@ class SearchTree:
         base = self.depths[root]
         depths = [d - base for d in self.depths[root:end]]
         return (SearchTree(self.num_vars, parents, [None] + self.edges[root + 1:end],
-                           depths, self.marked[root:end], max(1, max(depths))),
+                           depths, self.marked[root:end], max(1, self.heights[root])),
                 range(root, end))
 
     def assignment_pairs(self, vertex: int) -> dict[int, int]:
@@ -216,17 +231,24 @@ class SearchTree:
     def from_json(cls, text: str) -> "SearchTree":
         data = json.loads(text)
         parents = list(data["parents"])
+        for name in ("edges", "depths", "marked"):
+            if len(data[name]) != len(parents):
+                raise ValueError(f"{name} has {len(data[name])} entries for "
+                                 f"{len(parents)} vertices")
+        depths = list(data["depths"])
         path: list[int] = []   # root to vertex c - 1: where c's parent must lie
         for c, p in enumerate(parents):
             while path and path[-1] != p:
                 path.pop()
             if (p == -1) != (c == 0) or (c > 0 and not path):
                 raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
+            expected = depths[p] + 1 if c else 0
+            if depths[c] != expected:
+                raise ValueError(f"vertex {c} has depth {depths[c]}, expected {expected}")
             path.append(c)
         return cls(data["numVars"], parents,
                    [tuple(e) if e else None for e in data["edges"]],
-                   list(data["depths"]), [bool(m) for m in data["marked"]],
-                   data["depthBound"])
+                   depths, [bool(m) for m in data["marked"]], data["depthBound"])
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +358,16 @@ class _EngineState:
                 else:
                     self.occ_neg[-lit].append(ci)
         self.occ = [p + q for p, q in zip(self.occ_pos, self.occ_neg)]
-        self.unit_set = {ci for ci, c in enumerate(clauses) if len(c) == 1}
-        # The pure-literal counters are kept only for the DPLL rule that reads
-        # them; dncPPSZ forces by s-implication alone.
-        self.track_pure = config.kind == DPLL and "pureLiteral" in config.reduction_rules
-        self.alive_pos = [len(occ) for occ in self.occ_pos]
-        self.alive_neg = [len(occ) for occ in self.occ_neg]
-        self.pure_heap = [var for var in range(1, n + 1)
-                          if self.alive_pos[var] == 0 or self.alive_neg[var] == 0]
+        # The unit set and the pure-literal counters are kept (else empty) only
+        # for the DPLL rules that read them; dncPPSZ forces by s-implication.
+        rules = config.reduction_rules if config.kind == DPLL else ()
+        self.track_unit = "unit" in rules
+        self.track_pure = "pureLiteral" in rules
+        self.unit_set = {ci for ci, c in enumerate(clauses) if self.track_unit and len(c) == 1}
+        self.alive_pos = [len(occ) for occ in self.occ_pos if self.track_pure]
+        self.alive_neg = [len(occ) for occ in self.occ_neg if self.track_pure]
+        self.pure_heap = [var for var in range(1, n + 1) if self.track_pure and (
+            self.alive_pos[var] == 0 or self.alive_neg[var] == 0)]
         self.trail: list[tuple[int, int]] = []
         self.num_assigned = 0
 
@@ -357,7 +381,8 @@ class _EngineState:
             self.n_true[ci] += 1
             if self.n_true[ci] == 1:  # clause satisfied, drops from restriction
                 self.alive_count -= 1
-                self.unit_set.discard(ci)
+                if self.track_unit:
+                    self.unit_set.discard(ci)
                 if not self.track_pure:
                     continue
                 for lit in self.clause_lits[ci]:
@@ -373,25 +398,26 @@ class _EngineState:
         for ci in false_occ:
             self.n_unassigned[ci] -= 1
             if self.n_true[ci] == 0:
-                if self.n_unassigned[ci] == 1:
-                    self.unit_set.add(ci)
-                elif self.n_unassigned[ci] == 0:
-                    self.unit_set.discard(ci)
+                if self.n_unassigned[ci] == 0:
                     self.contra_count += 1
+                    if self.track_unit:
+                        self.unit_set.discard(ci)
+                elif self.n_unassigned[ci] == 1 and self.track_unit:
+                    self.unit_set.add(ci)
 
     def undo(self) -> None:
         var, value = self.trail.pop()
         true_occ = self.occ_pos[var] if value else self.occ_neg[var]
         false_occ = self.occ_neg[var] if value else self.occ_pos[var]
         for ci in false_occ:
-            if self.n_true[ci] == 0:
-                if self.n_unassigned[ci] == 0:
-                    self.contra_count -= 1
-                elif self.n_unassigned[ci] == 1:
-                    self.unit_set.discard(ci)
             self.n_unassigned[ci] += 1
-            if self.n_true[ci] == 0 and self.n_unassigned[ci] == 1:
-                self.unit_set.add(ci)
+            if self.n_true[ci] == 0:
+                if self.n_unassigned[ci] == 1:
+                    self.contra_count -= 1
+                    if self.track_unit:
+                        self.unit_set.add(ci)
+                elif self.n_unassigned[ci] == 2 and self.track_unit:
+                    self.unit_set.discard(ci)
         for ci in true_occ:
             self.n_true[ci] -= 1
             if self.n_true[ci] == 0:  # clause revives
@@ -403,7 +429,7 @@ class _EngineState:
                             self.alive_pos[v] += 1
                         else:
                             self.alive_neg[v] += 1
-                if self.n_unassigned[ci] == 1:
+                if self.n_unassigned[ci] == 1 and self.track_unit:
                     self.unit_set.add(ci)
         self.values[var] = UNSET
         self.num_assigned -= 1
@@ -663,20 +689,3 @@ def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,
         "rng": "random.Random",
         "seed": seed,
     }
-
-
-def max_branching_over_paths(tree: SearchTree) -> int:
-    """Independent path walker: max two-child nodes on any root-to-leaf path."""
-    kids = tree.children
-    best = 0
-    stack = [(0, 0)]
-    while stack:
-        vertex, branchings = stack.pop()
-        children = kids[vertex]
-        if not children:
-            best = max(best, branchings)
-            continue
-        bump = 1 if len(children) == 2 else 0
-        for child in children:
-            stack.append((child, branchings + bump))
-    return best

@@ -17,7 +17,6 @@ from hybridts.decomposition import (
     leaves_bound_check,
     predicted_exponent,
     sia_region_feasible,
-    subtree_metrics,
     tree_size_estimation_cost,
     uniform_density_scan,
     uniform_family_decomposition,

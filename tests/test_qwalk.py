@@ -14,6 +14,7 @@ from hybridts.formula import (
     evaluate_predicate,
 )
 from hybridts.generators import random_kcnf
+from hybridts.qcircuit import Circuit, simulate
 from hybridts.qwalk import (
     DETECTION_BETA,
     WalkOperator,
@@ -57,7 +58,7 @@ def oracle_diffusion(tree: SearchTree, vertex: int) -> dict:
         amps = np.array([1.0] + [math.sqrt(n)] * len(kids))
         amps /= math.sqrt(1 + len(kids) * n)
     else:
-        amps = np.full(len(star), 1.0 / math.sqrt(tree.degree(vertex)))
+        amps = np.full(len(star), 1.0 / math.sqrt(len(star)))  # the degree
     return {"type": "reflection", "vertex": vertex, "star": star,
             "amplitudes": amps}
 
@@ -109,6 +110,28 @@ class SchurOperator(WalkOperator):
 
     def mass_in_window(self, precision: float) -> float:
         return sum(mass for phase, mass in self.profile if phase < precision)
+
+
+def oracle_find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = None,
+                       beta: float = DETECTION_BETA) -> int | None:
+    """The copy-based descent: detection on a copy of each visited subtree,
+    which the library's range pass replaces."""
+    detection_trials(delta)
+    rng = random.Random(seed)
+
+    def detect_at(vertex: int) -> bool:
+        return tree.marked[vertex] or detect_marked(
+            tree.subtree(vertex)[0], delta, seed=rng.randrange(2 ** 30), beta=beta).marked
+
+    for _ in range(qwalk.FIND_RETRIES):
+        if not detect_at(0):
+            return None
+        vertex = 0
+        while vertex is not None and not tree.marked[vertex]:
+            vertex = next((c for c in tree.children[vertex] if detect_at(c)), None)
+        if vertex is not None:
+            return vertex
+    return None
 
 
 def walk_corpus(seed=41, formulas=12):
@@ -205,7 +228,8 @@ def test_certificate_count_equals_eigh_count():
         lam, _ = build_walk_operator(tree)._root_spectrum()
         for i, p in enumerate(windows(tree)[:-1]):
             gap = max(2.0 * math.sin(0.5 * p) ** 2, qwalk.WINDOW_FLOOR)
-            _, inside = qwalk._window_pass(tree, math.sqrt(1.0 - 0.5 * gap))
+            x = math.sqrt(1.0 - 0.5 * gap)
+            _, inside = qwalk._window_pass(tree, 0, tree.depth_bound, x)
             assert 2 * inside == np.count_nonzero((1.0 - lam < gap) & (1.0 - lam > 1e-10))
             fired[i] += inside > 0
     # The widened windows (10x, 100x, 0.3, 0.5, 1.0) send trees to the eigh
@@ -265,7 +289,7 @@ def test_certificate_counts_an_exact_zero_pivot(parents, depths, n):
     psi_a, psi_b = star_matrices(tree)
     sigma = np.linalg.svd(psi_a.T @ psi_b, compute_uv=False)
     assert np.count_nonzero(sigma > x - 1e-12) == 1
-    assert qwalk._window_pass(tree, x) == (0.0, 1)
+    assert qwalk._window_pass(tree, 0, n, x) == (0.0, 1)
 
 
 @pytest.mark.parametrize("n, depth", [(1, 1), (3, 1), (3, 3), (5, 2), (2, 6)])
@@ -324,7 +348,82 @@ def test_detection_and_search_equal_schur_oracle(monkeypatch):
     monkeypatch.setattr(qwalk, "build_walk_operator", SchurOperator)
     assert verdicts == [detect_marked(tree, seed=i).verdict
                         for i, tree in enumerate(corpus)]
-    assert found == [find_marked(tree, seed=i) for i, tree in enumerate(searched)]
+    # find_marked builds no operator, so the oracle descent carries Schur.
+    assert found == [oracle_find_marked(tree, seed=i) for i, tree in enumerate(searched)]
+
+
+def engine_trees(seed=44, formulas=25):
+    """Whole DPLL and dncPPSZ (s = 1, 2) trees with random guess budgets."""
+    rng = random.Random(seed)
+    trees = []
+    for _ in range(formulas):
+        n = rng.randint(4, 12)
+        f = random_kcnf(rng, n, rng.randint(2 * n, 5 * n))
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        configs = [EngineConfig()] + [
+            EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=s,
+                         permutation=perm, guess_budget=rng.randint(n // 2, n))
+            for s in (1, 2)]
+        trees += [tree_stats(f, c, collect_tree=True).tree for c in configs]
+    return trees
+
+
+def test_find_marked_equals_copy_based_oracle():
+    corpus = walk_corpus() + random_walk_trees()
+    assert len(corpus) == 1819
+    trees = corpus + engine_trees()
+
+    def outcome(search, tree, seed):
+        # Random shapes need not be in preorder: then both must refuse alike.
+        try:
+            return search(tree, seed=seed)
+        except ValueError as exc:
+            return str(exc)
+
+    found = [outcome(find_marked, tree, i) for i, tree in enumerate(trees)]
+    assert found == [outcome(oracle_find_marked, tree, i) for i, tree in enumerate(trees)]
+    assert sum(isinstance(v, int) for v in found) >= 600
+    assert None in found and any(isinstance(v, str) for v in found)
+
+
+@pytest.mark.parametrize("beta", [2.0, 50.0])
+def test_find_marked_dense_fallback_equals_copy_based_oracle(beta, monkeypatch):
+    # Windows this wide hold nonzero phases (beta 2) or pass pi (beta 50), so
+    # find_marked eigensolves a copy of the subtree, as the oracle does.
+    assemble, assembled = qwalk._assemble_reflections, []
+
+    def counting(tree):
+        assembled.append(tree.size)
+        return assemble(tree)
+
+    monkeypatch.setattr(qwalk, "_assemble_reflections", counting)
+    trees = [tree for tree in walk_corpus(seed=42, formulas=6) if tree.size <= 40][::5]
+    monkeypatch.setattr(qwalk, "DETECTION_BETA", beta)
+    found = [find_marked(tree, seed=i) for i, tree in enumerate(trees)]
+    fallbacks = len(assembled)
+    assert found == [oracle_find_marked(tree, seed=i, beta=beta)
+                     for i, tree in enumerate(trees)]
+    assert fallbacks >= 100 and any(v is not None for v in found)
+
+
+def test_find_marked_runs_above_the_dimension_cap(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("dense walk operator assembled")
+
+    monkeypatch.setattr(qwalk, "_assemble_reflections", refuse)
+    rng = random.Random(45)
+    n = 24
+    f = random_kcnf(rng, n, 90)
+    dnc = EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=1)
+    res = tree_stats(f, dnc, collect_tree=True)
+    tree = res.tree
+    assert tree.size > config.walk_dim_cap() and res.stats.sat_leaves
+    with pytest.raises(ValueError, match="exceeds the dimension cap"):
+        build_walk_operator(tree)
+    v = find_marked(tree, seed=3)
+    assert v is not None and tree.marked[v]
+    a = PartialAssignment.of(n, tree.assignment_pairs(v))
+    assert evaluate_predicate(f, a) == Predicate.SATISFIED
 
 
 def test_two_node_closed_form():
@@ -480,6 +579,14 @@ def test_dim_cap_env_must_parse(monkeypatch):
     monkeypatch.setenv("HYBRIDTS_DIM_CAP", "4k")
     with pytest.raises(ValueError, match="HYBRIDTS_DIM_CAP .*'4k'"):
         config.walk_dim_cap()
+
+
+def test_dim_cap_env_sets_the_walk_cap_only(monkeypatch):
+    monkeypatch.setenv("HYBRIDTS_DIM_CAP", "5000")
+    assert config.walk_dim_cap() == 5000
+    circuit = Circuit(13)   # 2^13 amplitudes: above 5000, far below 2^24
+    circuit.x(12)
+    assert simulate(circuit)[1] == 1.0
 
 
 def test_walk_tree_json_round_trip():

@@ -31,7 +31,6 @@ from hybridts.treesearch import (
     dnc_ppsz_solve,
     dpll_solve,
     estimate_permutation_guess_bound,
-    max_branching_over_paths,
     min_guesses_to_solution,
     ppsz_budget,
     ppsz_proper,
@@ -247,12 +246,33 @@ def test_effective_size_properties():
             assert res.stats.effective_size == res.stats.size
 
 
+def max_branching_over_paths(tree: SearchTree) -> int:
+    """Independent path walker: max two-child nodes on any root-to-leaf path."""
+    kids = tree.children
+    best = 0
+    stack = [(0, 0)]
+    while stack:
+        vertex, branchings = stack.pop()
+        children = kids[vertex]
+        if not children:
+            best = max(best, branchings)
+            continue
+        bump = 1 if len(children) == 2 else 0
+        for child in children:
+            stack.append((child, branchings + bump))
+    return best
+
+
 def test_branching_number_cross_checked_by_path_walker():
     rng = random.Random(16)
     for _ in range(60):
         f = random_kcnf(rng, rng.randint(3, 8), rng.randint(2, 20))
         res = tree_stats(f, EngineConfig(kind=DPLL), collect_tree=True)
         assert max_branching_over_paths(res.tree) == res.stats.max_branching
+        # The tree's one shape pass agrees with the walker and the engine.
+        tree = res.tree
+        assert tree.branchings[0] == res.stats.max_branching
+        assert (tree.sizes[0], tree.heights[0]) == (res.stats.size, res.stats.height)
 
 
 def test_dnc_tree_size_bound():
@@ -342,6 +362,8 @@ def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters():
     state.assign(1, 1)   # satisfies [1, 2]: DPLL would drop 2 from alive_pos
     assert not state.track_pure
     assert (state.alive_pos, state.alive_neg, state.pure_heap) == counters
+    state.assign(2, 1)   # leaves [-2, 3] unit: DPLL's unit rule would list it
+    assert not state.track_unit and not state.unit_set
 
 
 def test_search_tree_json_requires_preorder():
@@ -357,3 +379,18 @@ def test_search_tree_json_requires_preorder():
         bad = dict(good, parents=parents, depths=depths)
         with pytest.raises(ValueError, match="not in preorder"):
             SearchTree.from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("marked", [False, False], "marked has 2 entries for 3 vertices"),
+    ("edges", [None, [1, 0]], "edges has 2 entries for 3 vertices"),
+    ("depths", [0, 1, 1, 2], "depths has 4 entries for 3 vertices"),
+    ("depths", [0, 1, 5], "vertex 2 has depth 5, expected 1"),
+    ("depths", [1, 2, 2], "vertex 0 has depth 1, expected 0"),
+])
+def test_search_tree_json_rejects_malformed_fields(field, value, message):
+    good = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]],
+            "depths": [0, 1, 1], "marked": [False, False, True], "depthBound": 2}
+    assert SearchTree.from_json(json.dumps(good)).assignment_pairs(2) == {1: 1}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SearchTree.from_json(json.dumps(dict(good, **{field: value})))
