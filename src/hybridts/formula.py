@@ -1,4 +1,4 @@
-"""CNF formulas, partial assignments, and the reduction rules every engine shares.
+"""CNF formulas, DIMACS text, and the s-implication kernel every engine shares.
 
 Literals are signed integers in DIMACS style: +v is the positive literal of
 variable v, -v its negation. Variables are numbered 1..n. Assignment values
@@ -7,9 +7,8 @@ are 0/1 with UNSET = -1 for unassigned.
 s-implication, the forcing rule of PPSZ (Paturi, Pudlak, Saks and Zane,
 JACM 2005), has one kernel here: `s_implication`. It looks only at connected
 subsets of at most s clauses that contain the variable, takes them from the
-caller's clause index (the engine's occurrence lists, SIA's per-variable
-index, or the index `s_implied_over_clauses` builds over a clause list), and
-decides each subset with one bitmask truth table.
+caller's clause index (the engine's occurrence lists or SIA's per-variable
+index), and decides each subset with one bitmask truth table.
 
 `parse_dimacs` reads DIMACS text without a loop over lines: one regex finds
 the comment, header and trailer lines, numpy converts the clause body in one
@@ -22,17 +21,11 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 UNSET = -1
-
-
-class Predicate(Enum):
-    SATISFIED = "satisfied"
-    CONTRADICTION = "contradiction"
-    UNDETERMINED = "undetermined"
 
 
 _FORCED_VALUE = {"forcedTrue": 1, "forcedFalse": 0, "free": None, "contradiction": 1}
@@ -63,48 +56,12 @@ class SImplication(Enum):
         self.forced: int | None = _FORCED_VALUE[value]
 
 
-def lit_satisfied(lit: int, value: int) -> bool:
-    return value == (1 if lit > 0 else 0)
-
-
 def normalize_clause(lits: Iterable[int]) -> tuple[int, ...] | None:
     """Drop duplicate literals; return None for tautological clauses."""
     seen = set(lits)
     if any(-l in seen for l in seen):
         return None
     return tuple(sorted(seen, key=abs))
-
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Trit vector over {0, 1, UNSET}, one entry per variable."""
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def empty(cls, num_vars: int) -> "PartialAssignment":
-        return cls((UNSET,) * num_vars)
-
-    @classmethod
-    def of(cls, num_vars: int, pairs: dict[int, int]) -> "PartialAssignment":
-        vals = [UNSET] * num_vars
-        for var, val in pairs.items():
-            vals[var - 1] = int(val)
-        return cls(tuple(vals))
-
-    def value(self, var: int) -> int:
-        return self.values[var - 1]
-
-    def assign(self, var: int, value: int) -> "PartialAssignment":
-        if self.values[var - 1] != UNSET:
-            raise ValueError(f"variable {var} already assigned")
-        vals = list(self.values)
-        vals[var - 1] = int(value)
-        return PartialAssignment(tuple(vals))
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -154,89 +111,6 @@ class CnfFormula:
 
     def variables(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c}
-
-
-def _check_pairing(formula: CnfFormula, assignment: PartialAssignment) -> None:
-    if assignment.num_vars != formula.num_vars:
-        raise ValueError(
-            f"assignment over {assignment.num_vars} variables does not pair "
-            f"with formula over {formula.num_vars}")
-
-
-def restrict(formula: CnfFormula, assignment: PartialAssignment) -> CnfFormula:
-    """Apply the assignment: drop satisfied clauses, remove false literals.
-
-    An empty clause produced here is preserved; it marks a contradiction.
-    """
-    _check_pairing(formula, assignment)
-    out = []
-    for clause in formula.clauses:
-        kept = []
-        satisfied = False
-        for lit in clause:
-            val = assignment.value(abs(lit))
-            if val == UNSET:
-                kept.append(lit)
-            elif lit_satisfied(lit, val):
-                satisfied = True
-                break
-        if not satisfied:
-            out.append(tuple(kept))
-    deduped = tuple(dict.fromkeys(out))
-    k = max((len(c) for c in deduped), default=0)
-    return CnfFormula(formula.num_vars, deduped, k)
-
-
-def evaluate_predicate(formula: CnfFormula, assignment: PartialAssignment) -> Predicate:
-    """Search predicate P: satisfied iff the restriction is the empty formula,
-    contradiction iff it contains an empty clause, undetermined otherwise."""
-    _check_pairing(formula, assignment)
-    restricted = restrict(formula, assignment)
-    if restricted.has_empty_clause:
-        return Predicate.CONTRADICTION
-    if restricted.is_empty:
-        return Predicate.SATISFIED
-    return Predicate.UNDETERMINED
-
-
-def unit_rule(formula: CnfFormula, assignment: PartialAssignment) -> tuple[int, int] | None:
-    """First unit clause by (variable index, clause order); returns (var, value)."""
-    restricted = restrict(formula, assignment)
-    if restricted.has_empty_clause:
-        raise ValueError("unit rule called on a contradicted restriction")
-    best = None
-    for idx, clause in enumerate(restricted.clauses):
-        if len(clause) == 1:
-            lit = clause[0]
-            key = (abs(lit), idx)
-            if best is None or key < best[0]:
-                best = (key, (abs(lit), 1 if lit > 0 else 0))
-    return best[1] if best else None
-
-
-def pure_literal_rule(formula: CnfFormula, assignment: PartialAssignment) -> tuple[int, int] | None:
-    """Lowest unset variable occurring in one polarity only, or in no clause.
-
-    Disappeared variables are assigned true, as are single-positive ones;
-    single-negative variables are assigned false.
-    """
-    restricted = restrict(formula, assignment)
-    if restricted.has_empty_clause:
-        raise ValueError("pure literal rule called on a contradicted restriction")
-    pos = set()
-    neg = set()
-    for clause in restricted.clauses:
-        for lit in clause:
-            (pos if lit > 0 else neg).add(abs(lit))
-    for var in range(1, formula.num_vars + 1):
-        if assignment.value(var) != UNSET:
-            continue
-        in_pos, in_neg = var in pos, var in neg
-        if not in_neg:
-            return (var, 1)
-        if not in_pos:
-            return (var, 0)
-    return None
 
 
 # Truth tables span at most 2^_TABLE_VARS rows; a subset over more variables
@@ -375,17 +249,6 @@ def s_implication(var: int, s: int, clauses_with: Callable[[int], Iterable[int]]
         if extend([ci], near | {ci}, ext, low):
             return SImplication.CONTRADICTION
     return SImplication.of(found_true, found_false)
-
-
-def s_implied_over_clauses(clauses: Sequence[tuple[int, ...]], var: int,
-                           s: int) -> SImplication:
-    """s-implication over a clause list (already restricted): the connected
-    pool of `s_implication`, with the variable index built once."""
-    by_var: dict[int, list[int]] = {}
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            by_var.setdefault(abs(lit), []).append(ci)
-    return s_implication(var, s, lambda v: by_var.get(v, ()), clauses.__getitem__)
 
 
 def index_width(formula: CnfFormula) -> int:

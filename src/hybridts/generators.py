@@ -49,12 +49,6 @@ def truth_table(formula: CnfFormula) -> np.ndarray:
     return ok
 
 
-def brute_force_models(formula: CnfFormula) -> list[tuple[int, ...]]:
-    n = formula.num_vars
-    return [tuple((int(i) >> (n - v)) & 1 for v in range(1, n + 1))
-            for i in np.flatnonzero(truth_table(formula))]
-
-
 def brute_force_count(formula: CnfFormula) -> int:
     return int(truth_table(formula).sum())
 

@@ -490,15 +490,3 @@ def equisat_check(formula: CnfFormula, inst: LatticeInstance) -> dict:
             "source": source.verdict.value,
             "reduced": reduced.verdict.value}
 
-
-def copy_chain_values(model: tuple[int, ...], inst_side: int,
-                      artifacts: ReductionArtifacts, num_vars: int,
-                      num_clauses_padded: int) -> dict[int, set[int]]:
-    """Values taken by all copies of each original variable in a model."""
-    out: dict[int, set[int]] = {}
-    for (var, _l), cell in artifacts.placement.items():
-        if var > num_vars:
-            continue
-        idx = cell_var(cell, inst_side) - 1
-        out.setdefault(var, set()).add(model[idx])
-    return out

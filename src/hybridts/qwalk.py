@@ -73,13 +73,6 @@ class WalkOperator:
             self.blocks = _assemble_reflections(self.tree)
         return self.blocks
 
-    def unitarity_residual(self) -> float:
-        eye = np.eye(self.dimension)
-        return max(
-            float(np.abs(self.r_a.T @ self.r_a - eye).max()),
-            float(np.abs(self.r_b.T @ self.r_b - eye).max()),
-        )
-
     def _root_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(cos phase, root mass) per eigenvector of (W + W^T)/2: W is real
         orthogonal, so that has eigenvalue cos(phi) on the plane of phases +-phi."""
@@ -88,11 +81,6 @@ class WalkOperator:
             lam, vecs = np.linalg.eigh(0.5 * (w + w.T))
             self._spectrum = (lam, vecs[0] ** 2)
         return self._spectrum
-
-    def phase_profile(self) -> list[tuple[float, float]]:
-        """(|phase|, root mass) per eigenvector of (W + W^T)/2."""
-        lam, mass = self._root_spectrum()
-        return list(zip(np.arccos(np.clip(lam, -1.0, 1.0)).tolist(), mass.tolist()))
 
     def mass_in_window(self, precision: float) -> float:
         """Root mass on |phase| < precision (see `_mass_in_window`)."""
@@ -246,8 +234,9 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
                   seed: int | None = None, beta: float = DETECTION_BETA,
                   op: WalkOperator | None = None) -> DetectionResult:
     """Phase-estimation detection on the whole tree, from the window mass at
-    root 0 with n = depth_bound (see `_mass_in_window`). Without `op`,
-    `build_walk_operator` holds the tree to the dimension cap."""
+    root 0 with n = max(1, depth_bound), the n of its precision (see
+    `_mass_in_window`). Without `op`, `build_walk_operator` holds the tree to
+    the dimension cap."""
     k = detection_trials(delta)
     if trials is not None:
         if trials < 1:
@@ -260,7 +249,7 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
         op = build_walk_operator(tree)
     n = max(1, tree.depth_bound)
     precision = beta / math.sqrt(tree.size * n)
-    return _detection(op.mass_in_window(precision), k, seed, precision)
+    return _detection(_mass_in_window(tree, 0, n, precision, op), k, seed, precision)
 
 
 def _detection(mass: float, k: int, seed: int | None, precision: float) -> DetectionResult:

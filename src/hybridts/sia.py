@@ -23,15 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .formula import (
-    CnfFormula,
-    PartialAssignment,
-    SImplication,
-    index_width,
-    restrict,
-    s_implication,
-    s_implied_over_clauses,
-)
+from .formula import CnfFormula, SImplication, index_width, s_implication
 
 FLAG_ALIVE = 0
 FLAG_CONTRADICTION = 1
@@ -396,49 +388,6 @@ def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
         if info.at_variable is not None and at_variable is None:
             at_variable = info.at_variable
     return _outcome(cell.flag, cell.cursor, at_variable), assignment
-
-
-def double_execute_cells(formula: CnfFormula, advice: str | tuple[int, ...],
-                         w: int, s: int = 1) -> dict[int, Cell]:
-    """Run the schedule twice; SIAR is its own reverse, so every cell
-    (including the output) returns to zero."""
-    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
-    k = blocks.bit_length() - 1
-    schedule = siar_schedule(k)
-    cells: dict[int, Cell] = {i: Cell.zero(w) for i in range(-1, k + 1)}
-    for _ in range(2):
-        for entry in schedule.entries:
-            value = siab_block(padded, entry.block, w, cells[entry.source],
-                               advice, s, core=core)
-            cells[entry.target] = cells[entry.target].xor(value)
-    return cells
-
-
-def locality_check(formula: CnfFormula, w: int, samples: int,
-                   seed: int | None = None, s: int = 1) -> dict:
-    """Window-based s-implication must agree with the full-prefix computation
-    on every sampled prefix; any mismatch is a hard failure."""
-    import random as _random
-
-    if index_width(formula) > w:
-        raise ValueError("formula index width exceeds w; locality does not apply")
-    rng = _random.Random(seed)
-    core = _SiaCore(formula, s, w)
-    n = formula.num_vars
-    checked = 0
-    for _ in range(samples):
-        var = rng.randint(1, n)
-        prefix = {v: rng.randint(0, 1) for v in range(1, var)}
-        assignment = PartialAssignment.of(n, prefix)
-        full_clauses = [c for c in restrict(formula, assignment).clauses]
-        full = s_implied_over_clauses(full_clauses, var, s)
-        window = {v: val for v, val in prefix.items() if v >= var - w}
-        local = core.implication(window, var)
-        if full != local:
-            raise AssertionError(
-                f"locality violation at variable {var}: full={full} window={local}")
-        checked += 1
-    return {"checked": checked, "width": w, "ok": True}
 
 
 def resource_account(n: int, w: int, s: int, d: int) -> dict:

@@ -1,17 +1,16 @@
 """Backtracking engines (DPLL, dncPPSZ), PPSZ-proper, and tree instrumentation.
 
-Every tree is built from one child rule over partial assignments, the paper's
-chNo/ch1/ch2 triple. A node whose predicate is decided is a leaf. Otherwise
-the rule takes the engine's next variable and forces it when it can: DPLL by
-its reduction rules in order, dncPPSZ by s-implication of the next variable
-of its permutation. An s-implication verdict sets the value
+Every tree is built by one child rule, `_EngineState.decide`: the paper's
+chNo/ch1/ch2 triple, read off a restriction of F that a trail of assignments
+keeps up to date. A node whose search predicate is decided is a leaf.
+Otherwise the rule takes the engine's next variable and forces it when it
+can: DPLL by its reduction rules in order, dncPPSZ by s-implication of the
+next variable of its permutation. An s-implication verdict sets the value
 `SImplication.forced` names, the positive literal first on a contradiction
 (the paper's Alg. 2). A variable that is not forced is guessed, 0 before 1;
-dncPPSZ makes a leaf instead once the guesses reach its budget.
-
-`ch_no`, `ch1` and `ch2` are the restriction-based reference of the rule.
-`_EngineState.decide` is the incremental one that the solvers run, and it is
-tested to generate the identical tree.
+dncPPSZ makes a leaf instead once the guesses reach its budget. The tests
+hold the engine's trees, node by node, to chNo/ch1/ch2 written over
+restrictions computed afresh at every node.
 
 The engines number a tree's vertices in depth-first preorder, so the subtree
 of vertex v is the id range [v, v + size(v)).
@@ -28,19 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .formula import (
-    UNSET,
-    CnfFormula,
-    PartialAssignment,
-    Predicate,
-    SImplication,
-    evaluate_predicate,
-    pure_literal_rule,
-    restrict,
-    s_implication,
-    s_implied_over_clauses,
-    unit_rule,
-)
+from .formula import UNSET, CnfFormula, SImplication, s_implication
 
 GAMMA_3 = 0.38  # PPSZ guess-fraction constant for 3-SAT
 
@@ -53,23 +40,6 @@ class Verdict(Enum):
     UNSAT = "unsat"
     # dncPPSZ/ppszProper are one-sided: no solution within the guess budget.
     NOT_FOUND = "not-found"
-
-
-class ChildCount(Enum):
-    ZERO_LEAF = 0
-    ONE_CHILD = 1
-    TWO_CHILDREN = 2
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    assignment: PartialAssignment
-    depth: int
-    guess_count: int
-
-    @classmethod
-    def root(cls, num_vars: int) -> "TreeNode":
-        return cls(PartialAssignment.empty(num_vars), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -214,9 +184,6 @@ class SearchTree:
             v = self.parents[v]
         return pairs
 
-    def assignment_of(self, vertex: int) -> PartialAssignment:
-        return PartialAssignment.of(self.num_vars, self.assignment_pairs(vertex))
-
     def to_json(self) -> str:
         return json.dumps({
             "numVars": self.num_vars,
@@ -230,7 +197,17 @@ class SearchTree:
     @classmethod
     def from_json(cls, text: str) -> "SearchTree":
         data = json.loads(text)
+        for name in ("numVars", "parents", "edges", "depths", "marked", "depthBound"):
+            if name not in data:
+                raise ValueError(f"tree JSON has no {name!r} field")
         parents = list(data["parents"])
+        if not parents:
+            raise ValueError("the tree has no root: parents is empty")
+        # The walk weights the root's children by sqrt(depth bound); null
+        # means num_vars, as in the constructor.
+        bound = data["depthBound"]
+        if bound is not None and bound < 1:
+            raise ValueError(f"depthBound must be at least 1, got {bound}")
         for name in ("edges", "depths", "marked"):
             if len(data[name]) != len(parents):
                 raise ValueError(f"{name} has {len(data[name])} entries for "
@@ -249,85 +226,6 @@ class SearchTree:
         return cls(data["numVars"], parents,
                    [tuple(e) if e else None for e in data["edges"]],
                    depths, [bool(m) for m in data["marked"]], data["depthBound"])
-
-
-# ---------------------------------------------------------------------------
-# Reference child functions (restriction-based, used by tests and small runs)
-
-def _forced_dpll(formula: CnfFormula, assignment: PartialAssignment,
-                 config: EngineConfig) -> tuple[int, int] | None:
-    restricted = None
-    for rule in config.reduction_rules:
-        if rule == "unit":
-            hit = unit_rule(formula, assignment)
-        elif rule == "pureLiteral":
-            hit = pure_literal_rule(formula, assignment)
-        else:  # sImplication: lowest forced variable under the connected pool
-            if restricted is None:
-                restricted = restrict(formula, assignment).clauses
-            hit = None
-            for var in range(1, formula.num_vars + 1):
-                if assignment.value(var) == UNSET:
-                    value = s_implied_over_clauses(restricted, var, config.s).forced
-                    if value is not None:
-                        hit = (var, value)
-                        break
-        if hit:
-            return hit
-    return None
-
-
-def _child_rule(node: TreeNode, formula: CnfFormula,
-                config: EngineConfig) -> tuple[int, int | None] | None:
-    """The reference child rule: the forced (var, value), else (var, None) for
-    the guessed variable, else None at a leaf."""
-    config = config.validated(formula)
-    assignment = node.assignment
-    if evaluate_predicate(formula, assignment) != Predicate.UNDETERMINED:
-        return None
-    if config.kind == DPLL:
-        forced = _forced_dpll(formula, assignment, config)
-        if forced is not None:
-            return forced
-        return next(((v, None) for v in range(1, formula.num_vars + 1)
-                     if assignment.value(v) == UNSET), None)
-    var = next((v for v in config.permutation if assignment.value(v) == UNSET), None)
-    if var is None:
-        return None
-    value = s_implied_over_clauses(restrict(formula, assignment).clauses,
-                                   var, config.s).forced
-    if value is None and node.guess_count >= config.guess_budget:
-        return None  # out of guesses
-    return var, value
-
-
-def ch_no(node: TreeNode, formula: CnfFormula, config: EngineConfig) -> ChildCount:
-    """Number of children: 0 (leaf), 1 (forced), or 2 (guessed)."""
-    choice = _child_rule(node, formula, config)
-    if choice is None:
-        return ChildCount.ZERO_LEAF
-    return ChildCount.TWO_CHILDREN if choice[1] is None else ChildCount.ONE_CHILD
-
-
-def ch1(node: TreeNode, formula: CnfFormula, config: EngineConfig) -> TreeNode:
-    """The only child of a forced node."""
-    choice = _child_rule(node, formula, config)
-    if choice is None or choice[1] is None:
-        raise ValueError("ch1 called on a node that is not forced")
-    var, value = choice
-    return TreeNode(node.assignment.assign(var, value), node.depth + 1,
-                    node.guess_count)
-
-
-def ch2(node: TreeNode, formula: CnfFormula, config: EngineConfig, b: int) -> TreeNode:
-    """Child b in {0, 1} of a guessed node."""
-    if b not in (0, 1):
-        raise ValueError("branch value must be 0 or 1")
-    choice = _child_rule(node, formula, config)
-    if choice is None or choice[1] is not None:
-        raise ValueError("ch2 called on a node that is not guessed")
-    return TreeNode(node.assignment.assign(choice[0], b), node.depth + 1,
-                    node.guess_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +460,8 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
             tree.depths.append(depth)
             tree.marked.append(False)
 
-        # Predicate first, then the child rule.
+        # The search predicate first: a contradicted or satisfied node is a
+        # leaf. Then the child rule.
         is_sat = state.contra_count == 0 and state.alive_count == 0
         choice = None if state.contra_count or is_sat else state.decide()
         if choice is not None and choice[1] is None and guesses >= budget:

@@ -8,21 +8,23 @@ from hybridts import formula, sia, treesearch
 from hybridts.formula import (
     UNSET,
     CnfFormula,
-    PartialAssignment,
-    Predicate,
     SImplication,
-    evaluate_predicate,
     index_width,
-    lit_satisfied,
     parse_dimacs,
-    pure_literal_rule,
-    restrict,
     s_implication,
-    s_implied_over_clauses,
     serialize_dimacs,
-    unit_rule,
 )
 from hybridts.generators import bounded_width_cnf, brute_force_satisfiable, random_kcnf
+from reference import (
+    PartialAssignment,
+    Predicate,
+    evaluate_predicate,
+    lit_satisfied,
+    pure_literal_rule,
+    restrict,
+    s_implied_over_clauses,
+    unit_rule,
+)
 
 
 def F(n, clauses):

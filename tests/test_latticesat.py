@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from hybridts.formula import (
-    CnfFormula,
-    PartialAssignment,
-    Predicate,
-    evaluate_predicate,
-    index_width,
-)
+from hybridts.formula import CnfFormula, index_width
 from hybridts.generators import (
     brute_force_satisfiable,
     pad_to_3cnf,
@@ -19,17 +13,31 @@ from hybridts.latticesat import (
     Corner,
     LatticeInstance,
     PlaquetteConstraint,
-    copy_chain_values,
+    ReductionArtifacts,
+    cell_var,
     equisat_check,
     lattice_to_cnf,
     random_lattice_instance,
     reduce_3sat_to_lattice,
     validate_lattice,
 )
-from hybridts.sia import locality_check
 from hybridts.treesearch import EngineConfig, Verdict, dpll_solve
+from reference import PartialAssignment, Predicate, evaluate_predicate, locality_check
 
 F = CnfFormula.from_clauses
+
+
+def copy_chain_values(model: tuple[int, ...], inst_side: int,
+                      artifacts: ReductionArtifacts, num_vars: int,
+                      num_clauses_padded: int) -> dict[int, set[int]]:
+    """Values taken by all copies of each original variable in a model."""
+    out: dict[int, set[int]] = {}
+    for (var, _l), cell in artifacts.placement.items():
+        if var > num_vars:
+            continue
+        idx = cell_var(cell, inst_side) - 1
+        out.setdefault(var, set()).add(model[idx])
+    return out
 
 
 def test_validate_examples():

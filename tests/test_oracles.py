@@ -7,7 +7,6 @@ import pytest
 from hybridts.formula import CnfFormula
 from hybridts.generators import (
     brute_force_count,
-    brute_force_models,
     random_kcnf,
     truth_table,
     unique_sat_3cnf,
@@ -26,6 +25,7 @@ from hybridts.qcircuit.oracles import (
     oracle_cost_report,
     oracle_phases,
 )
+from reference import brute_force_models
 from test_qcircuit_core import oracle_simulate
 
 F = CnfFormula.from_clauses

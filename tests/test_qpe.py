@@ -11,6 +11,7 @@ from hybridts.qcircuit.qpe import (
 )
 from hybridts.qwalk import build_walk_operator
 from hybridts.treesearch import SearchTree
+from test_qwalk import schur_profile
 
 
 def random_unitary(rng, m):
@@ -89,11 +90,12 @@ def test_eigenstate_validation():
 
 def test_dual_path_against_walk_spectrum():
     # 4-vertex walk tree: the circuit's all-zero-estimate probability on |r>
-    # equals the spectral sum of window masses under the product formula.
+    # equals the spectral sum of window masses under the product formula,
+    # with the masses from the real Schur form of W.
     tree = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [0, 1, 2, 2],
                       [False, False, True, False], 2)
     op = build_walk_operator(tree)
-    profile = op.phase_profile()
+    profile = schur_profile(op.product)
     root = np.zeros(4)
     root[0] = 1.0
     for t in (2, 4, 6):

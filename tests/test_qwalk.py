@@ -7,12 +7,7 @@ import scipy.linalg
 
 from hybridts import config, qwalk
 from hybridts.decomposition import decompose
-from hybridts.formula import (
-    CnfFormula,
-    PartialAssignment,
-    Predicate,
-    evaluate_predicate,
-)
+from hybridts.formula import CnfFormula
 from hybridts.generators import random_kcnf
 from hybridts.qcircuit import Circuit, simulate
 from hybridts.qwalk import (
@@ -25,6 +20,7 @@ from hybridts.qwalk import (
     find_marked,
 )
 from hybridts.treesearch import EngineConfig, SearchTree, tree_stats
+from reference import PartialAssignment, Predicate, evaluate_predicate
 
 
 def walk_tree(parents, depths, marked, depth_bound):
@@ -428,10 +424,23 @@ def test_find_marked_runs_above_the_dimension_cap(monkeypatch):
 
 def test_two_node_closed_form():
     op = build_walk_operator(two_node_marked())
-    assert op.unitarity_residual() < 1e-12
+    eye = np.eye(op.dimension)
+    assert max(np.abs(r.T @ r - eye).max() for r in (op.r_a, op.r_b)) < 1e-12
     assert abs(op.mass_in_window(1e-9) - 0.5) < 1e-12
     det = detect_marked(two_node_marked(), delta=0.1, seed=0)
     assert det.per_trial_phase_mass[0] >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("depth_bound", [0, -3])
+def test_detect_marked_reads_one_depth_bound(depth_bound):
+    # `from_json` refuses such a bound; built directly, detection runs its
+    # window pass with the n = max(1, depth_bound) of its precision, and so
+    # agrees with find_marked.
+    tree = SearchTree(1, [-1, 0], [None, (1, 1)], [0, 1], [False, True], depth_bound)
+    assert find_marked(tree, seed=0) == 1
+    det = detect_marked(tree, seed=0)
+    assert det.marked
+    assert det.per_trial_phase_mass[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_walk_operator_reflections_square_to_identity():

@@ -11,9 +11,8 @@ from hybridts.sia import (
     FLAG_OUT_OF_ADVICE,
     FLAG_SATISFIED,
     Cell,
-    double_execute_cells,
+    _block_setup,
     grover_advice_success_set,
-    locality_check,
     reference_assignment,
     resource_account,
     sia_reference,
@@ -23,8 +22,26 @@ from hybridts.sia import (
     siar_schedule,
 )
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
+from reference import locality_check
 
 F = CnfFormula.from_clauses
+
+
+def double_execute_cells(formula: CnfFormula, advice: str | tuple[int, ...],
+                         w: int, s: int = 1) -> dict[int, Cell]:
+    """Run the schedule twice; SIAR is its own reverse, so every cell
+    (including the output) returns to zero."""
+    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
+    k = blocks.bit_length() - 1
+    schedule = siar_schedule(k)
+    cells: dict[int, Cell] = {i: Cell.zero(w) for i in range(-1, k + 1)}
+    for _ in range(2):
+        for entry in schedule.entries:
+            value = siab_block(padded, entry.block, w, cells[entry.source],
+                               advice, s, core=core)
+            cells[entry.target] = cells[entry.target].xor(value)
+    return cells
+
 
 # Corrected Alg.-4 derivation of the k=3 example sequence: the printed paper
 # version misnumbers blocks 7/8 in lines 13-15 and never computes block 8.

@@ -5,29 +5,14 @@ import random
 import pytest
 
 from hybridts import treesearch
-from hybridts.formula import (
-    CnfFormula,
-    PartialAssignment,
-    Predicate,
-    evaluate_predicate,
-)
-from hybridts.generators import (
-    brute_force_models,
-    brute_force_satisfiable,
-    random_kcnf,
-    unique_sat_3cnf,
-)
+from hybridts.formula import CnfFormula
+from hybridts.generators import brute_force_satisfiable, random_kcnf, unique_sat_3cnf
 from hybridts.treesearch import (
     DNCPPSZ,
     DPLL,
-    ChildCount,
     EngineConfig,
     SearchTree,
-    TreeNode,
     Verdict,
-    ch1,
-    ch2,
-    ch_no,
     dnc_ppsz_solve,
     dpll_solve,
     estimate_permutation_guess_bound,
@@ -35,6 +20,17 @@ from hybridts.treesearch import (
     ppsz_budget,
     ppsz_proper,
     tree_stats,
+)
+from reference import (
+    ChildCount,
+    PartialAssignment,
+    Predicate,
+    TreeNode,
+    ch1,
+    ch2,
+    ch_no,
+    evaluate_predicate,
+    reference_nodes,
 )
 
 F = CnfFormula.from_clauses
@@ -57,21 +53,14 @@ def comb_formula(n):
     return F(n, [[v] for v in range(1, n + 1)])
 
 
+def engine_tree_nodes(f, config):
+    tree = tree_stats(f, config, collect_tree=True).tree
+    return [PartialAssignment.of(f.num_vars, tree.assignment_pairs(v)).values
+            for v in range(tree.size)]
+
+
 def reference_tree_nodes(f, config):
-    config = config.validated(f)
-    nodes = []
-
-    def walk(node):
-        nodes.append(node.assignment.values)
-        kind = ch_no(node, f, config)
-        if kind == ChildCount.ONE_CHILD:
-            walk(ch1(node, f, config))
-        elif kind == ChildCount.TWO_CHILDREN:
-            walk(ch2(node, f, config, 0))
-            walk(ch2(node, f, config, 1))
-
-    walk(TreeNode.root(f.num_vars))
-    return nodes
+    return [node.assignment.values for node, _ in reference_nodes(f, config)]
 
 
 def test_ch_no_examples():
@@ -111,20 +100,14 @@ def test_engine_tree_equals_reference_tree():
         n = rng.randint(3, 7)
         f = random_kcnf(rng, n, rng.randint(3, 20))
         cfg = EngineConfig(kind=DPLL)
-        ref = reference_tree_nodes(f, cfg)
-        res = tree_stats(f, cfg, collect_tree=True)
-        got = [res.tree.assignment_of(v).values for v in range(res.tree.size)]
-        assert got == ref
+        assert engine_tree_nodes(f, cfg) == reference_tree_nodes(f, cfg)
     for _ in range(25):
         n = rng.randint(3, 7)
         f = random_kcnf(rng, n, rng.randint(3, 20))
         cfg = dnc_config(f, s=rng.choice((1, 2)),
                          budget=rng.randint(0, n),
                          perm=tuple(rng.sample(range(1, n + 1), n)))
-        ref = reference_tree_nodes(f, cfg)
-        res = tree_stats(f, cfg, collect_tree=True)
-        got = [res.tree.assignment_of(v).values for v in range(res.tree.size)]
-        assert got == ref
+        assert engine_tree_nodes(f, cfg) == reference_tree_nodes(f, cfg)
 
 
 def test_dpll_examples():
@@ -172,22 +155,10 @@ def test_dnc_planted_budget_boundary():
 
 def reference_min_guesses(f, perm, s):
     # The least guess count over satisfied leaves of the full-budget tree,
-    # walked with the restriction-based child rule.
+    # walked with the restriction-based child rule. A satisfied node is a leaf.
     config = dnc_config(f, s=s, budget=f.num_vars, perm=perm)
-    counts = []
-
-    def walk(node):
-        kind = ch_no(node, f, config)
-        if kind == ChildCount.ONE_CHILD:
-            walk(ch1(node, f, config))
-        elif kind == ChildCount.TWO_CHILDREN:
-            walk(ch2(node, f, config, 0))
-            walk(ch2(node, f, config, 1))
-        elif evaluate_predicate(f, node.assignment) == Predicate.SATISFIED:
-            counts.append(node.guess_count)
-
-    walk(TreeNode.root(f.num_vars))
-    return min(counts, default=None)
+    return min((node.guess_count for node, predicate in reference_nodes(f, config)
+                if predicate == Predicate.SATISFIED), default=None)
 
 
 def test_min_guesses_matches_reference_walker():
@@ -381,16 +352,34 @@ def test_search_tree_json_requires_preorder():
             SearchTree.from_json(json.dumps(bad))
 
 
+JSON_TREE = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]],
+             "depths": [0, 1, 1], "marked": [False, False, True], "depthBound": 2}
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("marked", [False, False], "marked has 2 entries for 3 vertices"),
     ("edges", [None, [1, 0]], "edges has 2 entries for 3 vertices"),
     ("depths", [0, 1, 1, 2], "depths has 4 entries for 3 vertices"),
     ("depths", [0, 1, 5], "vertex 2 has depth 5, expected 1"),
     ("depths", [1, 2, 2], "vertex 0 has depth 1, expected 0"),
+    ("depthBound", 0, "depthBound must be at least 1, got 0"),
+    ("depthBound", -3, "depthBound must be at least 1, got -3"),
 ])
 def test_search_tree_json_rejects_malformed_fields(field, value, message):
-    good = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]],
-            "depths": [0, 1, 1], "marked": [False, False, True], "depthBound": 2}
-    assert SearchTree.from_json(json.dumps(good)).assignment_pairs(2) == {1: 1}
+    assert SearchTree.from_json(json.dumps(JSON_TREE)).assignment_pairs(2) == {1: 1}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SearchTree.from_json(json.dumps(dict(good, **{field: value})))
+        SearchTree.from_json(json.dumps(dict(JSON_TREE, **{field: value})))
+
+
+@pytest.mark.parametrize("field", list(JSON_TREE))
+def test_search_tree_json_names_a_missing_field(field):
+    partial = {name: value for name, value in JSON_TREE.items() if name != field}
+    with pytest.raises(ValueError, match=f"^tree JSON has no '{field}' field$"):
+        SearchTree.from_json(json.dumps(partial))
+
+
+def test_search_tree_json_requires_a_root():
+    # A tree with no vertices has no root for the walk or the decomposition.
+    empty = dict(JSON_TREE, parents=[], edges=[], depths=[], marked=[])
+    with pytest.raises(ValueError, match="^the tree has no root: parents is empty$"):
+        SearchTree.from_json(json.dumps(empty))

@@ -5,15 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from hybridts.formula import (
-    UNSET,
-    CnfFormula,
-    PartialAssignment,
-    Predicate,
-    evaluate_predicate,
-    pure_literal_rule,
-    unit_rule,
-)
+from hybridts.formula import UNSET, CnfFormula
 from hybridts.generators import random_kcnf
 from hybridts.qcircuit.core import Circuit, simulate, trace_basis
 from hybridts.qcircuit.walk import (
@@ -31,6 +23,13 @@ from hybridts.qcircuit.walk import (
     set_wire,
     val_wire,
     walk_cost_report,
+)
+from reference import (
+    PartialAssignment,
+    Predicate,
+    evaluate_predicate,
+    pure_literal_rule,
+    unit_rule,
 )
 
 F = CnfFormula.from_clauses
