@@ -83,8 +83,9 @@ class WalkOperator:
         return self._spectrum
 
     def mass_in_window(self, precision: float) -> float:
-        """Root mass on |phase| < precision (see `_mass_in_window`)."""
-        return _mass_in_window(self.tree, 0, self.tree.depth_bound, precision, self)
+        """Root mass on |phase| < precision with n = max(1, depth_bound) (see
+        `_mass_in_window`)."""
+        return _mass_in_window(self.tree, 0, max(1, self.tree.depth_bound), precision, self)
 
 
 def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float,
@@ -180,8 +181,9 @@ def _star_reflection(centre: np.ndarray, amp: np.ndarray) -> np.ndarray:
 def _assemble_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
     """R_A (R_B) reflects about the stars of unmarked even (odd) depth: a vertex
     and its children, amplitudes 1/sqrt(degree), or at the root (1, sqrt(n),
-    ..., sqrt(n)) / sqrt(1 + n * children). R_B fixes the root."""
-    t = tree.size
+    ..., sqrt(n)) / sqrt(1 + n * children), n = max(1, depth_bound). R_B fixes
+    the root."""
+    t, n = tree.size, max(1, tree.depth_bound)
     parents = np.asarray(tree.parents)
     free = ~np.asarray(tree.marked, dtype=bool)
     even = np.asarray(tree.depths) % 2 == 0
@@ -189,8 +191,8 @@ def _assemble_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
     # Star amplitudes by centre: the centre's own and each child's.
     own = 1.0 / np.sqrt(kids + 1.0)
     child = own.copy()
-    norm = math.sqrt(1 + kids[0] * tree.depth_bound)
-    own[0], child[0] = 1.0 / norm, math.sqrt(tree.depth_bound) / norm
+    norm = math.sqrt(1 + kids[0] * n)
+    own[0], child[0] = 1.0 / norm, math.sqrt(n) / norm
     # A vertex lies in its own star and in its parent's, of opposite parity;
     # a marked vertex centres no star.
     up = np.maximum(parents, 0)
@@ -233,10 +235,9 @@ def detection_trials(delta: float) -> int:
 def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
                   seed: int | None = None, beta: float = DETECTION_BETA,
                   op: WalkOperator | None = None) -> DetectionResult:
-    """Phase-estimation detection on the whole tree, from the window mass at
-    root 0 with n = max(1, depth_bound), the n of its precision (see
-    `_mass_in_window`). Without `op`, `build_walk_operator` holds the tree to
-    the dimension cap."""
+    """Phase-estimation detection on the whole tree, from `op.mass_in_window`
+    at the precision beta / sqrt(T n), n = max(1, depth_bound). Without `op`,
+    `build_walk_operator` holds the tree to the dimension cap."""
     k = detection_trials(delta)
     if trials is not None:
         if trials < 1:
@@ -249,7 +250,7 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
         op = build_walk_operator(tree)
     n = max(1, tree.depth_bound)
     precision = beta / math.sqrt(tree.size * n)
-    return _detection(_mass_in_window(tree, 0, n, precision, op), k, seed, precision)
+    return _detection(op.mass_in_window(precision), k, seed, precision)
 
 
 def _detection(mass: float, k: int, seed: int | None, precision: float) -> DetectionResult:

@@ -205,8 +205,8 @@ class SearchTree:
             raise ValueError("the tree has no root: parents is empty")
         # The walk weights the root's children by sqrt(depth bound); null
         # means num_vars, as in the constructor.
-        bound = data["depthBound"]
-        if bound is not None and bound < 1:
+        bound = data["numVars"] if data["depthBound"] is None else data["depthBound"]
+        if bound < 1:
             raise ValueError(f"depthBound must be at least 1, got {bound}")
         for name in ("edges", "depths", "marked"):
             if len(data[name]) != len(parents):

@@ -433,14 +433,18 @@ def test_two_node_closed_form():
 
 @pytest.mark.parametrize("depth_bound", [0, -3])
 def test_detect_marked_reads_one_depth_bound(depth_bound):
-    # `from_json` refuses such a bound; built directly, detection runs its
-    # window pass with the n = max(1, depth_bound) of its precision, and so
-    # agrees with find_marked.
+    # `from_json` refuses such a bound; built directly, the walk operator
+    # reads n = max(1, depth_bound), the n of detection's precision, and so
+    # detection agrees with find_marked.
     tree = SearchTree(1, [-1, 0], [None, (1, 1)], [0, 1], [False, True], depth_bound)
     assert find_marked(tree, seed=0) == 1
     det = detect_marked(tree, seed=0)
     assert det.marked
     assert det.per_trial_phase_mass[0] == pytest.approx(0.5, abs=1e-12)
+    op = build_walk_operator(tree)
+    assert op.mass_in_window(1e-9) == pytest.approx(0.5, abs=1e-12)
+    ref = build_walk_operator(walk_tree([-1, 0], [0, 1], [False, True], 1))
+    assert np.array_equal(op.r_a, ref.r_a) and np.array_equal(op.r_b, ref.r_b)
 
 
 def test_walk_operator_reflections_square_to_identity():

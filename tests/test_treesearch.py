@@ -371,6 +371,14 @@ def test_search_tree_json_rejects_malformed_fields(field, value, message):
         SearchTree.from_json(json.dumps(dict(JSON_TREE, **{field: value})))
 
 
+@pytest.mark.parametrize("num_vars", [0, -2])
+def test_search_tree_json_checks_a_null_depth_bound_as_num_vars(num_vars):
+    # A null depthBound means numVars, which must then be at least 1 too.
+    assert SearchTree.from_json(json.dumps(dict(JSON_TREE, depthBound=None))).depth_bound == 2
+    with pytest.raises(ValueError, match=f"^depthBound must be at least 1, got {num_vars}$"):
+        SearchTree.from_json(json.dumps(dict(JSON_TREE, depthBound=None, numVars=num_vars)))
+
+
 @pytest.mark.parametrize("field", list(JSON_TREE))
 def test_search_tree_json_names_a_missing_field(field):
     partial = {name: value for name, value in JSON_TREE.items() if name != field}
