@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import config
-
 SQRT1_2 = 1.0 / math.sqrt(2.0)
+# Largest statevector `simulate` allocates: 2^24 complex amplitudes, 256 MB.
+CIRCUIT_DIM_CAP = 2 ** 24
 
 X_KIND = "x"
 H_KIND = "h"
@@ -229,7 +229,7 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
     on its own index."""
     width = circuit.num_wires
     dim = 2 ** width
-    if dim > config.CIRCUIT_DIM_CAP:
+    if dim > CIRCUIT_DIM_CAP:
         raise ValueError(f"statevector dimension 2^{width} exceeds the cap")
     if state is not None and basis_input is not None:
         raise ValueError("give either a basis input or a state, not both")

@@ -7,8 +7,8 @@ preorder range of v, with no copy: the phase-0 mass has a closed form in the
 effective conductance to the marked set, and an inertia count on the star
 overlap forest certifies that no nonzero phase lies in the window. Only when
 that count is not zero, or the window is wider than pi, is the T x T
-operator assembled and (W + W^T)/2 eigensolved; the dimension cap applies
-to that dense fallback. Per-trial acceptances are drawn from that probability.
+operator assembled and (W + W^T)/2 eigensolved; WALK_DIM_CAP applies to
+that dense fallback alone. Per-trial acceptances are drawn from that probability.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
 from .treesearch import SearchTree
 
 # Detection constants; the source construction leaves them unspecified.
@@ -38,6 +37,8 @@ WINDOW_FLOOR = 64 * np.finfo(float).eps
 # Descents find_marked starts before it gives up: a false positive can end
 # one at an unmarked vertex where no child is detected.
 FIND_RETRIES = 3
+# Largest tree whose T x T reflections the dense fallback assembles.
+WALK_DIM_CAP = 4096
 
 
 # Kept because the benchmark's hybrid-walk workload (benchmark/workloads.py)
@@ -70,6 +71,9 @@ class WalkOperator:
 
     def _reflections(self) -> tuple[np.ndarray, np.ndarray]:
         if self.blocks is None:
+            if self.tree.size > WALK_DIM_CAP:
+                raise ValueError(f"tree size {self.tree.size} exceeds the dimension "
+                                 f"cap {WALK_DIM_CAP}")
             self.blocks = _assemble_reflections(self.tree)
         return self.blocks
 
@@ -104,7 +108,7 @@ def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float,
         if not inside:
             return mass
     if op is None:
-        op = build_walk_operator(tree.subtree(root)[0])
+        op = WalkOperator(tree.subtree(root)[0])
     lam, mass = op._root_spectrum()
     if precision > math.pi:
         return float(mass.sum())
@@ -204,12 +208,9 @@ def _assemble_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
     return r_a, r_b
 
 
-def build_walk_operator(tree: SearchTree, dim_cap: int | None = None) -> WalkOperator:
-    """The walk on `tree`, whose dense reflections are assembled on first
-    read (see `_assemble_reflections`)."""
-    cap = dim_cap if dim_cap is not None else config.walk_dim_cap()
-    if tree.size > cap:
-        raise ValueError(f"tree size {tree.size} exceeds the dimension cap {cap}")
+# Kept because the benchmark's hybrid-walk workload (benchmark/workloads.py)
+# calls build_walk_operator.
+def build_walk_operator(tree: SearchTree) -> WalkOperator:
     return WalkOperator(tree)
 
 
@@ -235,9 +236,8 @@ def detection_trials(delta: float) -> int:
 def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
                   seed: int | None = None, beta: float = DETECTION_BETA,
                   op: WalkOperator | None = None) -> DetectionResult:
-    """Phase-estimation detection on the whole tree, from `op.mass_in_window`
-    at the precision beta / sqrt(T n), n = max(1, depth_bound). Without `op`,
-    `build_walk_operator` holds the tree to the dimension cap."""
+    """Phase-estimation detection on the whole tree, of any size, from
+    `op.mass_in_window` at the precision beta / sqrt(T n), n = max(1, depth_bound)."""
     k = detection_trials(delta)
     if trials is not None:
         if trials < 1:
@@ -247,7 +247,7 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
         # The walk promise excludes a marked root; the predicate answers directly.
         return DetectionResult("markedExists", k, k, [1.0] * k, 0.0)
     if op is None:
-        op = build_walk_operator(tree)
+        op = WalkOperator(tree)
     n = max(1, tree.depth_bound)
     precision = beta / math.sqrt(tree.size * n)
     return _detection(op.mass_in_window(precision), k, seed, precision)
@@ -270,7 +270,7 @@ def find_marked(tree: SearchTree, delta: float = 0.1,
     """Descend from the root, following positive detection verdicts on each
     vertex's subtree: the range pass at v with T = sizes[v] and n = max(1,
     heights[v]). Only the dense fallback copies the subtree and is held to
-    the dimension cap. The tree must be in preorder (see `SearchTree`)."""
+    WALK_DIM_CAP. The tree must be in preorder (see `SearchTree`)."""
     k = detection_trials(delta)  # reject a bad delta even when the root is marked
     rng = random.Random(seed)
 

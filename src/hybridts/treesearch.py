@@ -96,12 +96,12 @@ class SearchTree:
     engines and `from_json` guarantee, the subtree of v is the id range
     [v, v + sizes[v]). The shape fields `sizes`, `heights` and `branchings`
     give each vertex's subtree its vertex count, its height and its
-    branching number (the most two-child vertices on a path down)."""
+    branching number (the most two-child vertices on a path down). `depths`,
+    each vertex's distance from the root, is derived from `parents` too."""
 
     num_vars: int
     parents: list[int]
     edges: list[tuple[int, int] | None]   # (var, value) set on the edge from parent
-    depths: list[int]
     marked: list[bool]
     depth_bound: int | None = None        # the walk's n; None means num_vars
 
@@ -130,6 +130,17 @@ class SearchTree:
             if p >= 0:
                 kids[p].append(v)
         return kids
+
+    @cached_property
+    def depths(self) -> list[int]:
+        """Each vertex's distance from the root. Built on first read, like `children`."""
+        depths = [0] * self.size
+        for v in range(1, self.size):
+            p = self.parents[v]
+            if not 0 <= p < v:
+                raise ValueError(f"vertex {v} has parent {p}: the tree is not in preorder")
+            depths[v] = depths[p] + 1
+        return depths
 
     @cached_property
     def _shape(self) -> tuple[list[int], list[int], list[int]]:
@@ -167,10 +178,8 @@ class SearchTree:
             if not root <= p < u:
                 raise ValueError(f"vertex {u} has parent {p}: the tree is not in preorder")
             parents.append(p - root)
-        base = self.depths[root]
-        depths = [d - base for d in self.depths[root:end]]
         return (SearchTree(self.num_vars, parents, [None] + self.edges[root + 1:end],
-                           depths, self.marked[root:end], max(1, self.heights[root])),
+                           self.marked[root:end], max(1, self.heights[root])),
                 range(root, end))
 
     def assignment_pairs(self, vertex: int) -> dict[int, int]:
@@ -189,7 +198,6 @@ class SearchTree:
             "numVars": self.num_vars,
             "parents": self.parents,
             "edges": [list(e) if e else None for e in self.edges],
-            "depths": self.depths,
             "marked": [int(m) for m in self.marked],
             "depthBound": self.depth_bound,
         }, sort_keys=True)
@@ -197,7 +205,7 @@ class SearchTree:
     @classmethod
     def from_json(cls, text: str) -> "SearchTree":
         data = json.loads(text)
-        for name in ("numVars", "parents", "edges", "depths", "marked", "depthBound"):
+        for name in ("numVars", "parents", "edges", "marked", "depthBound"):
             if name not in data:
                 raise ValueError(f"tree JSON has no {name!r} field")
         parents = list(data["parents"])
@@ -208,24 +216,20 @@ class SearchTree:
         bound = data["numVars"] if data["depthBound"] is None else data["depthBound"]
         if bound < 1:
             raise ValueError(f"depthBound must be at least 1, got {bound}")
-        for name in ("edges", "depths", "marked"):
+        for name in ("edges", "marked"):
             if len(data[name]) != len(parents):
                 raise ValueError(f"{name} has {len(data[name])} entries for "
                                  f"{len(parents)} vertices")
-        depths = list(data["depths"])
         path: list[int] = []   # root to vertex c - 1: where c's parent must lie
         for c, p in enumerate(parents):
             while path and path[-1] != p:
                 path.pop()
             if (p == -1) != (c == 0) or (c > 0 and not path):
                 raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
-            expected = depths[p] + 1 if c else 0
-            if depths[c] != expected:
-                raise ValueError(f"vertex {c} has depth {depths[c]}, expected {expected}")
             path.append(c)
         return cls(data["numVars"], parents,
                    [tuple(e) if e else None for e in data["edges"]],
-                   depths, [bool(m) for m in data["marked"]], data["depthBound"])
+                   [bool(m) for m in data["marked"]], data["depthBound"])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
     config = config.validated(formula)
     state = _EngineState(formula, config)
     stats = SearchTreeStats()
-    tree = SearchTree(formula.num_vars, [], [], [], []) if collect_tree else None
+    tree = SearchTree(formula.num_vars, [], [], []) if collect_tree else None
     model: tuple[int, ...] | None = None
     first_sat_at: int | None = None
     # DPLL has no budget: at a node with a free variable its guesses are < n.
@@ -452,12 +456,10 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
 
         node_id = stats.size
         stats.size += 1
-        depth = state.num_assigned
-        stats.height = max(stats.height, depth)
+        stats.height = max(stats.height, state.num_assigned)
         if tree is not None:
             tree.parents.append(parent_id)
             tree.edges.append(None if var is None else (var, value))
-            tree.depths.append(depth)
             tree.marked.append(False)
 
         # The search predicate first: a contradicted or satisfied node is a

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hybridts
+from hybridts import qwalk
 from hybridts.cli import _emit, main
 from hybridts.formula import serialize_dimacs
 from hybridts.generators import random_kcnf
@@ -111,20 +112,15 @@ def test_qwalk_detect(small_instance, tmp_path):
     assert rec["verdict"] == rec["groundTruth"]
 
 
-@pytest.mark.parametrize("cap, message", [
-    ("2", "tree size \\d+ exceeds the dimension cap 2"),
-    ("4k", "HYBRIDTS_DIM_CAP must be an integer, got '4k'"),
-])
-def test_command_value_error_is_one_line_exit_2(cap, message, instance, tmp_path,
-                                               capsys, monkeypatch):
-    monkeypatch.setenv("HYBRIDTS_DIM_CAP", cap)
-    out = tmp_path / "out.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["qwalk-detect", "--input", str(instance), "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(f"hybridts qwalk-detect: error: {message}\n", err)
-    assert not out.exists()
+@pytest.mark.parametrize("seed, truth", [(0, "markedExists"), (1, "noMarked")])
+def test_qwalk_detect_above_the_walk_dimension_cap(seed, truth, tmp_path):
+    # Random 3-CNF at n = 50, m = 213: DPLL trees of 7654 and 9389 vertices.
+    path = tmp_path / "big.cnf"
+    path.write_text(serialize_dimacs(random_kcnf(random.Random(seed), 50, 213)))
+    code, report = run(["qwalk-detect", "--input", str(path), "--seed", "3"], tmp_path)
+    rec = report["records"][0]
+    assert code == 0 and rec["T"] > qwalk.WALK_DIM_CAP
+    assert rec["verdict"] == rec["groundTruth"] == truth
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])

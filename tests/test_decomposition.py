@@ -28,39 +28,35 @@ from hybridts.treesearch import DNCPPSZ, EngineConfig, SearchTree, tree_stats
 
 
 def complete_tree(height):
-    parents, depths = [-1], [0]
+    parents = [-1]
     frontier = [0]
-    for d in range(1, height + 1):
+    for _ in range(height):
         nxt = []
         for p in frontier:
             for _ in range(2):
                 parents.append(p)
-                depths.append(d)
                 nxt.append(len(parents) - 1)
         frontier = nxt
     marked = [False] * len(parents)
-    return SearchTree(height, parents, [None] * len(parents), depths, marked)
+    return SearchTree(height, parents, [None] * len(parents), marked)
 
 
 def comb_tree(n):
     # Line of n vertices, one extra leaf on every non-final line vertex:
     # 2n - 1 vertices, n - 1 branchings.
-    parents, depths = [-1], [0]
+    parents = [-1]
     spine = 0
     for _ in range(1, n):
         parents.append(spine)              # tooth
-        depths.append(depths[spine] + 1)
         parents.append(spine)              # next spine vertex
-        depths.append(depths[spine] + 1)
         spine = len(parents) - 1
     marked = [False] * len(parents)
-    return SearchTree(n, parents, [None] * len(parents), depths, marked)
+    return SearchTree(n, parents, [None] * len(parents), marked)
 
 
 def chain_tree(n):
     parents = [-1] + list(range(n - 1))
-    depths = list(range(n))
-    return SearchTree(n, parents, [None] * n, depths, [False] * n)
+    return SearchTree(n, parents, [None] * n, [False] * n)
 
 
 def test_decompose_complete_tree_budget2():
@@ -205,18 +201,15 @@ def test_uniform_density_scan():
     # Planted dense bottom inside a sparse chain.
     chain = chain_tree(12)
     parents = list(chain.parents)
-    depths = list(chain.depths)
     frontier = [len(parents) - 1]
     for d in range(6):
         nxt = []
         for p in frontier:
             for _ in range(2):
                 parents.append(p)
-                depths.append(depths[p] + 1)
                 nxt.append(len(parents) - 1)
         frontier = nxt
-    mixed = SearchTree(18, parents, [None] * len(parents), depths,
-                       [False] * len(parents))
+    mixed = SearchTree(18, parents, [None] * len(parents), [False] * len(parents))
     rep = uniform_density_scan(mixed, 0.3, density_threshold=0.8)
     assert rep["fractionExponential"] > 0.0
 
@@ -324,12 +317,18 @@ def oracle_subtree(tree: SearchTree, root: int) -> tuple[SearchTree, list[int]]:
         stack.extend(reversed(tree.children[v]))
     remap = {old: new for new, old in enumerate(order)}
     parents = [-1] + [remap[tree.parents[v]] for v in order[1:]]
-    base = tree.depths[root]
-    depths = [tree.depths[v] - base for v in order]
+    height = max(tree.depths[v] for v in order) - tree.depths[root]
     marked = [tree.marked[v] for v in order]
     edges = [None] + [tree.edges[v] for v in order[1:]]
-    return (SearchTree(tree.num_vars, parents, edges, depths, marked,
-                       max(1, max(depths))), order)
+    return SearchTree(tree.num_vars, parents, edges, marked, max(1, height)), order
+
+
+def path_length(tree: SearchTree, v: int) -> int:
+    """Edges from v up to the root, following parent links."""
+    steps = 0
+    while tree.parents[v] >= 0:
+        v, steps = tree.parents[v], steps + 1
+    return steps
 
 
 def oracle_decompose(tree: SearchTree, measure: str, budget: float) -> TreeDecomposition:
@@ -380,10 +379,12 @@ def test_preorder_ranges_match_the_walkers():
             for s in (1, 2)]
         for config in configs:
             tree = tree_stats(f, config, collect_tree=True).tree
+            assert tree.depths == [path_length(tree, v) for v in range(tree.size)]
             for v in range(tree.size):
                 sub, ids = tree.subtree(v)
                 ref, order = oracle_subtree(tree, v)
                 assert sub == ref and list(ids) == order
+                assert sub.depths == [tree.depths[u] - tree.depths[v] for u in ids]
             for measure in (MEASURE_HEIGHT, MEASURE_BRANCHING):
                 for budget in budgets(n):
                     assert (decompose(tree, measure, budget)
@@ -396,6 +397,7 @@ def test_breadth_first_tree_has_no_subtree_ranges():
     # Complete depth-3 tree numbered breadth-first; its last leaf is marked.
     tree = complete_tree(3)
     tree.marked[-1] = True
+    assert tree.depths == [path_length(tree, v) for v in range(tree.size)]
     for call in (lambda: tree.subtree(1), lambda: find_marked(tree, seed=5)):
         with pytest.raises(ValueError, match="vertex 2 has parent 0: the tree is not in preorder"):
             call()

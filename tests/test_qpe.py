@@ -92,8 +92,7 @@ def test_dual_path_against_walk_spectrum():
     # 4-vertex walk tree: the circuit's all-zero-estimate probability on |r>
     # equals the spectral sum of window masses under the product formula,
     # with the masses from the real Schur form of W.
-    tree = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [0, 1, 2, 2],
-                      [False, False, True, False], 2)
+    tree = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [False, False, True, False], 2)
     op = build_walk_operator(tree)
     profile = schur_profile(op.product)
     root = np.zeros(4)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hybridts import config, qwalk
+from hybridts import qwalk
 from hybridts.decomposition import decompose
 from hybridts.formula import CnfFormula
 from hybridts.generators import random_kcnf
-from hybridts.qcircuit import Circuit, simulate
 from hybridts.qwalk import (
     DETECTION_BETA,
     WalkOperator,
@@ -23,13 +22,12 @@ from hybridts.treesearch import EngineConfig, SearchTree, tree_stats
 from reference import PartialAssignment, Predicate, evaluate_predicate
 
 
-def walk_tree(parents, depths, marked, depth_bound):
-    return SearchTree(depth_bound, parents, [None] * len(parents), depths, marked,
-                      depth_bound)
+def walk_tree(parents, marked, depth_bound):
+    return SearchTree(depth_bound, parents, [None] * len(parents), marked, depth_bound)
 
 
 def two_node_marked():
-    return walk_tree([-1, 0], [0, 1], [False, True], 1)
+    return walk_tree([-1, 0], [False, True], 1)
 
 
 def dpll_walk_tree(f, rules=("unit", "pureLiteral")):
@@ -149,7 +147,7 @@ def walk_corpus(seed=41, formulas=12):
 
 
 def test_diffusion_examples():
-    tree = walk_tree([-1, 0, 0, 1], [0, 1, 1, 2], [False, False, True, False], 3)
+    tree = walk_tree([-1, 0, 0, 1], [False, False, True, False], 3)
     op = build_walk_operator(tree)
     # Unmarked leaf 3 (depth 2, R_A): reflection about the vertex itself.
     assert op.r_a[3, 3] == -1.0
@@ -174,12 +172,9 @@ def random_walk_trees(seed=43, count=300):
     rng = random.Random(seed)
     trees = []
     for _ in range(count):
-        parents, depths = [-1], [0]
-        for v in range(1, rng.randint(1, 30)):
-            parents.append(rng.randrange(v))
-            depths.append(depths[parents[-1]] + 1)
+        parents = [-1] + [rng.randrange(v) for v in range(1, rng.randint(1, 30))]
         marked = [rng.random() < 0.2 for _ in parents]
-        trees.append(walk_tree(parents, depths, marked, rng.randint(1, 6)))
+        trees.append(walk_tree(parents, marked, rng.randint(1, 6)))
     return trees
 
 
@@ -280,7 +275,8 @@ def test_certificate_counts_an_exact_zero_pivot(parents, depths, n):
     # root; the one singular value above x is 0.965. In the fourth, vertex
     # 2's pivot is 0.0 and pairs with vertex 1, not with the root, so an
     # already-paired pivot must be neither counted again nor passed up.
-    tree = walk_tree(parents, depths, [False] * len(parents), n)
+    tree = walk_tree(parents, [False] * len(parents), n)
+    assert tree.depths == depths
     x = math.sqrt(2 / 3)
     psi_a, psi_b = star_matrices(tree)
     sigma = np.linalg.svd(psi_a.T @ psi_b, compute_uv=False)
@@ -292,14 +288,14 @@ def test_certificate_counts_an_exact_zero_pivot(parents, depths, n):
 def test_closed_form_single_marked_vertex(n, depth):
     # A path to the marked vertex at `depth`, with an unmarked dead end hung
     # on every path vertex: the dead ends carry no current.
-    parents, depths = [-1], [0]
+    parents = [-1]
     for d in range(1, depth + 1):
         path_vertex = len(parents) - 1 if d == 1 else len(parents) - 2
         parents += [path_vertex, path_vertex]
-        depths += [d, d]
     marked = [False] * len(parents)
     marked[-2] = True
-    tree = walk_tree(parents, depths, marked, n)
+    tree = walk_tree(parents, marked, n)
+    assert tree.depths[-2] == depth
     expected = n / (n + depth)
     assert build_walk_operator(tree).mass_in_window(1e-9) == pytest.approx(expected, abs=1e-12)
     assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(expected, abs=1e-12)
@@ -310,8 +306,7 @@ def test_closed_form_two_marked_leaves():
     # the marked leaf 4 (depth 3); leaf 5 under 2 is a dead end. Resistances
     # 1 and 3 in parallel: C(root) = 1 + 1/3 = 4/3, G = 3 * 4/3 = 4, and the
     # phase-0 root mass is G / (G + 1) = 4/5.
-    tree = walk_tree([-1, 0, 0, 2, 3, 2], [0, 1, 1, 2, 3, 2],
-                     [False, True, False, False, True, False], 3)
+    tree = walk_tree([-1, 0, 0, 2, 3, 2], [False, True, False, False, True, False], 3)
     op = build_walk_operator(tree)
     assert op.mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
     assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
@@ -325,8 +320,8 @@ def test_closed_form_two_marked_leaves():
     ({"delta": -0.1}, "delta"), ({"delta": float("nan")}, "delta"),
 ])
 def test_detection_rejects_bad_trials_and_delta(kwargs, name):
-    unmarked = walk_tree([-1, 0], [0, 1], [False, False], 1)
-    for tree in (unmarked, two_node_marked(), walk_tree([-1], [0], [True], 1)):
+    unmarked = walk_tree([-1, 0], [False, False], 1)
+    for tree in (unmarked, two_node_marked(), walk_tree([-1], [True], 1)):
         with pytest.raises(ValueError, match=name):
             detect_marked(tree, seed=0, **kwargs)
         if name == "delta":
@@ -341,7 +336,7 @@ def test_detection_and_search_equal_schur_oracle(monkeypatch):
     found = [find_marked(tree, seed=i) for i, tree in enumerate(searched)]
     assert len(searched) >= 40
     assert any(v is not None for v in found) and None in found
-    monkeypatch.setattr(qwalk, "build_walk_operator", SchurOperator)
+    monkeypatch.setattr(qwalk, "WalkOperator", SchurOperator)
     assert verdicts == [detect_marked(tree, seed=i).verdict
                         for i, tree in enumerate(corpus)]
     # find_marked builds no operator, so the oracle descent carries Schur.
@@ -413,9 +408,11 @@ def test_find_marked_runs_above_the_dimension_cap(monkeypatch):
     dnc = EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=1)
     res = tree_stats(f, dnc, collect_tree=True)
     tree = res.tree
-    assert tree.size > config.walk_dim_cap() and res.stats.sat_leaves
-    with pytest.raises(ValueError, match="exceeds the dimension cap"):
-        build_walk_operator(tree)
+    assert tree.size > qwalk.WALK_DIM_CAP and res.stats.sat_leaves
+    with pytest.raises(ValueError, match=f"^tree size {tree.size} exceeds the "
+                                         f"dimension cap {qwalk.WALK_DIM_CAP}$"):
+        build_walk_operator(tree).r_a
+    assert detect_marked(tree, seed=3).marked
     v = find_marked(tree, seed=3)
     assert v is not None and tree.marked[v]
     a = PartialAssignment.of(n, tree.assignment_pairs(v))
@@ -436,14 +433,14 @@ def test_detect_marked_reads_one_depth_bound(depth_bound):
     # `from_json` refuses such a bound; built directly, the walk operator
     # reads n = max(1, depth_bound), the n of detection's precision, and so
     # detection agrees with find_marked.
-    tree = SearchTree(1, [-1, 0], [None, (1, 1)], [0, 1], [False, True], depth_bound)
+    tree = SearchTree(1, [-1, 0], [None, (1, 1)], [False, True], depth_bound)
     assert find_marked(tree, seed=0) == 1
     det = detect_marked(tree, seed=0)
     assert det.marked
     assert det.per_trial_phase_mass[0] == pytest.approx(0.5, abs=1e-12)
     op = build_walk_operator(tree)
     assert op.mass_in_window(1e-9) == pytest.approx(0.5, abs=1e-12)
-    ref = build_walk_operator(walk_tree([-1, 0], [0, 1], [False, True], 1))
+    ref = build_walk_operator(walk_tree([-1, 0], [False, True], 1))
     assert np.array_equal(op.r_a, ref.r_a) and np.array_equal(op.r_b, ref.r_b)
 
 
@@ -479,12 +476,12 @@ def test_phase_mass_examples():
 
     # Root itself an eigenvector of phase 0 (degenerate marked root: the
     # diffusion is the identity): the full mass sits at zero phase.
-    trivial = walk_tree([-1], [0], [True], 1)
+    trivial = walk_tree([-1], [True], 1)
     op = build_walk_operator(trivial)
     assert op.mass_in_window(1e-9) == pytest.approx(1.0)
     # An unmarked childless root reflects about itself: phase pi, zero mass
     # in any small window.
-    unmarked = build_walk_operator(walk_tree([-1], [0], [False], 1))
+    unmarked = build_walk_operator(walk_tree([-1], [False], 1))
     assert unmarked.mass_in_window(1.0) == pytest.approx(0.0)
 
 
@@ -556,11 +553,10 @@ def test_find_marked_end_to_end():
 
 def test_find_marked_last_leaf_no_order_bias():
     # Complete depth-3 tree in preorder whose only marked vertex is the last leaf.
-    parents, depths = [], []
+    parents = []
 
     def grow(parent, depth):
         parents.append(parent)
-        depths.append(depth)
         if depth < 3:
             vertex = len(parents) - 1
             grow(vertex, depth + 1)
@@ -569,37 +565,27 @@ def test_find_marked_last_leaf_no_order_bias():
     grow(-1, 0)
     marked = [False] * len(parents)
     marked[-1] = True
-    tree = walk_tree(parents, depths, marked, 3)
+    tree = walk_tree(parents, marked, 3)
     v = find_marked(tree, delta=0.1, seed=5)
     assert v == len(parents) - 1
 
 
-def test_dimension_cap():
-    big = walk_tree(list(range(-1, 9)), list(range(10)), [False] * 10, 9)
-    with pytest.raises(ValueError):
-        build_walk_operator(big, dim_cap=5)
+def test_dimension_cap(monkeypatch):
+    # The cap holds the dense assembly alone: the range pass reads any size.
+    monkeypatch.setattr(qwalk, "WALK_DIM_CAP", 5)
+    op = build_walk_operator(walk_tree(list(range(-1, 9)), [False] * 9 + [True], 9))
+    assert op.mass_in_window(1e-9) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ValueError, match="^tree size 10 exceeds the dimension cap 5$"):
+        op.r_b
+    assert build_walk_operator(walk_tree(list(range(-1, 4)), [False] * 5, 4)).r_a.shape == (5, 5)
 
 
 def test_window_pass_requires_preorder():
     # Vertex 1's parent is vertex 2: the leaf-to-root pass would read it
     # before its child, so it refuses instead of answering.
-    tree = walk_tree([-1, 2, 0], [0, 2, 1], [False, True, False], 2)
+    tree = walk_tree([-1, 2, 0], [False, True, False], 2)
     with pytest.raises(ValueError, match="vertex 1 has parent 2: .* not in preorder"):
         build_walk_operator(tree).mass_in_window(1e-9)
-
-
-def test_dim_cap_env_must_parse(monkeypatch):
-    monkeypatch.setenv("HYBRIDTS_DIM_CAP", "4k")
-    with pytest.raises(ValueError, match="HYBRIDTS_DIM_CAP .*'4k'"):
-        config.walk_dim_cap()
-
-
-def test_dim_cap_env_sets_the_walk_cap_only(monkeypatch):
-    monkeypatch.setenv("HYBRIDTS_DIM_CAP", "5000")
-    assert config.walk_dim_cap() == 5000
-    circuit = Circuit(13)   # 2^13 amplitudes: above 5000, far below 2^24
-    circuit.x(12)
-    assert simulate(circuit)[1] == 1.0
 
 
 def test_walk_tree_json_round_trip():

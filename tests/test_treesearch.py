@@ -341,27 +341,23 @@ def test_search_tree_json_requires_preorder():
     # Out of preorder, a subtree need not be the id range that
     # SearchTree.subtree reads.
     good = {"numVars": 3, "parents": [-1, 0, 1, 2], "edges": [None, [1, 0], [2, 1], [3, 0]],
-            "depths": [0, 1, 2, 3], "marked": [False] * 4, "depthBound": 3}
+            "marked": [False] * 4, "depthBound": 3}
     assert SearchTree.from_json(json.dumps(good)).parents == [-1, 0, 1, 2]
-    for parents, depths in (([-1, 2, 0, 1], [0, 2, 1, 3]), ([0, -1, 1, 1], [1, 0, 2, 2]),
-                            ([-1, 0, 2, 1], [0, 1, 2, 3]), ([-1, -1, 1, 2], [0, 0, 1, 2]),
-                            # Parents precede children, but subtree(1) is {1, 3}.
-                            ([-1, 0, 0, 1], [0, 1, 1, 2])):
-        bad = dict(good, parents=parents, depths=depths)
+    for parents in ([-1, 2, 0, 1], [0, -1, 1, 1], [-1, 0, 2, 1], [-1, -1, 1, 2],
+                    # Parents precede children, but subtree(1) is {1, 3}.
+                    [-1, 0, 0, 1]):
+        bad = dict(good, parents=parents)
         with pytest.raises(ValueError, match="not in preorder"):
             SearchTree.from_json(json.dumps(bad))
 
 
 JSON_TREE = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]],
-             "depths": [0, 1, 1], "marked": [False, False, True], "depthBound": 2}
+             "marked": [False, False, True], "depthBound": 2}
 
 
 @pytest.mark.parametrize("field, value, message", [
     ("marked", [False, False], "marked has 2 entries for 3 vertices"),
     ("edges", [None, [1, 0]], "edges has 2 entries for 3 vertices"),
-    ("depths", [0, 1, 1, 2], "depths has 4 entries for 3 vertices"),
-    ("depths", [0, 1, 5], "vertex 2 has depth 5, expected 1"),
-    ("depths", [1, 2, 2], "vertex 0 has depth 1, expected 0"),
     ("depthBound", 0, "depthBound must be at least 1, got 0"),
     ("depthBound", -3, "depthBound must be at least 1, got -3"),
 ])
@@ -388,6 +384,6 @@ def test_search_tree_json_names_a_missing_field(field):
 
 def test_search_tree_json_requires_a_root():
     # A tree with no vertices has no root for the walk or the decomposition.
-    empty = dict(JSON_TREE, parents=[], edges=[], depths=[], marked=[])
+    empty = dict(JSON_TREE, parents=[], edges=[], marked=[])
     with pytest.raises(ValueError, match="^the tree has no root: parents is empty$"):
         SearchTree.from_json(json.dumps(empty))
