@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -360,11 +361,32 @@ JSON_TREE = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]
     ("edges", [None, [1, 0]], "edges has 2 entries for 3 vertices"),
     ("depthBound", 0, "depthBound must be at least 1, got 0"),
     ("depthBound", -3, "depthBound must be at least 1, got -3"),
+    ("depthBound", "3", "depthBound must be an integer or null, got '3'"),
+    ("depthBound", 1.5, "depthBound must be an integer or null, got 1.5"),
+    ("numVars", "x", "numVars must be an integer, got 'x'"),
+    ("marked", [False, "no", True], "marked entry 1 must be 0, 1, false or true, got 'no'"),
+    ("parents", [-1, "0", 0], "parents entry 1 must be an integer, got '0'"),
+    ("edges", [None, [1, 7], [1, 1]], "edges entry 1 must be null or [var, value] with "
+                                      "var in 1..2 and value 0 or 1, got [1, 7]"),
+    ("edges", [None, [1, 0], [9, 1]], "edges entry 2 must be null or [var, value] with "
+                                      "var in 1..2 and value 0 or 1, got [9, 1]"),
+    ("edges", [None, "ab", [1, 1]], "edges entry 1 must be null or [var, value] with "
+                                    "var in 1..2 and value 0 or 1, got 'ab'"),
+    ("edges", [[1, 0], [1, 0], [1, 1]],
+     "edges entry 0 must be null (the root has no edge), got [1, 0]"),
+    ("depths", [0, 1, 1], "tree JSON has an unknown field 'depths'"),
+    ("parents", {"0": -1}, "parents must be a list, got {'0': -1}"),
 ])
 def test_search_tree_json_rejects_malformed_fields(field, value, message):
     assert SearchTree.from_json(json.dumps(JSON_TREE)).assignment_pairs(2) == {1: 1}
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SearchTree.from_json(json.dumps(dict(JSON_TREE, **{field: value})))
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null", '"tree"'])
+def test_search_tree_json_must_be_an_object(text):
+    with pytest.raises(ValueError, match="^tree JSON must be an object$"):
+        SearchTree.from_json(text)
 
 
 @pytest.mark.parametrize("num_vars", [0, -2])
