@@ -581,13 +581,17 @@ def ppsz_proper(formula: CnfFormula, s: int, epsilon: float, max_rounds: int,
 def min_guesses_to_solution(formula: CnfFormula, permutation: tuple[int, ...],
                             s: int = 1) -> int | None:
     """Minimum guesses over all root-to-solution paths for this ordering: the
-    least budget at which dncPPSZ finds a model, None when none does."""
-    for budget in range(formula.num_vars + 1):
-        config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
-                              permutation=permutation, guess_budget=budget)
-        if dnc_ppsz_solve(formula, config).verdict == Verdict.SAT:
-            return budget
-    return None
+    least budget at which dncPPSZ finds a model, None when none does. A guess
+    is a two-child vertex, so a solution's guesses are its two-child
+    ancestors in the full-budget tree."""
+    config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
+                          permutation=permutation)
+    tree = tree_stats(formula, config, collect_tree=True).tree
+    guesses = [0] * tree.size
+    for v in range(1, tree.size):
+        p = tree.parents[v]
+        guesses[v] = guesses[p] + (len(tree.children[p]) == 2)
+    return min((g for g, m in zip(guesses, tree.marked) if m), default=None)
 
 
 def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,

@@ -180,6 +180,29 @@ def test_min_guesses_matches_reference_walker():
     assert {None, 0, 1, 2} <= set(results)
 
 
+def budget_loop_min_guesses(f, perm, s):
+    # One dncPPSZ solve per budget, 0 up: the least that finds a model.
+    for budget in range(f.num_vars + 1):
+        config = dnc_config(f, s=s, budget=budget, perm=perm)
+        if dnc_ppsz_solve(f, config).verdict == Verdict.SAT:
+            return budget
+    return None
+
+
+def test_min_guesses_equals_the_budget_loop():
+    rng = random.Random(21)
+    results = []
+    for _ in range(60):
+        n = rng.randint(5, 13)
+        f = random_kcnf(rng, n, round(rng.uniform(2.0, 5.0) * n))
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        s = rng.choice((1, 2))
+        got = min_guesses_to_solution(f, perm, s)
+        assert got == budget_loop_min_guesses(f, perm, s)
+        results.append(got)
+    assert None in results and len(set(results)) >= 4
+
+
 def test_dnc_full_budget_matches_dpll_verdict():
     rng = random.Random(14)
     for _ in range(60):
