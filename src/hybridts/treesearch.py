@@ -214,26 +214,25 @@ class SearchTree:
         for name in fields:
             if name not in data:
                 raise ValueError(f"tree JSON has no {name!r} field")
-        num_vars, parents, edges, marked = (data["numVars"], data["parents"],
-                                            data["edges"], data["marked"])
-        if type(num_vars) is not int:
-            raise ValueError(f"numVars must be an integer, got {num_vars!r}")
+        n = data["numVars"]
+        if type(n) is not int:
+            raise ValueError(f"numVars must be an integer, got {n!r}")
         # The walk weights the root's children by sqrt(depth bound); null
         # means num_vars, as in the constructor.
-        bound = num_vars if data["depthBound"] is None else data["depthBound"]
+        bound = n if data["depthBound"] is None else data["depthBound"]
         if type(bound) is not int:
             raise ValueError(f"depthBound must be an integer or null, got {bound!r}")
         if bound < 1:
             raise ValueError(f"depthBound must be at least 1, got {bound}")
+        parents, edges, marked = data["parents"], data["edges"], data["marked"]
         for name, column in (("parents", parents), ("edges", edges), ("marked", marked)):
             if type(column) is not list:
                 raise ValueError(f"{name} must be a list, got {column!r}")
-        if not parents:
-            raise ValueError("the tree has no root: parents is empty")
-        for name, column in (("edges", edges), ("marked", marked)):
             if len(column) != len(parents):
                 raise ValueError(f"{name} has {len(column)} entries for "
                                  f"{len(parents)} vertices")
+        if not parents:
+            raise ValueError("the tree has no root: parents is empty")
         path: list[int] = []   # root to vertex c - 1: where c's parent must lie
         for c, (p, edge, m) in enumerate(zip(parents, edges, marked)):
             if type(p) is not int:
@@ -244,16 +243,15 @@ class SearchTree:
                 raise ValueError(f"vertex {c} has parent {p}: the tree is not in preorder")
             path.append(c)
             if c == 0 and edge is not None:
-                raise ValueError(f"edges entry 0 must be null (the root has no edge), "
-                                 f"got {edge!r}")
+                raise ValueError(f"edges entry 0 (the root's) must be null, got {edge!r}")
             if edge is not None and not (
                     type(edge) is list and len(edge) == 2 and all(type(x) is int for x in edge)
-                    and 1 <= edge[0] <= num_vars and edge[1] in (0, 1)):
+                    and 1 <= edge[0] <= n and edge[1] in (0, 1)):
                 raise ValueError(f"edges entry {c} must be null or [var, value] with var in "
-                                 f"1..{num_vars} and value 0 or 1, got {edge!r}")
+                                 f"1..{n} and value 0 or 1, got {edge!r}")
             if type(m) not in (bool, int) or m not in (0, 1):
                 raise ValueError(f"marked entry {c} must be 0, 1, false or true, got {m!r}")
-        return cls(num_vars, parents, [None if e is None else tuple(e) for e in edges],
+        return cls(n, parents, [None if e is None else tuple(e) for e in edges],
                    [bool(m) for m in marked], data["depthBound"])
 
 

@@ -396,7 +396,7 @@ JSON_TREE = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]
     ("edges", [None, "ab", [1, 1]], "edges entry 1 must be null or [var, value] with "
                                     "var in 1..2 and value 0 or 1, got 'ab'"),
     ("edges", [[1, 0], [1, 0], [1, 1]],
-     "edges entry 0 must be null (the root has no edge), got [1, 0]"),
+     "edges entry 0 (the root's) must be null, got [1, 0]"),
     ("depths", [0, 1, 1], "tree JSON has an unknown field 'depths'"),
     ("parents", {"0": -1}, "parents must be a list, got {'0': -1}"),
 ])
