@@ -1,25 +1,41 @@
-"""One SHA-256 over the walk stack's outputs on a fixed seeded corpus.
+"""SHA-256 digests of exact outputs on fixed seeded corpora. A change that
+keeps a module's behaviour keeps its digest.
 
-The corpus is 150 random 3-CNF formulas, n 4..14, each searched by DPLL with
+The walk-stack corpus is 150 random 3-CNF formulas, n 4..14, each searched by DPLL with
 its default rules, DPLL with unit propagation only, dncPPSZ (s = 1) with a
 random permutation and guess budget, and dncPPSZ (s = 2) with the same
 permutation and budget. The digest covers each engine tree, read
 from its fields and not through `to_json`, whose format may change: its
 shape, its decomposition under both measures, the subtree copy at every
-cut-off, and walk detection and search. A change that keeps the stack's
-behaviour keeps the digest. Floats enter as `float.hex`, so it holds them
-bit for bit.
+cut-off, and walk detection and search. Floats enter as `float.hex`, so it
+holds them bit for bit.
+
+The SIA corpus is 60 seeded random Lattice SAT instances, side 3..5, as CNF
+with random advice, at s = 1 and s = 2; it covers the reference outcome and
+its assignment, the reversible run and its audit counts, and the plain block
+composition. The reduction corpus is 30 random 3-CNF formulas, n 4..5 with
+3..4 clauses, and covers the lattice instance and the reduction's placement,
+crossing log and grid side.
 """
 
 import hashlib
 import random
 
-from hybridts import qwalk
+from hybridts import latticesat, qwalk, sia
 from hybridts.decomposition import MEASURE_BRANCHING, MEASURE_HEIGHT, decompose
 from hybridts.generators import random_kcnf
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
 
 DIGEST = "b22c22fd5fa99899d0aa844eea757698e372e21f7f0ac84988c421b4e1c4f45f"
+SIA_DIGEST = "6796f3de676bdbd642206116729a3ac98af3cd682d76ceea0402dacb3a97f957"
+REDUCTION_DIGEST = "b5aa72fa68f812cd90ae686f7e0bd5a0ac481bd14ab1711eabd81969675ea6ff"
+
+
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+    return h.hexdigest()
 
 
 def engine_configs(rng: random.Random, n: int) -> list[EngineConfig]:
@@ -69,7 +85,39 @@ def test_walk_stack_digest(monkeypatch):
 
     # Every float then comes from the range pass.
     monkeypatch.setattr(qwalk, "_assemble_reflections", refuse)
-    h = hashlib.sha256()
-    for record in walk_stack_records():
-        h.update(repr(record).encode())
-    assert h.hexdigest() == DIGEST
+    assert digest(walk_stack_records()) == DIGEST
+
+
+def sia_records(seed: int = 47, instances: int = 60):
+    rng = random.Random(seed)
+    for _ in range(instances):
+        side = rng.randint(3, 5)
+        inst = latticesat.random_lattice_instance(rng.randrange(2 ** 32), side,
+                                                  rng.uniform(0.2, 1.0))
+        f = latticesat.lattice_to_cnf(inst)
+        advice = "".join(str(rng.randint(0, 1))
+                         for _ in range(rng.randint(0, f.num_vars)))
+        for s in (1, 2):
+            out, trace = sia.siar_execute(f, advice, side + 1, s)
+            yield (sia.sia_reference(f, advice, s),
+                   sorted(sia.reference_assignment(f, advice, s).items()),
+                   out, trace.siab_calls, trace.peak_live_intermediate, trace.restored)
+            out, assignment = sia.siac_run(f, advice, side + 1, s)
+            yield out, sorted(assignment.items())
+
+
+def reduction_records(seed: int = 48, formulas: int = 30):
+    rng = random.Random(seed)
+    for _ in range(formulas):
+        f = random_kcnf(rng, rng.randint(4, 5), rng.randint(3, 4))
+        inst, artifacts = latticesat.reduce_3sat_to_lattice(f)
+        yield (inst, sorted(artifacts.placement.items()), artifacts.overlap_log,
+               artifacts.grid_side)
+
+
+def test_sia_digest():
+    assert digest(sia_records()) == SIA_DIGEST
+
+
+def test_reduction_digest():
+    assert digest(reduction_records()) == REDUCTION_DIGEST
