@@ -136,17 +136,14 @@ def random_lattice_instance(seed: int, grid_side: int,
 @dataclass
 class ReductionArtifacts:
     placement: dict[tuple[int, int], Cell]        # (orig var, clause) -> cell
-    families: dict[int, dict[str, list[Cell]]]    # per clause: chain families
     overlap_log: list[dict]
     grid_side: int
-    variable_of_cell: dict[Cell, int]
 
 
 class _Builder:
     def __init__(self):
         self.next_id = 0
         self.pos: dict[int, Cell] = {}
-        self.kind: dict[int, str] = {}
         self.adj: dict[int, set[int]] = {}
         self.imp_edges: list[list[int]] = []      # (u, v) meaning (-u or v)
         self.junctions: list[dict] = []
@@ -154,11 +151,10 @@ class _Builder:
 
     # -- construction ------------------------------------------------------
 
-    def var(self, kind: str, cell: Cell) -> int:
+    def var(self, cell: Cell) -> int:
         vid = self.next_id
         self.next_id += 1
         self.pos[vid] = cell
-        self.kind[vid] = kind
         self.adj[vid] = set()
         return vid
 
@@ -266,7 +262,7 @@ class _Builder:
                 mid = self._splice_cell(taken, a, b)
                 if mid is None:
                     continue
-                w = self.var("chain", mid)
+                w = self.var(mid)
                 taken.add(mid)
                 progress = True
                 if link[0] == "eq":
@@ -344,7 +340,7 @@ class _Builder:
                 raise AssertionError(f"gadget cell {fresh} is not free")
         h_left, h_right = sorted(self.adj[h_vid], key=lambda n: self.pos[n][1])
         self.pos[h_vid] = h_cells[0]
-        u2 = self.var("chain", h_cells[1])
+        u2 = self.var(h_cells[1])
         self.remove_eq(h_vid, h_right)
         self.eq(h_vid, u2)
         self.eq(u2, h_right)
@@ -384,20 +380,18 @@ def reduce_3sat_to_lattice(formula: CnfFormula) -> tuple[LatticeInstance, Reduct
         prev = None
         for l in range(big_l):
             d = dpos(var, l)
-            vid = builder.var("copy", (d, d))
+            vid = builder.var((d, d))
             copies[(var, l)] = vid
             if prev is not None:
-                inter = builder.var("chain", (d - 1, d - 1))
+                inter = builder.var((d - 1, d - 1))
                 builder.eq(prev, inter)
                 builder.eq(inter, vid)
             prev = vid
 
-    families: dict[int, dict[str, list[Cell]]] = {}
-
     def chain(start_vid: int, cells: list[Cell]) -> int:
         cur = start_vid
         for cell in cells:
-            nxt = builder.var("chain", cell)
+            nxt = builder.var(cell)
             builder.eq(cur, nxt)
             cur = nxt
         return cur
@@ -406,42 +400,32 @@ def reduce_3sat_to_lattice(formula: CnfFormula) -> tuple[LatticeInstance, Reduct
         lits = sorted(clause, key=abs)
         (v1, p1), (v2, p2), (v3, p3) = [(abs(t), t > 0) for t in lits]
         d1, d2, d3 = dpos(v1, l), dpos(v2, l), dpos(v3, l)
-        fam: dict[str, list[Cell]] = {}
 
         y_cells = [(d1, c) for c in range(d1 + 1, d2 + 1)]
         y_last = chain(copies[(v1, l)], y_cells)
         z_cells = [(rr, d2) for rr in range(d2 - 1, d1, -1)]
         z_top = chain(copies[(v2, l)], z_cells)
-        t_vid = builder.var("t", (d1, d2 + 1))
+        t_vid = builder.var((d1, d2 + 1))
         builder.junctions.append({"a": y_last, "a_pol": p1, "z": z_top,
                                   "z_pol": p2, "t": t_vid, "t_pol": True})
-        fam["y"] = y_cells
-        fam["z"] = z_cells
-        fam["t"] = [(d1, d2 + 1)]
 
         yp_cells = [(d2, c) for c in range(d2 + 1, d3 + 1)]
         yp_last = chain(copies[(v2, l)], yp_cells)
         zp_cells = [(rr, d3) for rr in range(d3 - 1, d2, -1)]
         zp_top = chain(copies[(v3, l)], zp_cells)
-        tp_vid = builder.var("t", (d2, d3 + 1))
+        tp_vid = builder.var((d2, d3 + 1))
         builder.junctions.append({"a": yp_last, "a_pol": p2, "z": zp_top,
                                   "z_pol": p3, "t": tp_vid, "t_pol": False})
-        fam["yPrime"] = yp_cells
-        fam["zPrime"] = zp_cells
-        fam["tPrime"] = [(d2, d3 + 1)]
 
         # t-chain from t to a neighbor of t': right along row d1, down col d3+1.
         route = [(d1, c) for c in range(d2 + 2, d3 + 2)]
         route += [(rr, d3 + 1) for rr in range(d1 + 1, d2)]
         t_end = chain(t_vid, route)
         builder.imp_edges.append([t_end, tp_vid])
-        fam["tRoute"] = route
-        families[l] = fam
 
     builder.resolve_crossings()
 
     side = max(max(r, c) for r, c in builder.pos.values()) + 2
-    var_of_cell = {cell: cell_var(cell, side) for cell in builder.pos.values()}
 
     constraints: list[PlaquetteConstraint] = []
 
@@ -476,8 +460,7 @@ def reduce_3sat_to_lattice(formula: CnfFormula) -> tuple[LatticeInstance, Reduct
                              + "; ".join(violations))
     placement = {(var, l): builder.pos[vid] for (var, l), vid in copies.items()
                  if var <= formula.num_vars}
-    artifacts = ReductionArtifacts(placement, families, builder.overlap_log,
-                                   side, var_of_cell)
+    artifacts = ReductionArtifacts(placement, builder.overlap_log, side)
     return inst, artifacts
 
 

@@ -334,9 +334,7 @@ def siar_schedule(k: int) -> PebbleSchedule:
 class ReversibleTrace:
     """Per-entry audit data for the reversible execution."""
 
-    live_counts: list[int]                  # populated intermediates per step
     peak_live_intermediate: int
-    final_cells: dict[int, Cell]
     restored: bool                          # intermediates all zero at the end
     siab_calls: int
 
@@ -349,22 +347,18 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     k = blocks.bit_length() - 1
     schedule = siar_schedule(k)
     cells: dict[int, Cell] = {i: Cell.zero(w) for i in range(-1, k + 1)}
-    live_counts = []
     peak = 0
     for entry in schedule.entries:
         value = siab_block(padded, entry.block, w, cells[entry.source], advice,
                            s, core=core)
         cells[entry.target] = cells[entry.target].xor(value)
         live = sum(1 for i in range(k) if not cells[i].is_zero())
-        live_counts.append(live)
         peak = max(peak, live)
     restored = all(cells[i].is_zero() for i in range(k))
     out_cell = cells[k]
     outcome = _outcome(out_cell.flag, out_cell.cursor)
     trace = ReversibleTrace(
-        live_counts=live_counts,
         peak_live_intermediate=peak,
-        final_cells=dict(cells),
         restored=restored,
         siab_calls=len(schedule.entries),
     )
