@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 import time
 from pathlib import Path
@@ -22,28 +23,16 @@ from .qcircuit import (
     qpe_counter,
     qpe_standard,
 )
+from .qcircuit.oracles import optimal_iterations
 from .treesearch import (
     DNCPPSZ,
     DPLL,
     EngineConfig,
+    SolveResult,
     dnc_ppsz_solve,
     dpll_solve,
     tree_stats,
 )
-
-
-def _report(command: str, args, records: list, aggregate: dict,
-            started: float) -> dict:
-    return {
-        "schemaVersion": 1,
-        "tool": "hybridts",
-        "version": __version__,
-        "command": command,
-        "spec": _spec_echo(args),
-        "records": records,
-        "aggregate": aggregate,
-        "timing": {"wallTime": time.time() - started},
-    }
 
 
 def _spec_echo(args) -> dict:
@@ -72,20 +61,6 @@ def _emit(report: dict, args) -> None:
         _take_out(text, args)
 
 
-def _load_formula(args) -> CnfFormula:
-    if not args.input:
-        raise SystemExit("--input is required for this command")
-    return parse_dimacs(Path(args.input).read_text())
-
-
-def _stats_record(instance_id: str, engine: str, seed, result, wall: float) -> dict:
-    rec = {"instanceId": instance_id, "engine": engine, "seed": seed,
-           "verdict": result.verdict.value,
-           "wallTime": wall}
-    rec.update(result.stats.as_record())
-    return rec
-
-
 def _engine_config(args, formula: CnfFormula) -> EngineConfig:
     """The engine config of `solve` and `tree-stats`. --s and --budget set
     dncPPSZ only; with --engine dpll either one is an error."""
@@ -99,31 +74,34 @@ def _engine_config(args, formula: CnfFormula) -> EngineConfig:
                         guess_budget=args.budget).validated(formula)
 
 
-def cmd_solve(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def _engine_record(args, run) -> tuple[dict, SolveResult]:
+    """Run `run` on --input under the engine flags; the record's wallTime is
+    the engine run's."""
+    formula = parse_dimacs(Path(args.input).read_text())
     config = _engine_config(args, formula)
-    solve = dpll_solve if args.engine == DPLL else dnc_ppsz_solve
-    result = solve(formula, config)
-    rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
-                        time.time() - started)
+    started = time.time()
+    result = run(formula, config)
+    rec = {"instanceId": Path(args.input).stem, "engine": args.engine,
+           "verdict": result.verdict.value, "wallTime": time.time() - started}
+    rec.update(result.stats.as_record())
+    return rec, result
+
+
+def cmd_solve(args) -> tuple[list, dict]:
+    rec, result = _engine_record(
+        args, dpll_solve if args.engine == DPLL else dnc_ppsz_solve)
     if result.model:
         rec["model"] = list(result.model)
-    return _report("solve", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_tree_stats(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
-    result = tree_stats(formula, _engine_config(args, formula))
-    rec = _stats_record(Path(args.input).stem, args.engine, args.seed, result,
-                        time.time() - started)
-    return _report("tree-stats", args, [rec], {}, started)
+def cmd_tree_stats(args) -> tuple[list, dict]:
+    rec, _ = _engine_record(args, tree_stats)
+    return [rec], {}
 
 
-def cmd_decompose(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def cmd_decompose(args) -> tuple[list, dict]:
+    formula = parse_dimacs(Path(args.input).read_text())
     result = tree_stats(formula, EngineConfig(kind=DPLL), collect_tree=True)
     decomp = decomposition.decompose(result.tree, args.measure, args.budget)
     model_sqrt = decomposition.CostModel(phi="sqrt")
@@ -138,11 +116,12 @@ def cmd_decompose(args) -> dict:
         "hybridQuerySqrt": decomposition.hybrid_query_count(decomp, model_sqrt),
         "hybridQueryClassical": decomposition.hybrid_query_count(decomp, model_cls),
     }
-    return _report("decompose", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_fit_exponent(args) -> dict:
-    started = time.time()
+def cmd_fit_exponent(args) -> tuple[list, dict]:
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv requires --out")
     ns = list(range(args.nmin, args.nmax + 1))
     fit = decomposition.fit_uniform_hybrid_exponent(args.lambda_, args.kappa, ns)
     if args.format == "csv":
@@ -150,14 +129,12 @@ def cmd_fit_exponent(args) -> dict:
         for n, v in zip(fit["ns"], fit["log2TH"]):
             lines.append(f"{args.lambda_},{args.kappa},{n},{v}")
         _take_out("\n".join(lines), args)
-    return _report("fit-exponent", args, [fit],
-                   {"fittedExponent": fit["fittedExponent"],
-                    "expectedExponent": fit["expectedExponent"]}, started)
+    return [fit], {"fittedExponent": fit["fittedExponent"],
+                   "expectedExponent": fit["expectedExponent"]}
 
 
-def cmd_qwalk_detect(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def cmd_qwalk_detect(args) -> tuple[list, dict]:
+    formula = parse_dimacs(Path(args.input).read_text())
     result = tree_stats(formula, EngineConfig(kind=DPLL), collect_tree=True)
     tree = result.tree
     detection = qwalk.detect_marked(tree, delta=args.delta, seed=args.seed,
@@ -171,16 +148,14 @@ def cmd_qwalk_detect(args) -> dict:
         "perTrialPhaseMass": detection.per_trial_phase_mass[0],
         "groundTruth": "markedExists" if result.stats.sat_leaves else "noMarked",
     }
-    return _report("qwalk-detect", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_grover(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def cmd_grover(args) -> tuple[list, dict]:
+    formula = parse_dimacs(Path(args.input).read_text())
     solutions = generators.brute_force_count(formula)
     iterations = args.iterations
     if iterations is None:
-        from .qcircuit.oracles import optimal_iterations
         iterations = optimal_iterations(formula.num_vars, solutions)
     result = grover_search(formula, iterations, oracle=args.oracle)
     theta = grover_angle(formula.num_vars, solutions)
@@ -194,13 +169,10 @@ def cmd_grover(args) -> dict:
         "oracle": result.oracle_kind,
         "solutions": solutions,
     }
-    return _report("grover", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_qpe_compare(args) -> dict:
-    started = time.time()
-    if args.seed is None:
-        raise SystemExit("--seed is mandatory")
+def cmd_qpe_compare(args) -> tuple[list, dict]:
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -221,21 +193,18 @@ def cmd_qpe_compare(args) -> dict:
         worst = max(worst, diff)
         records.append({"trial": trial, "t": t, "p0": p0, "p0Prime": p0p,
                         "absDiff": diff, "counterAncillas": ancillas})
-    return _report("qpe-compare", args, records,
-                   {"maxAbsDiff": worst}, started)
+    return records, {"maxAbsDiff": worst}
 
 
-def cmd_sia_run(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def cmd_sia_run(args) -> tuple[list, dict]:
+    formula = parse_dimacs(Path(args.input).read_text())
     width = args.w if args.w else max(1, index_width(formula))
     if args.advice is not None:
         advice = args.advice
     else:
         if args.seed is None:
-            raise SystemExit("--seed is mandatory when --advice is omitted")
-        import random as _random
-        rng = _random.Random(args.seed)
+            raise ValueError("--seed is required when --advice is omitted")
+        rng = random.Random(args.seed)
         advice = "".join(str(rng.randint(0, 1)) for _ in range(formula.num_vars))
     reference = sia.sia_reference(formula, advice, args.s)
     outcome, trace = sia.siar_execute(formula, advice, width, args.s)
@@ -250,21 +219,19 @@ def cmd_sia_run(args) -> dict:
         "peakLiveCells": trace.peak_live_intermediate,
         "intermediatesRestored": trace.restored,
     }
-    return _report("sia-run", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_pebble_schedule(args) -> dict:
-    started = time.time()
+def cmd_pebble_schedule(args) -> tuple[list, dict]:
     schedule = sia.siar_schedule(args.k)
     _take_out(schedule.as_text(), args)
     rec = {"k": args.k, "entries": len(schedule.entries),
            "expected": 3 ** args.k}
-    return _report("pebble-schedule", args, [rec], {}, started)
+    return [rec], {}
 
 
-def cmd_lattice_reduce(args) -> dict:
-    started = time.time()
-    formula = _load_formula(args)
+def cmd_lattice_reduce(args) -> tuple[list, dict]:
+    formula = parse_dimacs(Path(args.input).read_text())
     inst, artifacts = reduce_3sat_to_lattice(formula)
     reduced = lattice_to_cnf(inst)
     check = equisat_check(formula, inst)
@@ -278,7 +245,7 @@ def cmd_lattice_reduce(args) -> dict:
         "overlapsRewritten": len(artifacts.overlap_log),
         "equisat": check,
     }
-    return _report("lattice-reduce", args, [rec], {}, started)
+    return [rec], {}
 
 
 def seth_hybrid_queries(formula: CnfFormula, kappa: float) -> dict:
@@ -303,12 +270,8 @@ def seth_hybrid_queries(formula: CnfFormula, kappa: float) -> dict:
             "queries": int(queries), "satisfiable": bool(counts.sum() > 0)}
 
 
-def cmd_seth_hybrid(args) -> dict:
-    started = time.time()
-    if args.seed is None:
-        raise SystemExit("--seed is mandatory")
-    import random as _random
-    rng = _random.Random(args.seed)
+def cmd_seth_hybrid(args) -> tuple[list, dict]:
+    rng = random.Random(args.seed)
     records = []
     ns = list(range(args.nmin, args.nmax + 1))
     for n in ns:
@@ -318,9 +281,8 @@ def cmd_seth_hybrid(args) -> dict:
     log_q = [math.log2(r["queries"]) for r in records]
     slope = float(np.polyfit(ns, log_q, 1)[0])
     expected = 1 - args.kappa / 2
-    return _report("seth-hybrid", args, records,
-                   {"measuredExponent": slope, "predictedExponent": expected,
-                    "withinTolerance": abs(slope - expected) <= 0.05}, started)
+    return records, {"measuredExponent": slope, "predictedExponent": expected,
+                     "withinTolerance": abs(slope - expected) <= 0.05}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,89 +291,87 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid classical-quantum tree-search laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json",)):
-        p.add_argument("--input", help="DIMACS CNF input path")
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, func, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="run one engine on one instance")
-    common(p)
-    p.add_argument("--engine", choices=(DPLL, DNCPPSZ), default=DPLL)
-    p.add_argument("--s", type=int, default=None, help="dncppsz only (default 1)")
-    p.add_argument("--budget", type=int, default=None, help="dncppsz only (default n)")
-    p.set_defaults(func=cmd_solve)
+    def engine_flags(p) -> None:
+        p.add_argument("--engine", choices=(DPLL, DNCPPSZ), default=DPLL)
+        p.add_argument("--s", type=int, default=None, help="dncppsz only (default 1)")
+        p.add_argument("--budget", type=int, default=None, help="dncppsz only (default n)")
 
-    p = sub.add_parser("tree-stats", help="exhaustive tree instrumentation")
-    common(p)
-    p.add_argument("--engine", choices=(DPLL, DNCPPSZ), default=DPLL)
-    p.add_argument("--s", type=int, default=None, help="dncppsz only (default 1)")
-    p.add_argument("--budget", type=int, default=None, help="dncppsz only (default n)")
-    p.set_defaults(func=cmd_tree_stats)
+    p = command("solve", cmd_solve, help="run one engine on one instance")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
+    engine_flags(p)
 
-    p = sub.add_parser("decompose", help="search-tree decomposition report")
-    common(p)
+    p = command("tree-stats", cmd_tree_stats, help="exhaustive tree instrumentation")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
+    engine_flags(p)
+
+    p = command("decompose", cmd_decompose, help="search-tree decomposition report")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--measure", choices=("height", "branchingNumber"),
                    default="height")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser(
-        "fit-exponent", help="hybrid exponent fit on the uniform family",
+    p = command(
+        "fit-exponent", cmd_fit_exponent,
+        help="hybrid exponent fit on the uniform family",
         description="Hybrid exponent fit on the uniform family. With "
                     "--format csv the fit matrix is written to --out, which "
                     "csv requires, and the JSON report to stdout.")
-    common(p, formats=("json", "csv"))
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--lambda", dest="lambda_", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--nmin", type=int, default=16)
     p.add_argument("--nmax", type=int, default=28)
-    p.set_defaults(func=cmd_fit_exponent)
 
-    p = sub.add_parser("qwalk-detect", help="marked-vertex detection on a DPLL tree")
-    common(p)
+    p = command("qwalk-detect", cmd_qwalk_detect,
+                help="marked-vertex detection on a DPLL tree")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_qwalk_detect)
 
-    p = sub.add_parser("grover", help="Grover search with exact amplitudes")
-    common(p)
+    p = command("grover", cmd_grover, help="Grover search with exact amplitudes")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--oracle", choices=("auto", "naive", "counter"), default="auto")
-    p.set_defaults(func=cmd_grover)
 
-    p = sub.add_parser("qpe-compare", help="standard vs counter phase estimation")
-    common(p)
+    p = command("qpe-compare", cmd_qpe_compare,
+                help="standard vs counter phase estimation")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_qpe_compare)
 
-    p = sub.add_parser("sia-run", help="reference vs reversible SIA")
-    common(p)
+    p = command("sia-run", cmd_sia_run, help="reference vs reversible SIA")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
+    p.add_argument("--seed", type=int, default=None,
+                   help="draws the advice when --advice is omitted")
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--advice", default=None)
-    p.set_defaults(func=cmd_sia_run)
 
-    p = sub.add_parser(
-        "pebble-schedule", help="Bennett pebbling schedule text",
+    p = command(
+        "pebble-schedule", cmd_pebble_schedule,
+        help="Bennett pebbling schedule text",
         description="Bennett pebbling schedule text. The schedule goes to "
                     "--out and the JSON report to stdout; without --out the "
                     "schedule goes to stdout and the report to stderr.")
-    common(p)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_pebble_schedule)
 
-    p = sub.add_parser("lattice-reduce", help="3-SAT to Lattice SAT reduction")
-    common(p)
-    p.set_defaults(func=cmd_lattice_reduce)
+    p = command("lattice-reduce", cmd_lattice_reduce,
+                help="3-SAT to Lattice SAT reduction")
+    p.add_argument("--input", required=True, help="DIMACS CNF input path")
 
-    p = sub.add_parser("seth-hybrid", help="brute force + Grover query exponent")
-    common(p)
+    p = command("seth-hybrid", cmd_seth_hybrid,
+                help="brute force + Grover query exponent")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--nmin", type=int, default=16)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--clause-ratio", type=float, default=4.5)
-    p.set_defaults(func=cmd_seth_hybrid)
 
     return parser
 
@@ -419,16 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and not args.out:
-        parser.error("--format csv requires --out")
+    started = time.time()
     try:
-        report = args.func(args)
+        records, aggregate = args.func(args)
+        _emit({
+            "schemaVersion": 1,
+            "tool": "hybridts",
+            "version": __version__,
+            "command": args.command,
+            "spec": _spec_echo(args),
+            "records": records,
+            "aggregate": aggregate,
+            "timing": {"wallTime": time.time() - started},
+        }, args)
     except ValueError as exc:  # malformed input or a cap: no traceback
         parser.exit(2, f"hybridts {args.command}: error: {exc}\n")
-    _emit(report, args)
-    ok = report.get("aggregate", {}).get("withinTolerance", True)
-    records_ok = all(r.get("match", True) for r in report.get("records", []))
-    return 0 if ok and records_ok else 1
+    ok = aggregate.get("withinTolerance", True)
+    return 0 if ok and all(r.get("match", True) for r in records) else 1
 
 
 if __name__ == "__main__":

@@ -49,10 +49,10 @@ def strip_timing(report):
 
 
 def test_solve_record_schema(instance, tmp_path):
-    code, report = run(["solve", "--input", str(instance), "--seed", "1"], tmp_path)
+    code, report = run(["solve", "--input", str(instance)], tmp_path)
     assert code == 0
     rec = report["records"][0]
-    for key in ("instanceId", "engine", "seed", "T", "height", "br", "K",
+    for key in ("instanceId", "engine", "T", "height", "br", "K",
                 "Tprime", "verdict", "wallTime"):
         assert key in rec
     assert report["schemaVersion"] == 1
@@ -63,30 +63,29 @@ def test_solve_dncppsz_not_found_label(tmp_path):
     path = tmp_path / "dense.cnf"
     path.write_text(serialize_dimacs(f))
     code, report = run(["solve", "--input", str(path), "--engine", "dncppsz",
-                        "--budget", "0", "--seed", "1"], tmp_path)
+                        "--budget", "0"], tmp_path)
     assert report["records"][0]["verdict"] in ("not-found", "sat")
 
 
 def test_tree_stats_and_decompose(instance, tmp_path):
-    _, stats = run(["tree-stats", "--input", str(instance), "--seed", "1"],
-                   tmp_path)
+    _, stats = run(["tree-stats", "--input", str(instance)], tmp_path)
     assert stats["records"][0]["T"] >= stats["records"][0]["K"]
-    _, decomp = run(["decompose", "--input", str(instance), "--budget", "2",
-                     "--seed", "1"], tmp_path)
+    _, decomp = run(["decompose", "--input", str(instance), "--budget", "2"],
+                    tmp_path)
     rec = decomp["records"][0]
     assert rec["T0"] + sum(rec["subtreeSizes"]) == rec["T"]
 
 
 def test_fit_exponent(tmp_path):
-    code, report = run(["fit-exponent", "--lambda", "0.8", "--kappa", "0.5",
-                        "--seed", "1"], tmp_path)
+    code, report = run(["fit-exponent", "--lambda", "0.8", "--kappa", "0.5"],
+                       tmp_path)
     agg = report["aggregate"]
     assert abs(agg["fittedExponent"] - agg["expectedExponent"]) <= 0.05
 
 
 def test_fit_exponent_csv(tmp_path, capsys):
     out = tmp_path / "fit.csv"
-    main(["fit-exponent", "--lambda", "1.0", "--kappa", "0.25", "--seed", "1",
+    main(["fit-exponent", "--lambda", "1.0", "--kappa", "0.25",
           "--format", "csv", "--out", str(out)])
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "lambda,kappaPrime,n,log2TH"
@@ -196,8 +195,7 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_grover(small_instance, tmp_path):
-    code, report = run(["grover", "--input", str(small_instance), "--seed", "1"],
-                       tmp_path)
+    code, report = run(["grover", "--input", str(small_instance)], tmp_path)
     rec = report["records"][0]
     assert abs(rec["successProbability"] - rec["closedForm"]) < 1e-6
 
@@ -277,8 +275,7 @@ def test_pebble_schedule_without_out_splits_streams(capsys):
 
 
 def test_lattice_reduce(small_instance, tmp_path):
-    code, report = run(["lattice-reduce", "--input", str(small_instance),
-                        "--seed", "1"], tmp_path)
+    code, report = run(["lattice-reduce", "--input", str(small_instance)], tmp_path)
     rec = report["records"][0]
     assert rec["equisat"]["agree"]
     assert rec["reducedIndexWidth"] <= rec["widthBound"]
@@ -292,8 +289,8 @@ def test_seth_hybrid_small_range(tmp_path):
 
 
 def test_reports_are_deterministic(instance, tmp_path):
-    _, a = run(["solve", "--input", str(instance), "--seed", "9"], tmp_path, "a.json")
-    _, b = run(["solve", "--input", str(instance), "--seed", "9"], tmp_path, "b.json")
+    _, a = run(["solve", "--input", str(instance)], tmp_path, "a.json")
+    _, b = run(["solve", "--input", str(instance)], tmp_path, "b.json")
     assert json.dumps(strip_timing(a), sort_keys=True) == \
         json.dumps(strip_timing(b), sort_keys=True)
 
