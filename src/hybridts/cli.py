@@ -271,6 +271,10 @@ def seth_hybrid_queries(formula: CnfFormula, kappa: float) -> dict:
 
 
 def cmd_seth_hybrid(args) -> tuple[list, dict]:
+    expected = decomposition.predicted_exponent(args.kappa, 1.0)
+    if args.nmax <= args.nmin:
+        raise ValueError("a fit needs at least 2 sizes n, "
+                         f"got nmin {args.nmin} and nmax {args.nmax}")
     rng = random.Random(args.seed)
     records = []
     ns = list(range(args.nmin, args.nmax + 1))
@@ -280,7 +284,6 @@ def cmd_seth_hybrid(args) -> tuple[list, dict]:
         records.append(rec)
     log_q = [math.log2(r["queries"]) for r in records]
     slope = float(np.polyfit(ns, log_q, 1)[0])
-    expected = 1 - args.kappa / 2
     return records, {"measuredExponent": slope, "predictedExponent": expected,
                      "withinTolerance": abs(slope - expected) <= 0.05}
 
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
             "aggregate": aggregate,
             "timing": {"wallTime": time.time() - started},
         }, args)
-    except ValueError as exc:  # malformed input or a cap: no traceback
+    except (ValueError, OSError) as exc:  # bad input, flag value or path: no traceback
         parser.exit(2, f"hybridts {args.command}: error: {exc}\n")
     ok = aggregate.get("withinTolerance", True)
     return 0 if ok and all(r.get("match", True) for r in records) else 1

@@ -255,13 +255,15 @@ def uniform_family_decomposition(n: int, lam: float, kappa_prime: float) -> Tree
 def fit_uniform_hybrid_exponent(lam: float, kappa_prime: float,
                                 ns: list[int], model: CostModel | None = None) -> dict:
     """Least-squares slope of log2(T_H) against n over the uniform family."""
+    expected = predicted_exponent(kappa_prime, lam)
+    if len(set(ns)) < 2:
+        raise ValueError(f"a fit needs at least 2 sizes n, got {sorted(set(ns))}")
     model = model or CostModel(phi=PHI_SQRT)
     log_th = []
     for n in ns:
         decomp = uniform_family_decomposition(n, lam, kappa_prime)
         log_th.append(math.log2(hybrid_query_count(decomp, model)))
     fit = np.polyfit(ns, log_th, 1)
-    expected = predicted_exponent(kappa_prime, lam)
     return {"lambda": lam, "kappaPrime": kappa_prime, "ns": list(ns),
             "log2TH": [float(v) for v in log_th],
             "fittedExponent": float(fit[0]), "expectedExponent": expected,

@@ -258,6 +258,41 @@ def test_dimacs_header_error_exit_2(text, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["--input", "--out"])
+def test_missing_input_or_out_directory_exit_2(where, instance, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    paths = {"--input": instance, "--out": tmp_path / "out.json", where: missing}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(paths["--input"]), "--out", str(paths["--out"])])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        f"hybridts solve: error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == [instance]
+
+
+FIT = ["fit-exponent", "--lambda", "1", "--kappa", "0.5"]
+SETH = ["seth-hybrid", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (FIT + ["--nmin", "10", "--nmax", "9"], "a fit needs at least 2 sizes n, got []"),
+    (FIT + ["--nmin", "10", "--nmax", "10"], "a fit needs at least 2 sizes n, got [10]"),
+    (SETH + ["--nmin", "12", "--nmax", "11"],
+     "a fit needs at least 2 sizes n, got nmin 12 and nmax 11"),
+    (SETH + ["--nmin", "12", "--nmax", "12"],
+     "a fit needs at least 2 sizes n, got nmin 12 and nmax 12"),
+    (SETH + ["--kappa", "2"], "kappa' must lie in [0, 1]"),
+    (SETH + ["--kappa", "-1"], "kappa' must lie in [0, 1]"),
+])
+def test_fit_range_or_kappa_out_of_range_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"hybridts {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
 def test_pebble_schedule(tmp_path, capsys):
     out = tmp_path / "sched.txt"
     main(["pebble-schedule", "--k", "3", "--out", str(out)])
