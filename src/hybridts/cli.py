@@ -258,16 +258,9 @@ def seth_hybrid_queries(formula: CnfFormula, kappa: float) -> dict:
     # Variable 1 is the truth index's top bit, so the prefix variables
     # 1..prefix are the bits above the suffix.
     counts = np.bincount(np.flatnonzero(truth) >> suffix, minlength=2 ** prefix)
-    m_suffix = 2 ** suffix
-    full_budget = math.ceil((math.pi / 4) * math.sqrt(m_suffix))
-    queries = 0
-    for m in counts:
-        if m == 0:
-            queries += full_budget
-        else:
-            queries += max(1, math.floor((math.pi / 4) * math.sqrt(m_suffix / m)))
+    queries = sum(max(1, optimal_iterations(suffix, int(m))) for m in counts)
     return {"n": n, "prefixVars": prefix, "suffixVars": suffix,
-            "queries": int(queries), "satisfiable": bool(counts.sum() > 0)}
+            "queries": queries, "satisfiable": bool(counts.sum() > 0)}
 
 
 def cmd_seth_hybrid(args) -> tuple[list, dict]:
