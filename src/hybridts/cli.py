@@ -1,5 +1,12 @@
 """Experiment harness: seeded pipelines over the laboratory modules with
-machine-readable reports (JSON records, CSV for fit matrices)."""
+machine-readable reports (JSON records, CSV for fit matrices).
+
+A subcommand declares only the flags its handler reads, so a flag it does not
+read is an argparse error. A handler returns its records and aggregate, and
+`main` times the run and builds the report around them. Malformed input, a
+flag value out of range, or a path that cannot be read or written ends the
+run with one stderr line, exit status 2 and no report.
+"""
 
 from __future__ import annotations
 

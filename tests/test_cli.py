@@ -11,7 +11,7 @@ import pytest
 
 import hybridts
 from hybridts import qwalk
-from hybridts.cli import _emit, main
+from hybridts.cli import _emit, build_parser, main
 from hybridts.formula import serialize_dimacs
 from hybridts.generators import random_kcnf
 
@@ -91,6 +91,49 @@ def test_fit_exponent_csv(tmp_path, capsys):
     assert lines[0] == "lambda,kappaPrime,n,log2TH"
     assert len(lines) == 14
     assert json.loads(capsys.readouterr().out)["command"] == "fit-exponent"
+
+
+# Each subcommand declares exactly the flags its handler reads.
+FLAGS = {
+    "solve": "--input --out --engine --s --budget",
+    "tree-stats": "--input --out --engine --s --budget",
+    "decompose": "--input --out --budget --measure",
+    "fit-exponent": "--out --format --lambda --kappa --nmin --nmax",
+    "qwalk-detect": "--input --seed --out --delta --trials",
+    "grover": "--input --out --iterations --oracle",
+    "qpe-compare": "--seed --out --trials",
+    "sia-run": "--input --seed --out --w --s --advice",
+    "pebble-schedule": "--out --k",
+    "lattice-reduce": "--input --out",
+    "seth-hybrid": "--seed --out --kappa --nmin --nmax --clause-ratio",
+}
+
+
+def declared_flags() -> dict[str, set[str]]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_command_declares_exactly_its_flags(command):
+    flags = declared_flags()
+    assert flags.keys() == FLAGS.keys()
+    assert flags[command] == set(FLAGS[command].split())
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["decompose", "--input", "x.cnf", "--budget", "2", "--seed", "5"], "--seed"),
+    (["seth-hybrid", "--seed", "1", "--input", "x.cnf"], "--input"),
+    (["grover", "--input", "x.cnf", "--format", "json"], "--format"),
+])
+def test_undeclared_flag_exit_2(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"hybridts: error: unrecognized arguments: {flag}")
 
 
 @pytest.mark.parametrize("args", [
