@@ -205,7 +205,7 @@ def cmd_qpe_compare(args) -> tuple[list, dict]:
 
 def cmd_sia_run(args) -> tuple[list, dict]:
     formula = parse_dimacs(Path(args.input).read_text())
-    width = args.w if args.w else max(1, index_width(formula))
+    width = args.w if args.w is not None else max(1, index_width(formula))
     if args.advice is not None:
         advice = args.advice
     else:
@@ -249,7 +249,7 @@ def cmd_lattice_reduce(args) -> tuple[list, dict]:
         "reducedVars": reduced.num_vars,
         "reducedIndexWidth": index_width(reduced),
         "widthBound": inst.grid_side + 1,
-        "overlapsRewritten": len(artifacts.overlap_log),
+        "crossings": len(artifacts.crossings),
         "equisat": check,
     }
     return [rec], {}
@@ -275,9 +275,12 @@ def cmd_seth_hybrid(args) -> tuple[list, dict]:
     if args.nmax <= args.nmin:
         raise ValueError("a fit needs at least 2 sizes n, "
                          f"got nmin {args.nmin} and nmax {args.nmax}")
+    ns = list(range(args.nmin, args.nmax + 1))
+    for n in ns:
+        if round(args.clause_ratio * n) < 1:
+            raise ValueError(f"--clause-ratio {args.clause_ratio} gives no clause at n = {n}")
     rng = random.Random(args.seed)
     records = []
-    ns = list(range(args.nmin, args.nmax + 1))
     for n in ns:
         formula = generators.random_kcnf(rng, n, round(args.clause_ratio * n), 3)
         rec = seth_hybrid_queries(formula, args.kappa)

@@ -258,6 +258,8 @@ def fit_uniform_hybrid_exponent(lam: float, kappa_prime: float,
     expected = predicted_exponent(kappa_prime, lam)
     if len(set(ns)) < 2:
         raise ValueError(f"a fit needs at least 2 sizes n, got {sorted(set(ns))}")
+    if min(ns) < 1:
+        raise ValueError(f"sizes n must be at least 1, got {min(ns)}")
     model = model or CostModel(phi=PHI_SQRT)
     log_th = []
     for n in ns:

@@ -83,18 +83,11 @@ def clause_oracle_counter(formula: CnfFormula) -> OracleCircuit:
         order = formula.clauses if step == 1 else tuple(reversed(formula.clauses))
         for clause in order:
             controls = _clause_false_controls(clause, var_wire)
-            if step == 1:
-                c.x(scratch)
-                c.x(scratch, controls)          # scratch = clause truth
-                append_increment(c, counter, ((scratch, 1),), step=1)
-                c.x(scratch, controls)
-                c.x(scratch)
-            else:
-                c.x(scratch)
-                c.x(scratch, controls)
-                append_increment(c, counter, ((scratch, 1),), step=-1)
-                c.x(scratch, controls)
-                c.x(scratch)
+            c.x(scratch)
+            c.x(scratch, controls)              # scratch = clause truth
+            append_increment(c, counter, ((scratch, 1),), step=step)
+            c.x(scratch, controls)
+            c.x(scratch)
 
     count_pass(circ, 1)
     # Phase -1 exactly on counter == m: Z on the top set bit of m, controlled

@@ -280,6 +280,8 @@ def _block_setup(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     the formula padded with forced-true dummy unit variables so that w divides
     n and the block count is a power of two. Returns (padded, num_blocks,
     bits, core); the core's satisfaction target leaves the padding out."""
+    if w < 1:
+        raise ValueError("block width w must be at least 1")
     if index_width(formula) > w:
         raise ValueError("formula index width exceeds the block width w")
     bits = _advice_bits(advice)

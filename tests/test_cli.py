@@ -284,6 +284,18 @@ def test_sia_run_bad_advice_exit_2(small_instance, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("w", ["0", "-1"])
+def test_sia_run_block_width_below_one_exit_2(w, small_instance, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["sia-run", "--input", str(small_instance), "--advice", "01",
+              "--w", w, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "hybridts sia-run: error: block width w must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("p cnf x 3\n1 0\n", "malformed DIMACS header: 'p cnf x 3'"),
     ("p cnf -3 1\n1 0\n", "malformed DIMACS header: 'p cnf -3 1'"),
@@ -326,6 +338,12 @@ SETH = ["seth-hybrid", "--seed", "1"]
      "a fit needs at least 2 sizes n, got nmin 12 and nmax 12"),
     (SETH + ["--kappa", "2"], "kappa' must lie in [0, 1]"),
     (SETH + ["--kappa", "-1"], "kappa' must lie in [0, 1]"),
+    (SETH + ["--clause-ratio", "0"], "--clause-ratio 0.0 gives no clause at n = 16"),
+    (SETH + ["--clause-ratio", "-1"], "--clause-ratio -1.0 gives no clause at n = 16"),
+    (SETH + ["--clause-ratio", "0.1", "--nmin", "4", "--nmax", "8"],
+     "--clause-ratio 0.1 gives no clause at n = 4"),
+    (FIT + ["--nmin", "0", "--nmax", "10"], "sizes n must be at least 1, got 0"),
+    (FIT + ["--nmin", "-3", "--nmax", "10"], "sizes n must be at least 1, got -3"),
 ])
 def test_fit_range_or_kappa_out_of_range_exit_2(argv, message, tmp_path, capsys):
     out = tmp_path / "out.json"

@@ -16,6 +16,14 @@ its assignment, the reversible run and its audit counts, and the plain block
 composition. The reduction corpus is 30 random 3-CNF formulas, n 4..5 with
 3..4 clauses, and covers the lattice instance and the reduction's placement,
 crossing log and grid side.
+
+The circuit corpus is 40 random CNF formulas, n 1..5 with 1..6 clauses of
+width 1..3; it covers the `export_text` of both clause oracles, of a short
+Grover circuit and of every walk component. The DIMACS corpus is 200
+generated texts with comments, CRLF line ends, the `%` trailer, clauses of
+width 1..5 that may share or span lines, tautologies and repeated literals;
+one text in eight is made malformed, and the digest holds the parsed formula
+or the error message.
 """
 
 import hashlib
@@ -23,12 +31,21 @@ import random
 
 from hybridts import latticesat, qwalk, sia
 from hybridts.decomposition import MEASURE_BRANCHING, MEASURE_HEIGHT, decompose
+from hybridts.formula import CnfFormula, parse_dimacs
 from hybridts.generators import random_kcnf
+from hybridts.qcircuit import export_text, walk
+from hybridts.qcircuit.oracles import (
+    clause_oracle_counter,
+    clause_oracle_naive,
+    grover_circuit,
+)
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
 
 DIGEST = "b22c22fd5fa99899d0aa844eea757698e372e21f7f0ac84988c421b4e1c4f45f"
 SIA_DIGEST = "6796f3de676bdbd642206116729a3ac98af3cd682d76ceea0402dacb3a97f957"
-REDUCTION_DIGEST = "b5aa72fa68f812cd90ae686f7e0bd5a0ac481bd14ab1711eabd81969675ea6ff"
+REDUCTION_DIGEST = "b06d78a7aaff764f875b4e46799994cbb1e9257dda0064b4296fcbdc338df953"
+CIRCUIT_DIGEST = "a7ca67540e4cce0a92e80fd05b68bda16f183184e2f2b38a0b94910bbcdc38b8"
+DIMACS_DIGEST = "042fe6577bd5a69f175c7278ed3348eedf3f063ff576ca745aac412d915d5bdb"
 
 
 def digest(records) -> str:
@@ -111,7 +128,7 @@ def reduction_records(seed: int = 48, formulas: int = 30):
     for _ in range(formulas):
         f = random_kcnf(rng, rng.randint(4, 5), rng.randint(3, 4))
         inst, artifacts = latticesat.reduce_3sat_to_lattice(f)
-        yield (inst, sorted(artifacts.placement.items()), artifacts.overlap_log,
+        yield (inst, sorted(artifacts.placement.items()), artifacts.crossings,
                artifacts.grid_side)
 
 
@@ -121,3 +138,76 @@ def test_sia_digest():
 
 def test_reduction_digest():
     assert digest(reduction_records()) == REDUCTION_DIGEST
+
+
+def random_cnf(rng: random.Random) -> CnfFormula:
+    n = rng.randint(1, 5)
+    clauses = []
+    for _ in range(rng.randint(1, 6)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return CnfFormula.from_clauses(n, clauses)
+
+
+def circuit_records(seed: int = 49, formulas: int = 40):
+    rng = random.Random(seed)
+    for _ in range(formulas):
+        f = random_cnf(rng)
+        naive, counter = clause_oracle_naive(f), clause_oracle_counter(f)
+        yield export_text(naive.circuit), export_text(counter.circuit)
+        circ, _ = grover_circuit(f, rng.randint(0, 2), rng.choice((naive, counter)))
+        yield export_text(circ)
+        for component in (walk.build_v_leaf(f), walk.build_v_marked(f),
+                          walk.build_v_unit(f), walk.build_v_pure(f),
+                          walk.build_v_next(f.num_vars), walk.build_v_a_static(f)):
+            yield component.name, export_text(component.circuit)
+
+
+def dimacs_text(rng: random.Random) -> str:
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(1, 10)):
+        clause = [rng.choice((1, -1)) * rng.randint(1, n)
+                  for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.2:
+            clause.append(-clause[0])                 # tautology
+        if rng.random() < 0.2:
+            clause.append(rng.choice(clause))         # repeated literal
+        clauses.append(clause)
+    lines = [" " * rng.randint(0, 2) + "c comment " + str(rng.random())
+             for _ in range(rng.randint(0, 2))]
+    lines.append(f"p cnf {n}{' ' * rng.randint(1, 2)}{len(clauses)}")
+    body = [tok for clause in clauses for tok in [*map(str, clause), "0"]]
+    while body:
+        cut = rng.randint(1, len(body))
+        lines.append(" ".join(body[:cut]))
+        body = body[cut:]
+        if rng.random() < 0.2:
+            lines.insert(rng.randint(1, len(lines)), "c inside")
+    if rng.random() < 0.3:
+        lines += ["%", "0"]
+    if rng.random() < 0.125:
+        at = rng.randrange(len(lines))
+        lines[at] = rng.choice((lines[at] + " x", lines[at] + " 99",
+                                lines[at].rstrip("0"), "p cnf 2 2"))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + end
+
+
+def dimacs_records(seed: int = 50, texts: int = 200):
+    rng = random.Random(seed)
+    for _ in range(texts):
+        try:
+            f = parse_dimacs(dimacs_text(rng))
+        except ValueError as exc:
+            yield "error", str(exc)
+        else:
+            yield f.num_vars, f.clauses, f.max_clause_size
+
+
+def test_circuit_digest():
+    assert digest(circuit_records()) == CIRCUIT_DIGEST
+
+
+def test_dimacs_digest():
+    assert digest(dimacs_records()) == DIMACS_DIGEST

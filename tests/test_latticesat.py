@@ -40,6 +40,17 @@ def copy_chain_values(model: tuple[int, ...], inst_side: int,
     return out
 
 
+def mixed_width_cnf(rng: random.Random) -> CnfFormula:
+    """Random CNF over n 3..7 with 1..8 clauses of 1..3 distinct variables,
+    so that the reduction pads the short ones."""
+    n = rng.randint(3, 7)
+    clauses = []
+    for _ in range(rng.randint(1, 8)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, 3))
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return F(n, clauses)
+
+
 def test_validate_examples():
     good = LatticeInstance(2, (PlaquetteConstraint(0, 0, (
         Corner(0, 0, True), Corner(0, 1, False), Corner(1, 0, True))),))
@@ -111,9 +122,9 @@ def test_reduce_unsat_pair():
 
 def test_reduce_random_equisat():
     rng = random.Random(91)
-    for _ in range(12):
-        n = rng.randint(3, 7)
-        f = random_kcnf(rng, n, rng.randint(2, 7))
+    formulas = [random_kcnf(rng, rng.randint(3, 7), rng.randint(2, 7)) for _ in range(12)]
+    formulas += [mixed_width_cnf(rng) for _ in range(30)]
+    for f in formulas:
         inst, artifacts = reduce_3sat_to_lattice(f)
         assert validate_lattice(inst)[0]
         cnf = lattice_to_cnf(inst)
@@ -132,15 +143,19 @@ def test_reduction_is_deterministic_and_polynomial():
     padded = pad_to_3cnf(f)
     # grid side <= c * n * L for a small measured constant
     assert inst1.grid_side <= 6 * padded.num_vars * len(padded.clauses)
+    # Variable wires are 3 columns apart and clauses 4 rows apart.
+    assert inst1.grid_side <= max(4 * len(padded.clauses), 3 * padded.num_vars) + 2
 
 
 def test_copy_chain_soundness():
     rng = random.Random(93)
+    formulas = [random_kcnf(rng, rng.randint(3, 6), rng.randint(2, 6)) for _ in range(8)]
+    formulas += [mixed_width_cnf(rng) for _ in range(22)]
     done = 0
-    for _ in range(8):
-        f = random_kcnf(rng, rng.randint(3, 6), rng.randint(2, 6))
+    for f in formulas:
         inst, artifacts = reduce_3sat_to_lattice(f)
         result = dpll_solve(lattice_to_cnf(inst), EngineConfig())
+        assert (result.verdict == Verdict.SAT) == brute_force_satisfiable(f)
         if result.verdict != Verdict.SAT:
             continue
         values = copy_chain_values(result.model, inst.grid_side, artifacts,
@@ -150,7 +165,7 @@ def test_copy_chain_soundness():
         a = PartialAssignment.of(f.num_vars, assignment)
         assert evaluate_predicate(f, a) == Predicate.SATISFIED
         done += 1
-    assert done >= 4
+    assert done >= 20
 
 
 def test_corrupted_instance_negative_control():
