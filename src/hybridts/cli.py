@@ -30,7 +30,8 @@ from .qcircuit import (
     qpe_counter,
     qpe_standard,
 )
-from .qcircuit.oracles import optimal_iterations
+from .qcircuit.core import CIRCUIT_DIM_CAP
+from .qcircuit.oracles import build_oracle, optimal_iterations
 from .treesearch import (
     DNCPPSZ,
     DPLL,
@@ -160,11 +161,16 @@ def cmd_qwalk_detect(args) -> tuple[list, dict]:
 
 def cmd_grover(args) -> tuple[list, dict]:
     formula = parse_dimacs(Path(args.input).read_text())
+    oracle = build_oracle(formula, args.oracle)
+    # Checked before the brute-force count, which allocates 2^n entries.
+    if 2 ** oracle.num_wires > CIRCUIT_DIM_CAP:
+        raise ValueError(f"the {oracle.kind} oracle needs {oracle.num_wires} wires, past "
+                         f"the statevector cap of {CIRCUIT_DIM_CAP.bit_length() - 1} wires")
     solutions = generators.brute_force_count(formula)
     iterations = args.iterations
     if iterations is None:
         iterations = optimal_iterations(formula.num_vars, solutions)
-    result = grover_search(formula, iterations, oracle=args.oracle)
+    result = grover_search(formula, iterations, oracle=oracle)
     theta = grover_angle(formula.num_vars, solutions)
     rec = {
         "instanceId": Path(args.input).stem,

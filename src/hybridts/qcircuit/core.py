@@ -1,13 +1,22 @@
 """Dense statevector simulation of reversible and quantum gate circuits.
 
 A phase-permutation gate maps each basis state to a phased basis state: X,
-REFLECT0, and UNITARY with a diagonal block, with any controls. One
-kernel, `_map_basis`, sends basis indices through a run of such gates.
-`simulate` maps all 2^W indices through each maximal run once per call and
-applies the run as one gather; `trace_basis` and `ancilla_audit` map only the
-inputs they are given. Uncontrolled H acts through a reshape of the state.
-Controlled H and non-diagonal UNITARY write in place into `_control_view`,
-the amplitudes whose controls hold as a view of the state.
+REFLECT0, and UNITARY with a diagonal block, with any controls. One kernel,
+`_map_planes`, sends a set of basis states through a run of such gates on
+bit planes: wire w's plane is an integer whose bit s is wire w of state s. X
+is an XOR with the AND of its control planes; REFLECT0 and a diagonal block
+of ±1 entries flip bits of a sign plane; any other diagonal block unpacks its
+target bits and multiplies its factors in gate order. The output indices are
+assembled once, at the end. `simulate` maps all 2^W states through each
+maximal run once per call and applies the run as one gather; `trace_basis`
+and `ancilla_audit` map only the inputs they are given.
+
+Each maximal run of uncontrolled H gates is applied gate by gate between two
+buffers that swap roles. Controlled H and non-diagonal UNITARY write in place
+into `_control_view`, the amplitudes whose controls hold as a view of the
+state. A basis input starts as a real state and stays real through H gates,
+permutations and ±1 phases; the first complex phase or UNITARY makes it
+complex, and `simulate` always returns complex amplitudes.
 
 Wire convention: wire 0 is the most significant bit of the basis index, so a
 basis state reads left-to-right as wires 0..W-1. Gates carry optional control
@@ -20,6 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +44,10 @@ REFLECT0_KIND = "reflect0"
 
 _CLASSICAL_KINDS = {X_KIND, REFLECT0_KIND}
 
+# The runs `simulate` groups gates into: gates that map each basis state to a
+# phased basis state, uncontrolled H gates, and every other gate.
+_PERMUTE, _H_RUN, _DENSE = "permute", "h", "dense"
+
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -41,6 +55,19 @@ class Gate:
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     block: np.ndarray | None = field(default=None)
+    # The run the gate joins, set once when it is built: _PERMUTE for X,
+    # REFLECT0, and a UNITARY whose block has no nonzero off-diagonal entry,
+    # with any controls; _H_RUN for an uncontrolled H; _DENSE otherwise.
+    run: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == UNITARY_KIND:
+            block = self.block
+            permutes = not np.count_nonzero(block - np.diag(np.diag(block)))
+        else:
+            permutes = self.kind in _CLASSICAL_KINDS
+        plain_h = self.kind == H_KIND and not self.controls
+        object.__setattr__(self, "run", _PERMUTE if permutes else _H_RUN if plain_h else _DENSE)
 
     def inverse(self) -> "Gate":
         if self.kind == UNITARY_KIND:
@@ -113,95 +140,129 @@ class Circuit:
         return inv
 
 
-def _is_phase_permutation(gate: Gate) -> bool:
-    """True when the gate maps each basis state to a phased basis state: X,
-    REFLECT0, and a UNITARY whose block has no nonzero off-diagonal entry,
-    with any controls."""
-    if gate.kind == UNITARY_KIND:
-        block = gate.block
-        return not np.count_nonzero(block - np.diag(np.diag(block)))
-    return gate.kind in _CLASSICAL_KINDS
-
-
 def is_classical(circuit: Circuit) -> bool:
     """True when every gate maps basis states to (phased) basis states."""
-    return all(_is_phase_permutation(g) for g in circuit.gates)
+    return all(g.run == _PERMUTE for g in circuit.gates)
 
 
-def _wire_bit(circuit_width: int, wire: int) -> int:
-    return 1 << (circuit_width - 1 - wire)
+def _index_planes(width: int) -> list[int]:
+    """Bit planes of the basis states 0 .. 2^width - 1, in order."""
+    planes, n = [], 1
+    for _ in range(width):          # a new wire 0 doubles the states
+        planes = [((1 << n) - 1) << n] + [p | p << n for p in planes]
+        n *= 2
+    return planes
 
 
-def _control_masks(width: int, controls) -> tuple[int, int]:
-    cmask = cwant = 0
-    for wire, want in controls:
-        bit = _wire_bit(width, wire)
-        cmask |= bit
-        if want:
-            cwant |= bit
-    return cmask, cwant
-
-
-def _basis_array(width: int, indices) -> np.ndarray:
-    """Basis indices as int64, or as Python ints past 62 wires."""
-    indices = list(indices)
+def _basis_planes(width: int, indices) -> tuple[list[int], int]:
+    """Bit planes of the given basis indices, and their count."""
+    indices = [int(b) for b in indices]
     if not all(0 <= b < 2 ** width for b in indices):
         raise ValueError("basis input out of range")
-    return np.array(indices, dtype=np.int64 if width < 63 else object)
+    nbytes = -(-width // 8)
+    raw = np.frombuffer(b"".join(b.to_bytes(nbytes, "big") for b in indices), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(indices), nbytes), axis=1)[:, nbytes * 8 - width:]
+    rows = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows], len(indices)
 
 
-def _map_basis(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Send basis indices through a gate sequence: returns the output indices
-    and their phases (None when every phase is 1). A gate that is not a
-    phase permutation is the identity where its controls fail and raises
-    ValueError where they hold."""
-    idx = idx.copy()
-    phase = None
+def _unpack(planes, n: int) -> np.ndarray:
+    """The low n bits of each plane, one uint8 row per plane."""
+    nbytes = -(-n // 8)
+    raw = np.frombuffer(b"".join(p.to_bytes(nbytes, "little") for p in planes), np.uint8)
+    return np.unpackbits(raw.reshape(len(planes), nbytes), axis=1, count=n,
+                         bitorder="little")
+
+
+def _indices(planes, n: int) -> np.ndarray:
+    """Basis indices of the n states held in bit planes: int64, or Python
+    ints past 62 wires."""
+    wide = len(planes) > 62
+    out = np.zeros(n, dtype=object if wide else np.int64)
+    for plane in planes:            # one at a time: a row is n bytes
+        row = _unpack([plane], n)[0]
+        out <<= 1
+        out |= row.astype(object) if wide else row
+    return out
+
+
+def _sign_patterns(gate: Gate):
+    """The target patterns (first target most significant) whose phase is -1,
+    when every phase of a phase-permutation gate is ±1; None otherwise."""
+    if gate.kind == REFLECT0_KIND:
+        return (0,)
+    diag = np.diag(gate.block)
+    if not np.all((diag == 1) | (diag == -1)):
+        return None
+    return np.flatnonzero(diag == -1).tolist()
+
+
+def _map_planes(gates, planes: list[int], n: int) -> tuple[list[int], np.ndarray | None]:
+    """Send n basis states, held as bit planes, through a gate sequence:
+    returns the output planes and the phases (None when every phase is 1;
+    real when every phase is ±1). A gate that is not a phase permutation is
+    the identity where its controls fail and raises ValueError where they
+    hold."""
+    full = (1 << n) - 1
+    planes = list(planes)
+    comp = [full ^ p for p in planes]         # complement planes, for 0-controls
+    sign = 0                                  # states with an odd count of -1 phases
+    phase = None                              # other diagonal factors, in gate order
     for gate in gates:
-        cmask, cwant = _control_masks(width, gate.controls)
-        live = (idx & cmask) == cwant if cmask else None
-        if not _is_phase_permutation(gate):
-            if live is None or live.any():
+        live = full
+        for wire, bit in gate.controls:
+            live &= planes[wire] if bit else comp[wire]
+        if gate.run != _PERMUTE:
+            if live:
                 raise ValueError(f"gate kind {gate.kind!r} breaks the classical trace")
             continue
-        shifts = [width - 1 - w for w in gate.targets]
         if gate.kind == X_KIND:
-            idx ^= 1 << shifts[0] if live is None else live.astype(idx.dtype) * (1 << shifts[0])
+            target = gate.targets[0]
+            planes[target] ^= live
+            comp[target] ^= live
             continue
-        if gate.kind == REFLECT0_KIND:
-            hit = (idx & sum(1 << sh for sh in shifts)) == 0
-            factor = np.where(hit if live is None else hit & live, -1.0 + 0j, 1.0 + 0j)
-        else:
-            k = len(shifts)
-            value = 0
-            for pos, sh in enumerate(shifts):
-                value = value | ((idx >> sh) & 1) << (k - 1 - pos)
-            factor = np.diag(gate.block)[value.astype(np.int64)]
-            if live is not None:
-                factor = np.where(live, factor, 1.0 + 0j)
+        k = len(gate.targets)
+        patterns = _sign_patterns(gate)
+        if patterns is not None:
+            for pattern in patterns:
+                hit = live
+                for pos, wire in enumerate(gate.targets):
+                    hit &= planes[wire] if pattern >> (k - 1 - pos) & 1 else comp[wire]
+                sign ^= hit
+            continue
+        # Index a table of 2^k ones then the diagonal by the live bit and the
+        # target bits: the factor is 1 where the controls fail.
+        value = np.zeros(n, dtype=np.intp)
+        for row in _unpack([live, *(planes[w] for w in gate.targets)], n):
+            value = value << 1 | row
+        table = np.concatenate([np.ones(2 ** k, dtype=complex), np.diag(gate.block)])
+        factor = table[value]
         phase = factor if phase is None else phase * factor
-    return idx, phase
+    if sign:
+        signs = 1.0 - 2.0 * _unpack([sign], n)[0]
+        phase = signs if phase is None else phase * signs
+    elif phase is not None and np.all(phase == 1):
+        phase = None
+    return planes, phase
 
 
-def _compile_run(gates, width: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _compile_run(gates, width: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Invert a phase-permutation run into a gather: new = state[src] * phase."""
-    out, phase = _map_basis(gates, width, idx)
-    src = np.empty_like(idx)
-    src[out] = idx
-    if phase is None or np.all(phase == 1):
+    dim = 2 ** width
+    planes, phase = _map_planes(gates, _index_planes(width), dim)
+    out = _indices(planes, dim)
+    src = np.empty(dim, dtype=np.int64)
+    src[out] = np.arange(dim)
+    if phase is None:
         return src, None
-    gathered = np.empty(idx.size, dtype=complex)
+    gathered = np.empty_like(phase)
     gathered[out] = phase
     return src, gathered
 
 
-def _split_runs(gates) -> list:
-    """Maximal runs of phase-permutation gates, as tuples, between the other
-    gates, kept as they are."""
-    parts: list = []
-    for phased, group in itertools.groupby(gates, _is_phase_permutation):
-        parts.extend([tuple(group)] if phased else group)
-    return parts
+def _split_runs(gates) -> list[tuple[str, tuple[Gate, ...]]]:
+    """Maximal runs of gates of one run kind, as (kind, gates)."""
+    return [(kind, tuple(run)) for kind, run in itertools.groupby(gates, attrgetter("run"))]
 
 
 @dataclass
@@ -214,9 +275,9 @@ class TraceResult:
 
 
 def trace_basis(circuit: Circuit, basis_input: int) -> TraceResult:
-    width = circuit.num_wires
-    out, phase = _map_basis(circuit.gates, width, _basis_array(width, [basis_input]))
-    return TraceResult(basis_input, int(out[0]),
+    planes, n = _basis_planes(circuit.num_wires, [basis_input])
+    out, phase = _map_planes(circuit.gates, planes, n)
+    return TraceResult(basis_input, int(_indices(out, n)[0]),
                        1.0 + 0.0j if phase is None else complex(phase[0]))
 
 
@@ -237,11 +298,12 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
         start = 0 if basis_input is None else basis_input
         if not 0 <= start < dim:
             raise ValueError("basis input out of range")
-        state = np.zeros(dim, dtype=complex)
         if is_classical(circuit):
             trace = trace_basis(circuit, start)
+            state = np.zeros(dim, dtype=complex)
             state[trace.output_index] = trace.phase
             return state
+        state = np.zeros(dim)
         state[start] = 1.0
     else:
         state = np.asarray(state, dtype=complex).copy()
@@ -253,21 +315,41 @@ def simulate(circuit: Circuit, basis_input: int | None = None,
 
     parts = _split_runs(circuit.gates)
     # A compiled run is kept only while a later occurrence of it remains.
-    pending = Counter(tuple(map(id, p)) for p in parts if isinstance(p, tuple))
-    compiled: dict[tuple[int, ...], tuple] = {}
-    idx = np.arange(dim, dtype=np.int64)
-    for part in parts:
-        if isinstance(part, Gate):
-            state = _apply_gate(state, part, width)
+    # Gates compare by identity, so a run is its own key.
+    pending = Counter(run for kind, run in parts if kind == _PERMUTE)
+    compiled: dict[tuple[Gate, ...], tuple] = {}
+    for kind, run in parts:
+        if kind == _H_RUN:
+            state = _apply_h_run(state, run)
             continue
-        key = tuple(map(id, part))
-        pending[key] -= 1
-        src, phase = compiled.pop(key) if key in compiled else _compile_run(part, width, idx)
-        if pending[key]:
-            compiled[key] = (src, phase)
+        if kind == _DENSE:
+            for gate in run:
+                state = _apply_gate(state, gate, width)
+            continue
+        pending[run] -= 1
+        src, phase = compiled.pop(run) if run in compiled else _compile_run(run, width)
+        if pending[run]:
+            compiled[run] = (src, phase)
         state = state[src] if phase is None else state[src] * phase
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise AssertionError("statevector norm drifted")
+    return state.astype(complex, copy=False)
+
+
+def _apply_h_run(state: np.ndarray, run) -> np.ndarray:
+    """Apply uncontrolled H gates in order, each as the butterfly
+    (a ± b) * SQRT1_2 from one buffer into the other; the caller owns the
+    state, which becomes one of the two buffers. A complex state is read as
+    its float64 (real, imag) pairs, which scale by a real factor alone."""
+    spare = np.empty_like(state)
+    for gate in run:
+        halves = state.view(np.float64).reshape(2 ** gate.targets[0], 2, -1)
+        out = spare.view(np.float64)
+        pair = out.reshape(halves.shape)
+        np.add(halves[:, 0], halves[:, 1], out=pair[:, 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=pair[:, 1])
+        np.multiply(out, SQRT1_2, out=out)
+        state, spare = spare, state
     return state
 
 
@@ -294,23 +376,15 @@ def _control_view(state: np.ndarray, width: int, gate: Gate) -> np.ndarray:
 
 
 def _apply_gate(state: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    """Apply one H or UNITARY gate to a C-contiguous statevector that the
-    caller owns.
-
-    Uncontrolled H is a butterfly over a reshape of the state into a new
-    array. Every other gate writes into the state through `_control_view`:
-    controlled H as the same butterfly on the target axis, and UNITARY as one
+    """Apply one controlled H or one UNITARY gate to a C-contiguous
+    statevector that the caller owns, writing through `_control_view`:
+    controlled H as the butterfly on the target axis, and UNITARY as one
     matmul, rows @ block.T, whose rows run over the other wires in ascending
     order and whose columns are the target patterns, first target most
-    significant."""
-    if gate.kind == H_KIND and not gate.controls:
-        halves = state.reshape(2 ** gate.targets[0], 2, -1)
-        a, b = halves[:, 0], halves[:, 1]
-        out = np.empty_like(halves)
-        out[:, 0] = (a + b) * SQRT1_2
-        out[:, 1] = (a - b) * SQRT1_2
-        return out.reshape(-1)
-    if gate.kind not in (H_KIND, UNITARY_KIND):
+    significant. A UNITARY makes a real state complex first."""
+    if gate.kind == UNITARY_KIND:
+        state = state.astype(complex, copy=False)
+    elif gate.kind != H_KIND:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     view = _control_view(state, width, gate)
     if gate.kind == H_KIND:
@@ -345,13 +419,9 @@ def append_increment(circuit: Circuit, register, controls=(), step: int = 1):
 def ancilla_audit(circuit: Circuit, inputs, wires) -> bool:
     """Check that the given wires return to their input values on every
     listed basis input (restoration contract for oracle ancillas)."""
-    width = circuit.num_wires
-    mask = 0
-    for w in wires:
-        mask |= _wire_bit(width, w)
-    basis = _basis_array(width, inputs)
-    out, _ = _map_basis(circuit.gates, width, basis)
-    return bool(np.all((out & mask) == (basis & mask)))
+    planes, n = _basis_planes(circuit.num_wires, inputs)
+    out, _ = _map_planes(circuit.gates, planes, n)
+    return all(out[w] == planes[w] for w in wires)
 
 
 def export_text(circuit: Circuit) -> str:

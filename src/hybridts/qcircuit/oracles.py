@@ -136,13 +136,16 @@ def grover_circuit(formula: CnfFormula, iterations: int,
     circ = Circuit(orc.num_wires)
     for w in orc.input_wires:
         circ.h(w)
+    # One diffusion, repeated by extend, so simulate compiles its reflection once.
+    diffusion = Circuit(orc.num_wires)
+    for w in orc.input_wires:
+        diffusion.h(w)
+    diffusion.reflect0(orc.input_wires)
+    for w in orc.input_wires:
+        diffusion.h(w)
     for _ in range(iterations):
         circ.extend(orc.circuit)
-        for w in orc.input_wires:
-            circ.h(w)
-        circ.reflect0(orc.input_wires)
-        for w in orc.input_wires:
-            circ.h(w)
+        circ.extend(diffusion)
     return circ, orc
 
 

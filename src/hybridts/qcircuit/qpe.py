@@ -52,12 +52,14 @@ def qpe_counter(u: np.ndarray, eigenstate: np.ndarray, t: int) -> tuple[float, i
     a = 0
     counter = tuple(range(1, 1 + p))
     targets = tuple(range(1 + p, 1 + p + m))
+    # One increment cascade, repeated by extend, so simulate compiles it once.
+    increment = append_increment(Circuit(circ.num_wires), counter, ((a, 1),))
     power = np.asarray(u, dtype=complex)
     for _ in range(t):
         circ.h(a)
         circ.unitary(targets, power, ((a, 1),))
         circ.h(a)
-        append_increment(circ, counter, ((a, 1),))
+        circ.extend(increment)
         power = power @ power
     init = np.kron(_basis(2 ** (1 + p), 0), np.asarray(eigenstate, dtype=complex))
     state = simulate(circ, state=init)

@@ -243,6 +243,20 @@ def test_grover(small_instance, tmp_path):
     assert abs(rec["successProbability"] - rec["closedForm"]) < 1e-6
 
 
+def test_grover_past_the_statevector_cap_exit_2(tmp_path, capsys):
+    # Refused before the solution count, which would allocate 2^40 entries.
+    path = tmp_path / "wide.cnf"
+    path.write_text(serialize_dimacs(random_kcnf(random.Random(3), 40, 170)))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["grover", "--input", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == ("hybridts grover: error: the counter oracle needs 49 wires, past "
+                   "the statevector cap of 24 wires\n")
+    assert not out.exists()
+
+
 def test_qpe_compare(tmp_path):
     code, report = run(["qpe-compare", "--seed", "5", "--trials", "8"], tmp_path)
     assert report["aggregate"]["maxAbsDiff"] <= 1e-9

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hybridts.generators import unique_sat_3cnf
 from hybridts.qcircuit import core
 from hybridts.qcircuit.core import (
     SQRT1_2,
@@ -15,21 +16,36 @@ from hybridts.qcircuit.core import (
     simulate,
     trace_basis,
 )
+from hybridts.qcircuit.oracles import grover_circuit
+from hybridts.qcircuit.qpe import qpe_counter, qpe_p0_formula
 
 
 # ---------------------------------------------------------------------------
 # Gate-by-gate reference: every gate is a masked update of the whole state.
-# simulate compiles runs of X, REFLECT0 and diagonal UNITARY gates into
-# one gather, applies uncontrolled H through a reshape, and writes controlled
-# H and UNITARY into a view of the state; this applies each gate on its own
-# through index masks over all 2^W basis states.
+# simulate compiles runs of X, REFLECT0 and diagonal UNITARY gates on bit
+# planes into one gather, applies runs of uncontrolled H between two buffers,
+# keeps a basis input real until a complex gate, and writes controlled H and
+# UNITARY into a view of the state; this applies each gate on its own, in
+# complex arithmetic, through index masks over all 2^W basis states.
+
+def wire_bit(width, wire):
+    return 1 << (width - 1 - wire)
+
+
+def control_masks(width, controls):
+    cmask = cwant = 0
+    for wire, want in controls:
+        cmask |= wire_bit(width, wire)
+        cwant |= wire_bit(width, wire) if want else 0
+    return cmask, cwant
+
 
 def oracle_apply(state, gate, width, idx):
-    cmask, cwant = core._control_masks(width, gate.controls)
+    cmask, cwant = control_masks(width, gate.controls)
     sel = (idx & cmask) == cwant if cmask else None
 
     if gate.kind == "x":
-        bit = core._wire_bit(width, gate.targets[0])
+        bit = wire_bit(width, gate.targets[0])
         flipped = idx ^ bit
         if sel is None:
             return state[flipped]
@@ -38,7 +54,7 @@ def oracle_apply(state, gate, width, idx):
         return out
 
     if gate.kind == "h":
-        bit = core._wire_bit(width, gate.targets[0])
+        bit = wire_bit(width, gate.targets[0])
         low = (idx & bit) == 0
         base = low if sel is None else (low & sel)
         i0 = idx[base]
@@ -52,7 +68,7 @@ def oracle_apply(state, gate, width, idx):
     if gate.kind == "reflect0":
         tmask = 0
         for wire in gate.targets:
-            tmask |= core._wire_bit(width, wire)
+            tmask |= wire_bit(width, wire)
         zero = (idx & tmask) == 0
         if sel is not None:
             zero &= sel
@@ -62,7 +78,7 @@ def oracle_apply(state, gate, width, idx):
 
     assert gate.kind == "unitary"
     k = len(gate.targets)
-    tbits = [core._wire_bit(width, w) for w in gate.targets]
+    tbits = [wire_bit(width, w) for w in gate.targets]
     base = (idx & sum(tbits)) == 0
     bases = idx[base if sel is None else base & sel]
     patterns = [sum(b for pos, b in enumerate(tbits) if (j >> (k - 1 - pos)) & 1)
@@ -86,6 +102,26 @@ def oracle_simulate(circuit, basis_input=None, state=None):
     for gate in circuit.gates:
         state = oracle_apply(state, gate, width, idx)
     return state
+
+
+def oracle_trace(circuit, basis):
+    """One basis input gate by gate as a Python int: (output index, phase)."""
+    width = circuit.num_wires
+    phase = 1 + 0j
+    for gate in circuit.gates:
+        if any((basis >> (width - 1 - w) & 1) != bit for w, bit in gate.controls):
+            continue
+        pattern = 0
+        for w in gate.targets:
+            pattern = pattern << 1 | basis >> (width - 1 - w) & 1
+        if gate.kind == "x":
+            basis ^= wire_bit(width, gate.targets[0])
+        elif gate.kind == "reflect0":
+            phase *= -1 if pattern == 0 else 1
+        else:
+            assert gate.kind == "unitary"
+            phase *= gate.block[pattern, pattern]
+    return basis, phase
 
 
 def random_controls(rng, w, used):
@@ -461,3 +497,116 @@ def test_controlled_x_past_63_bits(want):
             assert trace_basis(c, basis).output_index == (basis ^ tbit if hit else basis)
             assert ancilla_audit(c, [basis], [target]) == (not hit)
             assert ancilla_audit(c, [basis], [control])
+
+
+@pytest.mark.parametrize("complex_phases", [False, True])
+def test_simulate_equals_oracle_at_widths_1_to_14(complex_phases):
+    # Widths on both sides of 64 basis states (one uint64 word of states).
+    rng = random.Random(75 + complex_phases)
+    gen = np.random.default_rng(75 + complex_phases)
+    for w in range(1, 15):
+        for classical in (True, False):
+            circ = random_circuit(rng, gen, w, complex_phases, classical)
+            init = gen.normal(size=2 ** w) + 1j * gen.normal(size=2 ** w)
+            init /= np.linalg.norm(init)
+            got, want = simulate(circ, state=init), oracle_simulate(circ, state=init)
+            if complex_phases:
+                assert np.abs(got - want).max() < 1e-12
+            else:
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("complex_phases", [False, True])
+def test_trace_and_audit_equal_oracle_at_63_to_70_wires(complex_phases):
+    rng = random.Random(77 + complex_phases)
+    gen = np.random.default_rng(77 + complex_phases)
+    for w in range(63, 71):
+        circ = random_circuit(rng, gen, w, complex_phases, classical=True)
+        inputs = [0, 2 ** w - 1, *(rng.getrandbits(w) for _ in range(6))]
+        images = []
+        for basis in inputs:
+            out, phase = oracle_trace(circ, basis)
+            tr = trace_basis(circ, basis)
+            assert tr.output_index == out
+            if complex_phases:
+                assert abs(tr.phase - phase) < 1e-12
+            else:
+                assert tr.phase == phase
+            images.append(out)
+        for wires in ([], [0], [w - 1], rng.sample(range(w), k=rng.randint(1, w))):
+            bits = sum(wire_bit(w, u) for u in wires)
+            restored = all(image & bits == b & bits for b, image in zip(inputs, images))
+            assert ancilla_audit(circ, inputs, wires) == restored
+
+
+def test_real_state_path_equals_complex_path(monkeypatch):
+    # A basis input runs as a real state until its first complex phase or
+    # UNITARY; the same input given as a complex vector runs complex
+    # throughout. Only the signs of zeros may differ.
+    seen = []
+    h_run = core._apply_h_run
+
+    def spy(state, run):
+        seen.append(state.dtype)
+        return h_run(state, run)
+
+    monkeypatch.setattr(core, "_apply_h_run", spy)
+    rng = random.Random(76)
+    gen = np.random.default_rng(76)
+    for trial in range(60):
+        w = rng.randint(1, 8)
+        circ = random_circuit(rng, gen, w, complex_phases=trial % 2 == 1)
+        basis = rng.randrange(2 ** w)
+        vector = np.zeros(2 ** w, dtype=complex)
+        vector[basis] = 1
+        init = vector.copy()
+        got = simulate(circ, basis_input=basis)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, simulate(circ, state=init))
+        assert np.array_equal(init, vector) and init.dtype == vector.dtype
+    assert np.float64 in seen and np.complex128 in seen
+    # H, X and ±1 phases keep a Grover circuit real to the end.
+    seen.clear()
+    circ, _ = grover_circuit(unique_sat_3cnf(random.Random(4), 5, 12), 3, "naive")
+    assert np.array_equal(simulate(circ), oracle_simulate(circ))
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
+def test_simulate_leaves_the_initial_state_unchanged():
+    rng = random.Random(78)
+    gen = np.random.default_rng(78)
+    for _ in range(20):
+        w = rng.randint(1, 6)
+        circ = random_circuit(rng, gen, w, complex_phases=True)
+        init = gen.normal(size=2 ** w) + 1j * gen.normal(size=2 ** w)
+        init /= np.linalg.norm(init)
+        kept = init.copy()
+        simulate(circ, state=init)
+        assert np.array_equal(init, kept)
+
+
+def test_grover_diffusion_and_qpe_increment_compile_once(monkeypatch):
+    compiled = []
+    real = core._compile_run
+
+    def spy(gates, *args):
+        compiled.append(gates)
+        return real(gates, *args)
+
+    monkeypatch.setattr(core, "_compile_run", spy)
+    iterations = 4
+    circ, orc = grover_circuit(unique_sat_3cnf(random.Random(5), 5, 12), iterations, "counter")
+    reflections = [g for g in circ.gates if g.kind == "reflect0"]
+    assert len(reflections) == iterations and len(set(map(id, reflections))) == 1
+    simulate(circ)
+    # The counter oracle is one run; the diffusion's reflection is another.
+    assert compiled == [tuple(orc.circuit.gates), (reflections[0],)]
+
+    compiled.clear()
+    t = 6
+    hadamard = np.array([[1, 1], [1, -1]]) * SQRT1_2
+    u = hadamard @ np.diag(np.exp(2j * np.pi * np.array([0.3, 0.7]))) @ hadamard
+    p0_prime, _ = qpe_counter(u, hadamard[:, 0], t)
+    assert abs(p0_prime - qpe_p0_formula(0.3, t)) < 1e-9
+    assert len(compiled) == 1
+    assert [g.kind for g in compiled[0]] == ["x"] * t.bit_length()
