@@ -60,6 +60,8 @@ def brute_force_satisfiable(formula: CnfFormula) -> bool:
 def unique_sat_3cnf(rng: random.Random, num_vars: int, num_clauses: int,
                     max_tries: int = 2000) -> CnfFormula:
     """Random 3-CNF with exactly one model, by planting plus rejection."""
+    if num_vars < 3:
+        raise ValueError("need at least k variables")
     planted = [rng.randint(0, 1) for _ in range(num_vars)]
     for _ in range(max_tries):
         clauses = []

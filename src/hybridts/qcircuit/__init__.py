@@ -18,10 +18,9 @@ from .oracles import (
     grover_angle,
     grover_circuit,
     grover_search,
-    oracle_cost_report,
     oracle_phases,
 )
 from .qpe import qpe_counter, qpe_standard
-from .walk import build_walk_components, walk_cost_report
+from . import walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]

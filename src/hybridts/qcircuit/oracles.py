@@ -188,16 +188,3 @@ def optimal_iterations(num_vars: int, num_solutions: int) -> int:
     if num_solutions == 0:
         return math.ceil((math.pi / 4) * math.sqrt(2 ** num_vars))
     return max(0, math.floor((math.pi / 4) * math.sqrt(2 ** num_vars / num_solutions)))
-
-
-def oracle_cost_report(formula: CnfFormula) -> dict:
-    """Wire budgets of the oracle variants; the one-qubit-program variant is
-    cost-accounted only (its inner unitaries live in an external construction)."""
-    n, m = formula.num_vars, formula.num_clauses
-    return {
-        "naive": n + m + 2,
-        "counter": n + m.bit_length() + 1,
-        "counterAncillas": m.bit_length() + 1,
-        "oneQubitProgram": n + 2,
-        "clauseAncillasNaive": m + 1,
-    }

@@ -5,10 +5,13 @@ for unset variables), so a vertex register takes 2n wires and the assembled
 star-preparation operator stays within 4n + O(log n) wires.
 
 Every component is a compute / copy-out / uncompute sandwich built from
-multi-controlled X gates (plus dense preparation blocks in the star builder);
-scans over variables or (variable, clause) pairs use a freezing counter: the
-counter advances only while nothing has fired, so the pair (counter, check
-bit) identifies the firing step and the whole scan uncomputes by reversal.
+multi-controlled X gates (plus dense preparation blocks in the star builder).
+Scans for the first variable or (variable, clause) pair that fires are one
+freezing-counter scan, `_first_hit`: the counter advances only while nothing
+has fired, so the pair (counter, check bit) identifies the firing step and
+the whole scan uncomputes by reversal. `_write_hit` is the one writer of the
+(j, s, found) outputs, and `_Wires` is the one wire plan: each builder takes
+its registers from it in order, vertex register first.
 """
 
 from __future__ import annotations
@@ -35,6 +38,21 @@ class WalkComponent:
         return self.circuit.num_wires
 
 
+class _Wires:
+    """Sequential wire plan: each call hands out the next unused wires."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def reg(self, size: int) -> tuple[int, ...]:
+        out = tuple(range(self.count, self.count + size))
+        self.count += size
+        return out
+
+    def bit(self) -> int:
+        return self.reg(1)[0]
+
+
 def set_wire(var: int) -> int:
     return 2 * (var - 1)
 
@@ -47,6 +65,10 @@ def encode_vertex(pairs: dict[int, int], num_vars: int, width: int) -> int:
     """Basis index with the vertex register loaded (other wires zero)."""
     idx = 0
     for var, value in pairs.items():
+        if not 1 <= var <= num_vars:
+            raise ValueError(f"variable {var} outside 1..{num_vars}")
+        if value not in (0, 1):
+            raise ValueError(f"variable {var} has value {value!r}, not 0 or 1")
         idx |= 1 << (width - 1 - set_wire(var))
         if value:
             idx |= 1 << (width - 1 - val_wire(var))
@@ -65,18 +87,41 @@ def _reg_pattern(wires: tuple[int, ...], value: int) -> tuple[tuple[int, int], .
     return tuple((wires[pos], (value >> (k - 1 - pos)) & 1) for pos in range(k))
 
 
-def _literal_false_controls(clause) -> tuple[tuple[int, int], ...]:
-    out = []
-    for lit in clause:
-        v = abs(lit)
-        out.append((set_wire(v), 1))
-        out.append((val_wire(v), 0 if lit > 0 else 1))
-    return tuple(out)
-
-
 def _literal_true_controls(lit: int) -> tuple[tuple[int, int], ...]:
     v = abs(lit)
     return ((set_wire(v), 1), (val_wire(v), 1 if lit > 0 else 0))
+
+
+def _literal_false_controls(clause) -> tuple[tuple[int, int], ...]:
+    return tuple(c for lit in clause for c in _literal_true_controls(-lit))
+
+
+def _write_hit(circ: Circuit, controls, var: int, sign: int,
+               out_j: tuple[int, ...], out_s: int | None, out_found: int) -> None:
+    """Under `controls`, XOR the index `var`, the sign and found = 1 into the
+    outputs (`out_s` None: no sign output)."""
+    for wire, bit in _reg_pattern(out_j, var):
+        if bit:
+            circ.x(wire, controls)
+    if sign:
+        circ.x(out_s, controls)
+    circ.x(out_found, controls)
+
+
+def _first_hit(circ: Circuit, hits, counter: tuple[int, ...], check: int,
+               out_j: tuple[int, ...], out_s: int | None, out_found: int) -> None:
+    """Freezing-counter scan over `hits`, a list of (condition controls, var,
+    sign) in scan order: write the var and sign of the first hit whose
+    condition holds, with found = 1, then restore the counter and check bit."""
+    compute = Circuit(circ.num_wires)
+    for step, (condition, _, _) in enumerate(hits):
+        compute.x(check, _reg_pattern(counter, step) + condition)
+        append_increment(compute, counter, ((check, 0),))
+    circ.extend(compute)
+    for step, (_, var, sign) in enumerate(hits):
+        _write_hit(circ, _reg_pattern(counter, step) + ((check, 1),),
+                   var, sign, out_j, out_s, out_found)
+    circ.extend(compute.inverse())
 
 
 def _alive_counting_program(circ: Circuit, formula: CnfFormula,
@@ -87,10 +132,9 @@ def _alive_counting_program(circ: Circuit, formula: CnfFormula,
     for clause in formula.clauses:
         if literal_filter is not None and literal_filter not in clause:
             continue
-        used = []
+        used = t_bits[:len(clause)]
         for pos, lit in enumerate(clause):
             circ.x(t_bits[pos], _literal_true_controls(lit))
-            used.append(t_bits[pos])
         circ.x(a_bit, tuple((t, 0) for t in used))
         append_increment(circ, counter, ((a_bit, 1),))
         circ.x(a_bit, tuple((t, 0) for t in used))
@@ -101,18 +145,15 @@ def _alive_counting_program(circ: Circuit, formula: CnfFormula,
 def build_v_leaf(formula: CnfFormula) -> WalkComponent:
     """b = 1 iff the restriction is decided: every clause satisfied, or some
     clause fully assigned with all literals false."""
-    n, m = formula.num_vars, formula.num_clauses
-    k = formula.max_clause_size
-    wa = max(1, m.bit_length())
-    base = 2 * n
-    b = base
-    ca = tuple(range(base + 1, base + 1 + wa))
-    cc = tuple(range(base + 1 + wa, base + 1 + 2 * wa))
-    z1 = base + 1 + 2 * wa
-    z2 = z1 + 1
-    t_bits = tuple(range(z2 + 1, z2 + 1 + k))
-    a_bit = z2 + 1 + k
-    circ = Circuit(a_bit + 1)
+    wa = max(1, formula.num_clauses.bit_length())
+    wires = _Wires()
+    vertex = wires.reg(2 * formula.num_vars)
+    b = wires.bit()
+    ca, cc = wires.reg(wa), wires.reg(wa)
+    z1, z2 = wires.bit(), wires.bit()
+    t_bits = wires.reg(formula.max_clause_size)
+    a_bit = wires.bit()
+    circ = Circuit(wires.count)
 
     compute = Circuit(circ.num_wires)
     _alive_counting_program(compute, formula, ca, t_bits, a_bit)
@@ -126,77 +167,51 @@ def build_v_leaf(formula: CnfFormula) -> WalkComponent:
     circ.x(b, ((z1, 0), (z2, 1)))     # b = z1 or (not z2)
     circ.extend(compute.inverse())
     scratch = ca + cc + (z1, z2) + t_bits + (a_bit,)
-    return WalkComponent("V_leaf", circ, tuple(range(2 * n)), {"b": (b,)}, scratch)
+    return WalkComponent("V_leaf", circ, vertex, {"b": (b,)}, scratch)
 
 
 def build_v_marked(formula: CnfFormula) -> WalkComponent:
     """b = 1 iff the restriction is the empty formula (all clauses satisfied)."""
-    n, m = formula.num_vars, formula.num_clauses
-    k = formula.max_clause_size
-    wa = max(1, m.bit_length())
-    base = 2 * n
-    b = base
-    ca = tuple(range(base + 1, base + 1 + wa))
-    t_bits = tuple(range(base + 1 + wa, base + 1 + wa + k))
-    a_bit = base + 1 + wa + k
-    circ = Circuit(a_bit + 1)
+    wires = _Wires()
+    vertex = wires.reg(2 * formula.num_vars)
+    b = wires.bit()
+    ca = wires.reg(max(1, formula.num_clauses.bit_length()))
+    t_bits = wires.reg(formula.max_clause_size)
+    a_bit = wires.bit()
+    circ = Circuit(wires.count)
     compute = Circuit(circ.num_wires)
     _alive_counting_program(compute, formula, ca, t_bits, a_bit)
     circ.extend(compute)
     circ.x(b, tuple((w, 0) for w in ca))
     circ.extend(compute.inverse())
     scratch = ca + t_bits + (a_bit,)
-    return WalkComponent("V_marked", circ, tuple(range(2 * n)), {"b": (b,)}, scratch)
-
-
-def _unit_steps(formula: CnfFormula) -> list[tuple[int, int, int]]:
-    steps = []
-    for var in range(1, formula.num_vars + 1):
-        for ci, clause in enumerate(formula.clauses):
-            for lit in clause:
-                if abs(lit) == var:
-                    steps.append((var, ci, 1 if lit > 0 else 0))
-                    break
-    return steps
+    return WalkComponent("V_marked", circ, vertex, {"b": (b,)}, scratch)
 
 
 def build_v_unit(formula: CnfFormula) -> WalkComponent:
     """First unit clause by (variable index, clause order): outputs the
     variable index, the forcing sign, and a found flag."""
     n = formula.num_vars
-    steps = _unit_steps(formula)
-    ws = max(1, n.bit_length())
-    wc = max(1, len(steps).bit_length())
-    base = 2 * n
-    out_j = tuple(range(base, base + ws))
-    out_s = base + ws
-    out_found = base + ws + 1
-    sc = tuple(range(base + ws + 2, base + ws + 2 + wc))
-    chk = base + ws + 2 + wc
-    circ = Circuit(chk + 1)
-
-    compute = Circuit(circ.num_wires)
-    for i, (var, ci, sign) in enumerate(steps):
-        clause = formula.clauses[ci]
-        others = tuple(l for l in clause if abs(l) != var)
-        controls = _reg_pattern(sc, i) + ((set_wire(var), 0),)
-        controls += _literal_false_controls(others)
-        compute.x(chk, controls)
-        append_increment(compute, sc, ((chk, 0),))
-
-    circ.extend(compute)
-    for i, (var, ci, sign) in enumerate(steps):
-        controls = _reg_pattern(sc, i) + ((chk, 1),)
-        for pos in range(ws):
-            if (var >> (ws - 1 - pos)) & 1:
-                circ.x(out_j[pos], controls)
-        if sign:
-            circ.x(out_s, controls)
-        circ.x(out_found, controls)
-    circ.extend(compute.inverse())
-    scratch = sc + (chk,)
-    return WalkComponent("V_unit", circ, tuple(range(2 * n)),
-                         {"j": out_j, "s": (out_s,), "found": (out_found,)}, scratch)
+    # One step per (var, clause) pair: var free and the clause's other
+    # literals all false. The first literal on var gives the sign.
+    hits = []
+    for var in range(1, n + 1):
+        for clause in formula.clauses:
+            lit = next((l for l in clause if abs(l) == var), None)
+            if lit is not None:
+                others = tuple(l for l in clause if abs(l) != var)
+                hits.append((((set_wire(var), 0),) + _literal_false_controls(others),
+                             var, int(lit > 0)))
+    wires = _Wires()
+    vertex = wires.reg(2 * n)
+    out_j = wires.reg(max(1, n.bit_length()))
+    out_s, out_found = wires.bit(), wires.bit()
+    sc = wires.reg(max(1, len(hits).bit_length()))
+    chk = wires.bit()
+    circ = Circuit(wires.count)
+    _first_hit(circ, hits, sc, chk, out_j, out_s, out_found)
+    return WalkComponent("V_unit", circ, vertex,
+                         {"j": out_j, "s": (out_s,), "found": (out_found,)}, sc + (chk,))
 
 
 def build_v_pure(formula: CnfFormula) -> WalkComponent:
@@ -206,27 +221,19 @@ def build_v_pure(formula: CnfFormula) -> WalkComponent:
     sign 0 covers negative-only ones.
     """
     n = formula.num_vars
-    k = formula.max_clause_size
-    dmax = 1
-    for var in range(1, n + 1):
-        pos_deg = sum(1 for c in formula.clauses if var in c)
-        neg_deg = sum(1 for c in formula.clauses if -var in c)
-        dmax = max(dmax, pos_deg, neg_deg)
-    ws = max(1, n.bit_length())
-    wd = max(1, dmax.bit_length())
-    wv = max(1, (n + 1).bit_length())
-    base = 2 * n
-    out_j = tuple(range(base, base + ws))
-    out_s = base + ws
-    out_found = base + ws + 1
-    vc = tuple(range(base + ws + 2, base + ws + 2 + wv))
-    chk_a = base + ws + 2 + wv
-    chk_b = chk_a + 1
-    cp = tuple(range(chk_b + 1, chk_b + 1 + wd))
-    cm = tuple(range(chk_b + 1 + wd, chk_b + 1 + 2 * wd))
-    t_bits = tuple(range(chk_b + 1 + 2 * wd, chk_b + 1 + 2 * wd + k))
-    a_bit = chk_b + 1 + 2 * wd + k
-    circ = Circuit(a_bit + 1)
+    degrees = [sum(lit in c for c in formula.clauses)
+               for var in range(1, n + 1) for lit in (var, -var)]
+    wd = max(1, max(degrees, default=0).bit_length())
+    wires = _Wires()
+    vertex = wires.reg(2 * n)
+    out_j = wires.reg(max(1, n.bit_length()))
+    out_s, out_found = wires.bit(), wires.bit()
+    vc = wires.reg(max(1, (n + 1).bit_length()))
+    chk_a, chk_b = wires.bit(), wires.bit()
+    cp, cm = wires.reg(wd), wires.reg(wd)
+    t_bits = wires.reg(formula.max_clause_size)
+    a_bit = wires.bit()
+    circ = Circuit(wires.count)
 
     compute = Circuit(circ.num_wires)
     for var in range(1, n + 1):
@@ -243,17 +250,12 @@ def build_v_pure(formula: CnfFormula) -> WalkComponent:
 
     circ.extend(compute)
     for var in range(1, n + 1):
-        for flag, with_sign in ((chk_a, True), (chk_b, False)):
-            controls = _reg_pattern(vc, var - 1) + ((flag, 1),)
-            for pos in range(ws):
-                if (var >> (ws - 1 - pos)) & 1:
-                    circ.x(out_j[pos], controls)
-            if with_sign:
-                circ.x(out_s, controls)
-            circ.x(out_found, controls)
+        for flag, sign in ((chk_a, 1), (chk_b, 0)):
+            _write_hit(circ, _reg_pattern(vc, var - 1) + ((flag, 1),),
+                       var, sign, out_j, out_s, out_found)
     circ.extend(compute.inverse())
     scratch = vc + (chk_a, chk_b) + cp + cm + t_bits + (a_bit,)
-    return WalkComponent("V_pure", circ, tuple(range(2 * n)),
+    return WalkComponent("V_pure", circ, vertex,
                          {"j": out_j, "s": (out_s,), "found": (out_found,)}, scratch)
 
 
@@ -261,36 +263,19 @@ def build_v_next(num_vars: int) -> WalkComponent:
     """|x>|0>|j>|b> -> |x>|x[x_j := b]>|j>|b>: copy, then pattern-set the
     addressed variable."""
     n = num_vars
-    ws = max(1, n.bit_length())
-    child = tuple(range(2 * n, 4 * n))
-    j_reg = tuple(range(4 * n, 4 * n + ws))
-    b_wire = 4 * n + ws
-    circ = Circuit(b_wire + 1)
-    for w in range(2 * n):
-        circ.x(child[w], ((w, 1),))
+    wires = _Wires()
+    vertex, child = wires.reg(2 * n), wires.reg(2 * n)
+    j_reg = wires.reg(max(1, n.bit_length()))
+    b_wire = wires.bit()
+    circ = Circuit(wires.count)
+    for w, c in zip(vertex, child):
+        circ.x(c, ((w, 1),))
     for var in range(1, n + 1):
         pattern = _reg_pattern(j_reg, var)
         circ.x(child[set_wire(var)], pattern)
         circ.x(child[val_wire(var)], pattern + ((b_wire, 1),))
-    return WalkComponent("V_next", circ, tuple(range(2 * n)),
+    return WalkComponent("V_next", circ, vertex,
                          {"child": child, "j": j_reg, "b": (b_wire,)}, ())
-
-
-def _scan_first_free(circ: Circuit, n: int, fc: tuple[int, ...], fchk: int,
-                     out_j: tuple[int, ...], out_found: int) -> None:
-    compute = Circuit(circ.num_wires)
-    for var in range(1, n + 1):
-        compute.x(fchk, _reg_pattern(fc, var - 1) + ((set_wire(var), 0),))
-        append_increment(compute, fc, ((fchk, 0),))
-    circ.extend(compute)
-    ws = len(out_j)
-    for var in range(1, n + 1):
-        controls = _reg_pattern(fc, var - 1) + ((fchk, 1),)
-        for pos in range(ws):
-            if (var >> (ws - 1 - pos)) & 1:
-                circ.x(out_j[pos], controls)
-        circ.x(out_found, controls)
-    circ.extend(compute.inverse())
 
 
 def _prep_block(first_column: np.ndarray) -> np.ndarray:
@@ -324,38 +309,35 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
     non-leaf inputs); this keeps the wire count low enough for statevector
     verification on superpositions.
     """
+    if depth_bound is not None and depth_bound < 1:
+        raise ValueError(f"depth_bound must be at least 1, got {depth_bound}")
     n = formula.num_vars
     nn = depth_bound if depth_bound is not None else n
     leaf = build_v_leaf(formula) if include_leaf_detector else None
-    ws = max(1, n.bit_length())
-    wv = max(1, (n + 1).bit_length())
-
-    child = tuple(range(2 * n, 4 * n))
-    hi, lo = 4 * n, 4 * n + 1
-    b = 4 * n + 2
-    isroot = 4 * n + 3
-    bv = tuple(range(4 * n + 4, 4 * n + 4 + ws))
-    bfound = 4 * n + 4 + ws
-    fc = tuple(range(bfound + 1, bfound + 1 + wv))
-    fchk = bfound + 1 + wv
-    scratch_base = fchk + 1
-    leaf_scratch = len(leaf.scratch_wires) if leaf else 0
-    width = scratch_base + leaf_scratch
+    wires = _Wires()
+    vertex, child = wires.reg(2 * n), wires.reg(2 * n)
+    hi, lo = wires.reg(2)
+    b, isroot = wires.bit(), wires.bit()
+    bv = wires.reg(max(1, n.bit_length()))
+    bfound = wires.bit()
+    fc = wires.reg(max(1, (n + 1).bit_length()))
+    fchk = wires.bit()
+    leaf_scratch = wires.reg(len(leaf.scratch_wires) if leaf else 0)
+    width = wires.count
     circ = Circuit(width)
 
     # Leaf bit: reuse the leaf program rebased onto this wire plan.
     if leaf:
-        leaf_map = {w: w for w in range(2 * n)}
-        leaf_map[leaf.outputs["b"][0]] = b
-        for pos, w in enumerate(leaf.scratch_wires):
-            leaf_map[w] = scratch_base + pos
+        leaf_map = dict(zip(leaf.vertex_wires + leaf.outputs["b"] + leaf.scratch_wires,
+                            vertex + (b,) + leaf_scratch))
         leaf_program = _rebase(leaf.circuit, leaf_map, width)
     else:
         leaf_program = Circuit(width)
 
+    first_free = [(((set_wire(var), 0),), var, 0) for var in range(1, n + 1)]
     circ.extend(leaf_program)
     circ.x(isroot, tuple((set_wire(v), 0) for v in range(1, n + 1)))
-    _scan_first_free(circ, n, fc, fchk, bv, bfound)
+    _first_hit(circ, first_free, fc, fchk, bv, None, bfound)
 
     # Star preparation on the index qutrit (wires hi, lo).
     uniform = _prep_block(np.array([1.0, 1.0, 1.0, 0.0]))
@@ -367,8 +349,8 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
     # Controlled V_i: copy the vertex, then set the branch variable.
     for hi_bit, lo_bit, value in ((0, 0, None), (0, 1, 0), (1, 0, 1)):
         gate_ctrl = ((b, 0), (hi, hi_bit), (lo, lo_bit))
-        for w in range(2 * n):
-            circ.x(child[w], gate_ctrl + ((w, 1),))
+        for w, c in zip(vertex, child):
+            circ.x(c, gate_ctrl + ((w, 1),))
         if value is None:
             continue
         for var in range(1, n + 1):
@@ -386,13 +368,12 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
                + ((child[set_wire(var)], 1), (child[val_wire(var)], 1)))
 
     # Restore the classical helpers.
-    _scan_first_free(circ, n, fc, fchk, bv, bfound)
+    _first_hit(circ, first_free, fc, fchk, bv, None, bfound)
     circ.x(isroot, tuple((set_wire(v), 0) for v in range(1, n + 1)))
     circ.extend(leaf_program.inverse())
 
-    scratch = (b, isroot) + bv + (bfound,) + fc + (fchk,) \
-        + tuple(range(scratch_base, width))
-    return WalkComponent("V_A", circ, tuple(range(2 * n)),
+    scratch = (b, isroot) + bv + (bfound,) + fc + (fchk,) + leaf_scratch
+    return WalkComponent("V_A", circ, vertex,
                          {"child": child, "index": (hi, lo)}, scratch)
 
 
@@ -412,13 +393,9 @@ def assembled_r_a_wires(formula: CnfFormula) -> dict:
     registers, the index qutrit, the reduction-rule outputs and the shared
     scan scratch. Everything beyond 4n is logarithmic in n."""
     n = formula.num_vars
-    leaf = build_v_leaf(formula)
-    marked = build_v_marked(formula)
-    unit = build_v_unit(formula)
-    pure = build_v_pure(formula)
     ws = max(1, n.bit_length())
-    shared_scratch = max(len(leaf.scratch_wires), len(marked.scratch_wires),
-                         len(unit.scratch_wires), len(pure.scratch_wires))
+    shared_scratch = max(len(build(formula).scratch_wires)
+                         for build in (build_v_leaf, build_v_marked, build_v_unit, build_v_pure))
     outputs = (
         2                   # leaf + marked bits
         + (ws + 2) * 2      # unit and pure outputs (j, s, found)
@@ -436,30 +413,3 @@ def assembled_r_a_wires(formula: CnfFormula) -> dict:
         "total": total,
         "overhead": total - 4 * n,
     }
-
-
-def build_walk_components(formula: CnfFormula) -> dict:
-    """All reversible components plus the R_A wire accounting."""
-    return {
-        "V_leaf": build_v_leaf(formula),
-        "V_marked": build_v_marked(formula),
-        "V_unit": build_v_unit(formula),
-        "V_pure": build_v_pure(formula),
-        "V_next": build_v_next(formula.num_vars),
-        "V_A": build_v_a_static(formula),
-        "R_A": assembled_r_a_wires(formula),
-    }
-
-
-def walk_cost_report(formula: CnfFormula) -> dict:
-    from .oracles import oracle_cost_report
-
-    n = formula.num_vars
-    r_a = assembled_r_a_wires(formula)
-    report = oracle_cost_report(formula)
-    report.update({
-        "walkOperatorWires": r_a["total"],
-        "walkOverhead": r_a["overhead"],
-        "bound4nPlusW": f"4*{n} + w, w = {r_a['total'] - 4 * n}",
-    })
-    return report

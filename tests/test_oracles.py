@@ -22,7 +22,6 @@ from hybridts.qcircuit.oracles import (
     grover_circuit,
     grover_search,
     optimal_iterations,
-    oracle_cost_report,
     oracle_phases,
 )
 from reference import brute_force_models
@@ -67,10 +66,12 @@ def test_wire_counts():
     counter = clause_oracle_counter(f)
     assert naive.num_wires == 4 + 3 + 2            # n + m + 2
     assert counter.num_wires == 4 + 2 + 1          # n + floor(log 3) + 2
-    report = oracle_cost_report(f)
-    assert report["naive"] == 9
-    assert report["counterAncillas"] == 3          # floor(log m) + 1 + scratch
-    assert report["oneQubitProgram"] == 6          # n + 2, accounted only
+
+
+@pytest.mark.parametrize("num_vars", [0, 2])
+def test_unique_sat_3cnf_needs_three_variables(num_vars):
+    with pytest.raises(ValueError, match="need at least k variables"):
+        unique_sat_3cnf(random.Random(1), num_vars, 4)
 
 
 def test_incrementer_width_cost():

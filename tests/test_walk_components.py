@@ -17,12 +17,10 @@ from hybridts.qcircuit.walk import (
     build_v_next,
     build_v_pure,
     build_v_unit,
-    build_walk_components,
     encode_vertex,
     read_wires,
     set_wire,
     val_wire,
-    walk_cost_report,
 )
 from reference import (
     PartialAssignment,
@@ -258,14 +256,44 @@ def test_r_a_accounting_4n_plus_w():
         assert acc["total"] - 4 * n <= 16 * math.log2(n) + 8
 
 
-def test_build_walk_components_and_report():
-    f = F(3, [[1, 2], [-2, 3]])
-    comps = build_walk_components(f)
-    assert set(comps) == {"V_leaf", "V_marked", "V_unit", "V_pure", "V_next",
-                          "V_A", "R_A"}
-    report = walk_cost_report(f)
-    assert report["naive"] == 3 + 2 + 2
-    assert "walkOperatorWires" in report and "bound4nPlusW" in report
+def random_cnf(rng):
+    n = rng.randint(1, 6)
+    clauses = []
+    for _ in range(rng.randint(1, 6)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return F(n, clauses)
+
+
+def test_component_wires_partition_the_circuit():
+    rng = random.Random(78)
+    for _ in range(40):
+        f = random_cnf(rng)
+        comps = [build_v_leaf(f), build_v_marked(f), build_v_unit(f), build_v_pure(f),
+                 build_v_next(f.num_vars), build_v_a_static(f),
+                 build_v_a_static(f, include_leaf_detector=False)]
+        for comp in comps:
+            wires = list(comp.vertex_wires) + list(comp.scratch_wires)
+            for reg in comp.outputs.values():
+                wires += reg
+            assert sorted(wires) == list(range(comp.num_wires)), comp.name
+            assert comp.vertex_wires == tuple(range(2 * f.num_vars))
+
+
+def test_encode_vertex_rejects_foreign_pairs():
+    assert encode_vertex({1: 0, 3: 1}, 3, 6) == 0b100011
+    with pytest.raises(ValueError, match="variable 5 outside 1..3"):
+        encode_vertex({5: 1}, 3, 12)
+    with pytest.raises(ValueError, match="variable 0 outside 1..3"):
+        encode_vertex({0: 1}, 3, 12)
+    with pytest.raises(ValueError, match="value 2, not 0 or 1"):
+        encode_vertex({2: 2}, 3, 12)
+
+
+@pytest.mark.parametrize("depth_bound", [0, -1])
+def test_v_a_rejects_depth_bound_below_1(depth_bound):
+    with pytest.raises(ValueError, match="depth_bound must be at least 1"):
+        build_v_a_static(F(2, [[1, 2]]), depth_bound=depth_bound)
 
 
 def test_rebase_relabels_wires():
