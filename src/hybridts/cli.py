@@ -32,6 +32,7 @@ from .qcircuit import (
 )
 from .qcircuit.core import CIRCUIT_DIM_CAP
 from .qcircuit.oracles import build_oracle, optimal_iterations
+from .qcircuit.qpe import qpe_p0_formula
 from .treesearch import (
     DNCPPSZ,
     DPLL,
@@ -202,10 +203,12 @@ def cmd_qpe_compare(args) -> tuple[list, dict]:
         t = int(rng.choice([3, 5, 6]))
         p0 = qpe_standard(u, eigenstate, t)
         p0p, ancillas = qpe_counter(u, eigenstate, t)
-        diff = abs(p0 - p0p)
+        closed = qpe_p0_formula(float(np.angle(vals[pick])) / (2 * math.pi), t)
+        diff = max(abs(p0 - closed), abs(p0p - closed))
         worst = max(worst, diff)
         records.append({"trial": trial, "t": t, "p0": p0, "p0Prime": p0p,
-                        "absDiff": diff, "counterAncillas": ancillas})
+                        "closedForm": closed, "absDiff": diff,
+                        "counterAncillas": ancillas})
     return records, {"maxAbsDiff": worst}
 
 
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("auto", "naive", "counter"), default="auto")
 
     p = command("qpe-compare", cmd_qpe_compare,
-                help="standard vs counter phase estimation")
+                help="standard and counter phase estimation against the closed form")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
 

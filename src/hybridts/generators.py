@@ -21,19 +21,6 @@ def random_kcnf(rng: random.Random, num_vars: int, num_clauses: int, k: int = 3)
     return CnfFormula.from_clauses(num_vars, clauses)
 
 
-def bounded_width_cnf(rng: random.Random, num_vars: int, width: int,
-                      num_clauses: int, k: int = 3) -> CnfFormula:
-    """Random CNF whose clauses span at most `width` variable indices."""
-    clauses = []
-    for _ in range(num_clauses):
-        size = rng.randint(1, min(k, width + 1))
-        lo = rng.randint(1, max(1, num_vars - width))
-        hi = min(num_vars, lo + width)
-        variables = rng.sample(range(lo, hi + 1), min(size, hi - lo + 1))
-        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
-    return CnfFormula.from_clauses(num_vars, clauses)
-
-
 def truth_table(formula: CnfFormula) -> np.ndarray:
     """Satisfying-assignment mask over all 2^n assignments, in circuit order:
     variable v is bit n - v of the index, so variable 1 is most significant."""

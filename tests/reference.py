@@ -9,10 +9,17 @@ restriction. `ch_no`, `ch1` and `ch2` are built from them and restrict F
 afresh at every node; `reference_nodes` walks the tree they define. `locality_check` compares
 SIA's window verdicts with s-implication over the full restriction, and
 `brute_force_models` lists every model of a small formula.
+`bounded_width_cnf` makes the narrow formulas that SIA's window reads.
+
+`qpe_sandwich_zero_probability` and `qpe_counter_circuit` build and simulate
+the two phase-estimation circuits, the oracle for `qcircuit.qpe`'s spectral
+product. The product sums the same terms in another order, so they agree
+within 1e-12, not bit for bit.
 """
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +29,7 @@ import numpy as np
 
 from hybridts.formula import UNSET, CnfFormula, SImplication, index_width, s_implication
 from hybridts.generators import truth_table
+from hybridts.qcircuit.core import Circuit, append_increment, simulate
 from hybridts.sia import _SiaCore
 from hybridts.treesearch import DPLL, EngineConfig
 
@@ -301,3 +309,82 @@ def reference_nodes(formula: CnfFormula,
             stack.append(ch1(node, formula, config))
         elif kind == ChildCount.TWO_CHILDREN:
             stack += [ch2(node, formula, config, 1), ch2(node, formula, config, 0)]
+
+
+def bounded_width_cnf(rng: random.Random, num_vars: int, width: int,
+                      num_clauses: int, k: int = 3) -> CnfFormula:
+    """Random CNF whose clauses span at most `width` variable indices."""
+    clauses = []
+    for _ in range(num_clauses):
+        size = rng.randint(1, min(k, width + 1))
+        lo = rng.randint(1, max(1, num_vars - width))
+        hi = min(num_vars, lo + width)
+        variables = rng.sample(range(lo, hi + 1), min(size, hi - lo + 1))
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    return CnfFormula.from_clauses(num_vars, clauses)
+
+
+# The phase-estimation circuits that `qcircuit.qpe`'s spectral product
+# replaces: the t-ancilla Hadamard sandwich, and the counter variant with one
+# reused estimate ancilla and a bit_length(t)-wire counter.
+
+def _u_wires(u: np.ndarray) -> int:
+    m = int(np.log2(u.shape[0]))
+    if 2 ** m != u.shape[0]:
+        raise ValueError("unitary dimension is not a power of two")
+    return m
+
+
+def _basis(dim: int, index: int) -> np.ndarray:
+    v = np.zeros(dim, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def qpe_sandwich_zero_probability(u: np.ndarray, state: np.ndarray, t: int) -> float:
+    """All-zero-estimate probability of the Hadamard-sandwich circuit on an
+    arbitrary (not necessarily eigen-) input state."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    m = _u_wires(u)
+    circ = Circuit(t + m)
+    targets = tuple(range(t, t + m))
+    for j in range(t):
+        circ.h(j)
+    power = np.asarray(u, dtype=complex)
+    for j in range(t):
+        circ.unitary(targets, power, ((j, 1),))
+        power = power @ power
+    for j in range(t):
+        circ.h(j)
+    init = np.kron(_basis(2 ** t, 0), np.asarray(state, dtype=complex))
+    final = simulate(circ, state=init)
+    amps = final.reshape(2 ** t, 2 ** m)
+    return float(np.sum(np.abs(amps[0]) ** 2))
+
+
+def qpe_counter_circuit(u: np.ndarray, eigenstate: np.ndarray, t: int) -> tuple[float, int]:
+    """Counter variant: one reused estimate ancilla plus a counter of
+    bit_length(t) wires; returns (zero-counter probability, ancilla wires)."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    m = _u_wires(u)
+    p = t.bit_length()
+    circ = Circuit(1 + p + m)
+    a = 0
+    counter = tuple(range(1, 1 + p))
+    targets = tuple(range(1 + p, 1 + p + m))
+    # One increment cascade, repeated by extend, so simulate compiles it once.
+    increment = append_increment(Circuit(circ.num_wires), counter, ((a, 1),))
+    power = np.asarray(u, dtype=complex)
+    for _ in range(t):
+        circ.h(a)
+        circ.unitary(targets, power, ((a, 1),))
+        circ.h(a)
+        circ.extend(increment)
+        power = power @ power
+    init = np.kron(_basis(2 ** (1 + p), 0), np.asarray(eigenstate, dtype=complex))
+    state = simulate(circ, state=init)
+    probs = np.abs(state.reshape(2, 2 ** p, 2 ** m)) ** 2
+    p0_prime = float(probs[:, 0, :].sum())
+    return p0_prime, 1 + p

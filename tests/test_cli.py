@@ -260,6 +260,9 @@ def test_grover_past_the_statevector_cap_exit_2(tmp_path, capsys):
 def test_qpe_compare(tmp_path):
     code, report = run(["qpe-compare", "--seed", "5", "--trials", "8"], tmp_path)
     assert report["aggregate"]["maxAbsDiff"] <= 1e-9
+    for rec in report["records"]:
+        assert rec["absDiff"] == max(abs(rec["p0"] - rec["closedForm"]),
+                                     abs(rec["p0Prime"] - rec["closedForm"]))
     assert code == 0
 
 

@@ -14,10 +14,11 @@ from hybridts.formula import (
     s_implication,
     serialize_dimacs,
 )
-from hybridts.generators import bounded_width_cnf, brute_force_satisfiable, random_kcnf
+from hybridts.generators import brute_force_satisfiable, random_kcnf
 from reference import (
     PartialAssignment,
     Predicate,
+    bounded_width_cnf,
     evaluate_predicate,
     lit_satisfied,
     pure_literal_rule,

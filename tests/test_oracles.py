@@ -11,7 +11,6 @@ from hybridts.generators import (
     truth_table,
     unique_sat_3cnf,
 )
-from hybridts.qcircuit import qpe
 from hybridts.qcircuit.core import Circuit, append_increment, simulate
 from hybridts.qcircuit.oracles import (
     build_oracle,
@@ -24,6 +23,7 @@ from hybridts.qcircuit.oracles import (
     optimal_iterations,
     oracle_phases,
 )
+import reference
 from reference import brute_force_models
 from test_qcircuit_core import oracle_simulate
 
@@ -156,11 +156,12 @@ def test_qpe_circuits_equal_gate_by_gate_oracle(monkeypatch):
                   np.array([0, 0, 1, 0], dtype=complex), np.full(4, 0.5, dtype=complex), 3))
 
     def run_all():
-        return [(qpe.qpe_counter(u, psi, t)[0], qpe.qpe_zero_probability(u, state, t))
+        return [(reference.qpe_counter_circuit(u, psi, t)[0],
+                 reference.qpe_sandwich_zero_probability(u, state, t))
                 for u, psi, state, t in cases]
 
     fast = run_all()
-    monkeypatch.setattr(qpe, "simulate", oracle_simulate)
+    monkeypatch.setattr(reference, "simulate", oracle_simulate)
     for got, want in zip(fast, run_all()):
         assert np.abs(np.subtract(got, want)).max() < 1e-12
 

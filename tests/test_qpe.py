@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from hybridts.generators import random_kcnf
 from hybridts.qcircuit.qpe import (
     qpe_counter,
     qpe_p0_formula,
@@ -10,7 +12,8 @@ from hybridts.qcircuit.qpe import (
     qpe_zero_probability,
 )
 from hybridts.qwalk import build_walk_operator
-from hybridts.treesearch import SearchTree
+from hybridts.treesearch import DNCPPSZ, DPLL, EngineConfig, SearchTree, tree_stats
+from reference import qpe_counter_circuit, qpe_sandwich_zero_probability
 from test_qwalk import schur_profile
 
 
@@ -63,10 +66,10 @@ def test_p0_equals_p0_prime_including_power_of_two_t():
         psi, _ = eigenpair(rng, u)
         for t in (1, 2, 3, 4, 5, 6):
             p0 = qpe_standard(u, psi, t)
-            p0p, anc = qpe_counter(u, psi, t)
+            p0p, anc = qpe_counter_circuit(u, psi, t)
             worst = max(worst, abs(p0 - p0p))
             # counter from 0 to t: bit_length(t) wires plus the estimate wire
-            assert anc == 1 + t.bit_length()
+            assert anc == qpe_counter(u, psi, t)[1] == 1 + t.bit_length()
     assert worst <= 1e-9
 
 
@@ -88,17 +91,82 @@ def test_eigenstate_validation():
         qpe_standard(u, np.array([2.0, 0.0], dtype=complex), 2)
 
 
+def random_state(rng, m):
+    z = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+    return z / np.linalg.norm(z)
+
+
+def test_product_equals_both_circuit_oracles():
+    # The product sums the circuits' terms in another order: equal within
+    # 1e-12, not bit for bit. t runs past 1, 2, 4 and 8, where the counter
+    # gains a wire.
+    rng = np.random.default_rng(64)
+    worst = 0.0
+    for m in (1, 3, 5):
+        u = random_unitary(rng, m)
+        psi, _ = eigenpair(rng, u)
+        state = random_state(rng, m)
+        for t in range(1, 12):
+            p0, anc = qpe_counter(u, psi, t)
+            sandwich = qpe_sandwich_zero_probability(u, psi, t)
+            counter, counter_anc = qpe_counter_circuit(u, psi, t)
+            assert anc == counter_anc == 1 + t.bit_length()
+            assert qpe_standard(u, psi, t) == p0
+            worst = max(worst, abs(p0 - sandwich), abs(p0 - counter))
+            p = qpe_zero_probability(u, state, t)
+            worst = max(worst, abs(p - qpe_sandwich_zero_probability(u, state, t)),
+                        abs(p - qpe_counter_circuit(u, state, t)[0]))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("u, state, t, message", [
+    (np.eye(2)[:1], [1, 0], 2, r"unitary must be a square matrix, got shape \(1, 2\)"),
+    (np.ones(4), [1, 0], 2, r"unitary must be a square matrix, got shape \(4,\)"),
+    (np.eye(3), [1, 0, 0], 2, "unitary dimension 3 is not a power of two"),
+    (np.eye(4), [1, 0], 2, r"state has shape \(2,\), but the unitary has dimension 4"),
+    (np.eye(2), [[1, 0]], 2, r"state has shape \(1, 2\), but the unitary has dimension 2"),
+    (np.eye(2), [1, 0], 0, "t must be >= 1, got 0"),
+])
+def test_dimension_errors_are_loud(u, state, t, message):
+    for call in (qpe_zero_probability, qpe_standard, qpe_counter):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(u, np.asarray(state, dtype=complex), t)
+
+
+def engine_trees(count=20, max_size=200):
+    rng = random.Random(65)
+    configs = (EngineConfig(kind=DPLL),
+               EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=1))
+    trees = []
+    while len(trees) < count:
+        n = rng.randint(6, 10)
+        f = random_kcnf(rng, n, round(4.26 * n))
+        tree = tree_stats(f, configs[len(trees) % 2], collect_tree=True).tree
+        if tree.size <= max_size:
+            trees.append(tree)
+    return trees
+
+
+def spectral_p0(profile, t):
+    return sum(mass * qpe_p0_formula(phase / (2 * math.pi), t) for phase, mass in profile)
+
+
 def test_dual_path_against_walk_spectrum():
-    # 4-vertex walk tree: the circuit's all-zero-estimate probability on |r>
-    # equals the spectral sum of window masses under the product formula,
-    # with the masses from the real Schur form of W.
-    tree = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [False, False, True, False], 2)
-    op = build_walk_operator(tree)
-    profile = schur_profile(op.product)
-    root = np.zeros(4)
-    root[0] = 1.0
-    for t in (2, 4, 6):
-        circuit = qpe_zero_probability(op.product, root, t)
-        spectral = sum(mass * qpe_p0_formula(phase / (2 * math.pi), t)
-                       for phase, mass in profile)
-        assert abs(circuit - spectral) < 1e-6
+    # The product's all-zero-estimate probability on |r> equals the spectral
+    # sum of window masses under the product formula, with the masses from
+    # the real Schur form of W. W is padded with the identity to a power of
+    # two; the padding carries no root mass.
+    small = SearchTree(2, [-1, 0, 1, 1], [None] * 4, [False, False, True, False], 2)
+    trees = engine_trees()
+    assert any(any(tree.marked) for tree in trees)
+    assert not all(any(tree.marked) for tree in trees)
+    for tree in [small] + trees:
+        w = build_walk_operator(tree).product
+        profile = schur_profile(w)
+        dim = 1 << (tree.size - 1).bit_length()
+        padded = np.eye(dim)
+        padded[:tree.size, :tree.size] = w
+        root = np.zeros(dim)
+        root[0] = 1.0
+        for t in (2, 4, 6, 8):
+            assert abs(qpe_zero_probability(padded, root, t) - spectral_p0(profile, t)) < 1e-9

@@ -5,7 +5,6 @@ import pytest
 
 from hybridts import sia
 from hybridts.formula import CnfFormula, index_width
-from hybridts.generators import bounded_width_cnf
 from hybridts.sia import (
     FLAG_CONTRADICTION,
     FLAG_OUT_OF_ADVICE,
@@ -22,7 +21,7 @@ from hybridts.sia import (
     siar_schedule,
 )
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
-from reference import locality_check
+from reference import bounded_width_cnf, locality_check
 
 F = CnfFormula.from_clauses
 
