@@ -103,14 +103,16 @@ def leaves_bound_check(tree: SearchTree) -> dict:
 class CostModel:
     phi: str = PHI_SQRT
 
+    def __post_init__(self):
+        if self.phi not in (PHI_SQRT, PHI_CLASSICAL, PHI_GROVER_BRANCH):
+            raise ValueError(f"unknown phi {self.phi!r}")
+
     def phi_value(self, subtree: CutSubtree) -> float:
         if self.phi == PHI_SQRT:
             return math.sqrt(subtree.size)
         if self.phi == PHI_CLASSICAL:
             return float(subtree.size)
-        if self.phi == PHI_GROVER_BRANCH:
-            return 2.0 ** (subtree.branching / 2)
-        raise ValueError(f"unknown phi {self.phi!r}")
+        return 2.0 ** (subtree.branching / 2)   # PHI_GROVER_BRANCH
 
 
 def hybrid_query_count(decomp: TreeDecomposition, model: CostModel) -> float:

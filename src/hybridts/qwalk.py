@@ -5,19 +5,17 @@ even (odd) depth. Detection on the subtree of v reads the root's spectral
 mass inside the phase-estimation window from one leaf-to-root pass over the
 preorder range of v, with no copy: the phase-0 mass has a closed form in the
 effective conductance to the marked set, and an inertia count on the star
-overlap forest certifies that no nonzero phase lies in the window. Only when
-that count is not zero, or the window is wider than pi, is the T x T
-operator assembled and (W + W^T)/2 eigensolved; WALK_DIM_CAP applies to
-that dense fallback alone. Per-trial acceptances are drawn from that probability.
+overlap forest certifies that no nonzero phase lies in the window. The pass
+reads the phase-0 mass alone, so a window that holds a nonzero phase, or a
+precision outside (0, pi], raises a ValueError that names T, n and the
+precision. Per-trial acceptances are drawn from the window mass.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .treesearch import SearchTree
 
@@ -31,14 +29,13 @@ DETECTION_GAMMA = 35.0
 # beta: phase-window scale beta/sqrt(T*n); calibrated over {0.1..1.0} on the
 # walk test corpus and frozen (see calibration test).
 DETECTION_BETA = 0.3
-# Smallest 1 - cos(phase) the eigensolve resolves (eigenvalues of a norm-1
-# matrix come out within a few eps; cos(1e-9) already rounds to 1.0).
-WINDOW_FLOOR = 64 * np.finfo(float).eps
+# Floor on a window's 1 - cos(precision), a few ulp of 1.0 (cos(1e-9) already
+# rounds to 1.0): it keeps the pass's threshold cos(precision / 2) below 1,
+# and every narrower window reads as this one.
+WINDOW_FLOOR = 64 * math.ulp(1.0)
 # Descents find_marked starts before it gives up: a false positive can end
 # one at an unmarked vertex where no child is detected.
 FIND_RETRIES = 3
-# Largest tree whose T x T reflections the dense fallback assembles.
-WALK_DIM_CAP = 4096
 
 
 # Kept because the benchmark's hybrid-walk workload (benchmark/workloads.py)
@@ -49,70 +46,29 @@ WalkTree = SearchTree
 @dataclass
 class WalkOperator:
     tree: SearchTree
-    # (R_A, R_B), assembled on first read of r_a, r_b or product.
-    blocks: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.tree.size
-
-    @property
-    def r_a(self) -> np.ndarray:
-        return self._reflections()[0]
-
-    @property
-    def r_b(self) -> np.ndarray:
-        return self._reflections()[1]
-
-    @property
-    def product(self) -> np.ndarray:
-        return self.r_b @ self.r_a
-
-    def _reflections(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.blocks is None:
-            if self.tree.size > WALK_DIM_CAP:
-                raise ValueError(f"tree size {self.tree.size} exceeds the dimension "
-                                 f"cap {WALK_DIM_CAP}")
-            self.blocks = _assemble_reflections(self.tree)
-        return self.blocks
-
-    def _root_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cos phase, root mass) per eigenvector of (W + W^T)/2: W is real
-        orthogonal, so that has eigenvalue cos(phi) on the plane of phases +-phi."""
-        if self._spectrum is None:
-            w = self.product
-            lam, vecs = np.linalg.eigh(0.5 * (w + w.T))
-            self._spectrum = (lam, vecs[0] ** 2)
-        return self._spectrum
 
     def mass_in_window(self, precision: float) -> float:
         """Root mass on |phase| < precision with n = max(1, depth_bound) (see
         `_mass_in_window`)."""
-        return _mass_in_window(self.tree, 0, max(1, self.tree.depth_bound), precision, self)
+        return _mass_in_window(self.tree, 0, max(1, self.tree.depth_bound), precision)
 
 
-def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float,
-                    op: WalkOperator | None = None) -> float:
+def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float) -> float:
     """Root mass on |phase| < precision in the walk on the subtree of `root`
-    with depth bound n, read as 1 - cos(phase) < 1 - cos(precision). The
-    closed-form phase-0 mass answers unless the certificate finds a nonzero
-    phase in the window; then the eigensolve of `op` (default: a copy of the
-    subtree) does. Solver resolution, not a setting: a window wider than pi
-    takes all the mass (1 - cos is not monotone past pi), and the bound is
-    floored at WINDOW_FLOOR, so a narrower window holds phase 0."""
+    with depth bound n, read as 1 - cos(phase) < 1 - cos(precision) with that
+    bound floored at WINDOW_FLOOR. The closed-form phase-0 mass is the answer;
+    a nonzero phase inside the window, or a precision outside (0, pi], where
+    1 - cos is not monotone, raises a ValueError."""
+    if not 0.0 < precision <= math.pi:
+        raise ValueError(f"precision must lie in (0, pi], got {precision!r}")
     gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
-    if precision <= math.pi:
-        # |phase| < precision exactly when sigma > cos(precision / 2).
-        mass, inside = _window_pass(tree, root, n, math.sqrt(1.0 - 0.5 * gap))
-        if not inside:
-            return mass
-    if op is None:
-        op = WalkOperator(tree.subtree(root)[0])
-    lam, mass = op._root_spectrum()
-    if precision > math.pi:
-        return float(mass.sum())
-    return float(mass[1.0 - lam < gap].sum())
+    # |phase| < precision exactly when sigma > cos(precision / 2).
+    mass, inside = _window_pass(tree, root, n, math.sqrt(1.0 - 0.5 * gap))
+    if inside:
+        t = tree.sizes[root] if root else tree.size
+        raise ValueError(f"the walk on T = {t} vertices with n = {n} has a nonzero "
+                         f"phase inside the window of precision {precision!r}")
+    return mass
 
 
 def _window_pass(tree: SearchTree, root: int, n: int, x: float) -> tuple[float, int]:
@@ -174,40 +130,6 @@ def _window_pass(tree: SearchTree, root: int, n: int, x: float) -> tuple[float, 
     return g / (g + 1.0), inside
 
 
-def _star_reflection(centre: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """I - 2 sum psi psi^T over disjoint stars; vertex u lies in the star
-    `centre[u]` (-1: none) with amplitude `amp[u]` (0 when in none)."""
-    r = np.outer(2.0 * amp, amp)
-    r *= np.equal.outer(centre, centre)
-    return np.subtract(np.eye(len(amp)), r, out=r)
-
-
-def _assemble_reflections(tree: SearchTree) -> tuple[np.ndarray, np.ndarray]:
-    """R_A (R_B) reflects about the stars of unmarked even (odd) depth: a vertex
-    and its children, amplitudes 1/sqrt(degree), or at the root (1, sqrt(n),
-    ..., sqrt(n)) / sqrt(1 + n * children), n = max(1, depth_bound). R_B fixes
-    the root."""
-    t, n = tree.size, max(1, tree.depth_bound)
-    parents = np.asarray(tree.parents)
-    free = ~np.asarray(tree.marked, dtype=bool)
-    even = np.asarray(tree.depths) % 2 == 0
-    kids = np.bincount(parents[1:], minlength=t)
-    # Star amplitudes by centre: the centre's own and each child's.
-    own = 1.0 / np.sqrt(kids + 1.0)
-    child = own.copy()
-    norm = math.sqrt(1 + kids[0] * n)
-    own[0], child[0] = 1.0 / norm, math.sqrt(n) / norm
-    # A vertex lies in its own star and in its parent's, of opposite parity;
-    # a marked vertex centres no star.
-    up = np.maximum(parents, 0)
-    in_up = free[up] & (parents >= 0)
-    own_star, up_star = np.where(free, np.arange(t), -1), np.where(in_up, up, -1)
-    own_amp, up_amp = free * own, in_up * child[up]
-    r_a, r_b = (_star_reflection(np.where(sel, own_star, up_star),
-                                 np.where(sel, own_amp, up_amp)) for sel in (even, ~even))
-    return r_a, r_b
-
-
 # Kept because the benchmark's hybrid-walk workload (benchmark/workloads.py)
 # calls build_walk_operator.
 def build_walk_operator(tree: SearchTree) -> WalkOperator:
@@ -234,10 +156,11 @@ def detection_trials(delta: float) -> int:
 
 
 def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = None,
-                  seed: int | None = None, beta: float = DETECTION_BETA,
+                  seed: int | None = None,
                   op: WalkOperator | None = None) -> DetectionResult:
     """Phase-estimation detection on the whole tree, of any size, from
-    `op.mass_in_window` at the precision beta / sqrt(T n), n = max(1, depth_bound)."""
+    `op.mass_in_window` at the precision DETECTION_BETA / sqrt(T n), n =
+    max(1, depth_bound); passes on the window's ValueError."""
     k = detection_trials(delta)
     if trials is not None:
         if trials < 1:
@@ -249,7 +172,7 @@ def detect_marked(tree: SearchTree, delta: float = 0.1, trials: int | None = Non
     if op is None:
         op = WalkOperator(tree)
     n = max(1, tree.depth_bound)
-    precision = beta / math.sqrt(tree.size * n)
+    precision = DETECTION_BETA / math.sqrt(tree.size * n)
     return _detection(op.mass_in_window(precision), k, seed, precision)
 
 
@@ -269,8 +192,8 @@ def find_marked(tree: SearchTree, delta: float = 0.1,
                 seed: int | None = None) -> int | None:
     """Descend from the root, following positive detection verdicts on each
     vertex's subtree: the range pass at v with T = sizes[v] and n = max(1,
-    heights[v]). Only the dense fallback copies the subtree and is held to
-    WALK_DIM_CAP. The tree must be in preorder (see `SearchTree`)."""
+    heights[v]), which copies nothing and passes on the window's ValueError.
+    The tree must be in preorder (see `SearchTree`)."""
     k = detection_trials(delta)  # reject a bad delta even when the root is marked
     rng = random.Random(seed)
 

@@ -224,6 +224,8 @@ class SearchTree:
             raise ValueError(f"depthBound must be an integer or null, got {bound!r}")
         if bound < 1:
             raise ValueError(f"depthBound must be at least 1, got {bound}")
+        if n < 1:
+            raise ValueError(f"numVars must be at least 1, got {n}")
         parents, edges, marked = data["parents"], data["edges"], data["marked"]
         for name, column in (("parents", parents), ("edges", edges), ("marked", marked)):
             if type(column) is not list:

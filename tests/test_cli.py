@@ -156,13 +156,28 @@ def test_qwalk_detect(small_instance, tmp_path):
 
 @pytest.mark.parametrize("seed, truth", [(0, "markedExists"), (1, "noMarked")])
 def test_qwalk_detect_above_the_walk_dimension_cap(seed, truth, tmp_path):
-    # Random 3-CNF at n = 50, m = 213: DPLL trees of 7654 and 9389 vertices.
+    # Random 3-CNF at n = 50, m = 213: DPLL trees of 7654 and 9389 vertices,
+    # above the 4096 that capped the walk's old dense operator.
     path = tmp_path / "big.cnf"
     path.write_text(serialize_dimacs(random_kcnf(random.Random(seed), 50, 213)))
     code, report = run(["qwalk-detect", "--input", str(path), "--seed", "3"], tmp_path)
     rec = report["records"][0]
-    assert code == 0 and rec["T"] > qwalk.WALK_DIM_CAP
+    assert code == 0 and rec["T"] > 4096
     assert rec["verdict"] == rec["groundTruth"] == truth
+
+
+def test_qwalk_detect_refused_window_exit_2(monkeypatch, instance, tmp_path, capsys):
+    # At beta = 10 the detection window of this 25-vertex tree holds a
+    # nonzero phase, which the range pass cannot weigh.
+    monkeypatch.setattr(qwalk, "DETECTION_BETA", 10.0)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["qwalk-detect", "--input", str(instance), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "hybridts qwalk-detect: error: the walk on T = 25 vertices with n = 6 has a "
+        "nonzero phase inside the window of precision 0.816496580927726\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])

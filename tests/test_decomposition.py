@@ -130,6 +130,16 @@ def test_hybrid_query_count_examples():
     assert classical == 31.0
 
 
+def test_cost_model_rejects_an_unknown_phi():
+    # Checked at construction: a decomposition with no cut-offs prices none,
+    # so a misspelt phi would otherwise go unseen.
+    with pytest.raises(ValueError, match="^unknown phi 'sqroot'$"):
+        CostModel(phi="sqroot")
+    uncut = TreeDecomposition(3, 3, [], 0, "height", 2)
+    for phi in ("sqrt", "classical", "groverBranch"):
+        assert hybrid_query_count(uncut, CostModel(phi=phi)) == 3
+
+
 def test_hybrid_query_sqrt_below_classical():
     rng = random.Random(23)
     for _ in range(20):

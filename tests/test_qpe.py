@@ -11,10 +11,9 @@ from hybridts.qcircuit.qpe import (
     qpe_standard,
     qpe_zero_probability,
 )
-from hybridts.qwalk import build_walk_operator
 from hybridts.treesearch import DNCPPSZ, DPLL, EngineConfig, SearchTree, tree_stats
 from reference import qpe_counter_circuit, qpe_sandwich_zero_probability
-from test_qwalk import schur_profile
+from test_qwalk import oracle_reflections, schur_profile
 
 
 def random_unitary(rng, m):
@@ -161,7 +160,8 @@ def test_dual_path_against_walk_spectrum():
     assert any(any(tree.marked) for tree in trees)
     assert not all(any(tree.marked) for tree in trees)
     for tree in [small] + trees:
-        w = build_walk_operator(tree).product
+        r_a, r_b = oracle_reflections(tree)
+        w = r_b @ r_a
         profile = schur_profile(w)
         dim = 1 << (tree.size - 1).bit_length()
         padded = np.eye(dim)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hybridts.formula import CnfFormula
 from hybridts.generators import random_kcnf
 from hybridts.qwalk import (
     DETECTION_BETA,
-    WalkOperator,
     WalkTree,
     build_walk_operator,
     detect_marked,
@@ -37,8 +37,7 @@ def dpll_walk_tree(f, rules=("unit", "pureLiteral")):
 
 
 # Reference implementations: per-vertex star assembly and the real Schur
-# decomposition of W = R_B R_A, which the library's vectorised assembly and
-# symmetric eigensolve replace.
+# decomposition of W = R_B R_A, which the library's range pass replaces.
 
 def oracle_diffusion(tree: SearchTree, vertex: int) -> dict:
     """Identity for marked vertices, otherwise the reflection about the star
@@ -95,19 +94,50 @@ def schur_profile(w: np.ndarray, root: int = 0) -> list[tuple[float, float]]:
     return profile
 
 
-class SchurOperator(WalkOperator):
+class SchurOperator:
     """Per-vertex assembly and window masses from the Schur profile."""
 
     def __init__(self, tree: SearchTree):
-        super().__init__(tree, oracle_reflections(tree))
+        r_a, r_b = oracle_reflections(tree)
+        self.tree = tree
+        self.product = r_b @ r_a
         self.profile = schur_profile(self.product)
 
     def mass_in_window(self, precision: float) -> float:
         return sum(mass for phase, mass in self.profile if phase < precision)
 
 
-def oracle_find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = None,
-                       beta: float = DETECTION_BETA) -> int | None:
+def eigh_window_count(w: np.ndarray, precision: float) -> int:
+    """Eigenvalues of (W + W^T)/2 for nonzero phases inside the window: W is
+    real orthogonal, so each plane of phases +-phi shows as a double
+    eigenvalue cos(phi). Nonzero phases sit far above 1e-10 in 1 - cos (see
+    the star-overlap test)."""
+    lam = np.linalg.eigvalsh(0.5 * (w + w.T))
+    gap = max(2.0 * math.sin(0.5 * precision) ** 2, qwalk.WINDOW_FLOOR)
+    return int(np.count_nonzero((1.0 - lam < gap) & (1.0 - lam > 1e-10)))
+
+
+def window_error(t: int, n: int, precision: float) -> str:
+    """The library's message for a window that holds a nonzero phase."""
+    return (f"the walk on T = {t} vertices with n = {n} has a nonzero phase "
+            f"inside the window of precision {precision!r}")
+
+
+class WindowOracle(SchurOperator):
+    """The Schur oracle held to the library's contract: it refuses a
+    precision outside (0, pi], and a window where eigh counts a nonzero phase."""
+
+    def mass_in_window(self, precision: float) -> float:
+        if not 0.0 < precision <= math.pi:
+            raise ValueError(f"precision must lie in (0, pi], got {precision!r}")
+        if eigh_window_count(self.product, precision):
+            raise ValueError(window_error(self.tree.size, max(1, self.tree.depth_bound),
+                                          precision))
+        return super().mass_in_window(precision)
+
+
+def oracle_find_marked(tree: SearchTree, delta: float = 0.1,
+                       seed: int | None = None) -> int | None:
     """The copy-based descent: detection on a copy of each visited subtree,
     which the library's range pass replaces."""
     detection_trials(delta)
@@ -115,7 +145,7 @@ def oracle_find_marked(tree: SearchTree, delta: float = 0.1, seed: int | None = 
 
     def detect_at(vertex: int) -> bool:
         return tree.marked[vertex] or detect_marked(
-            tree.subtree(vertex)[0], delta, seed=rng.randrange(2 ** 30), beta=beta).marked
+            tree.subtree(vertex)[0], delta, seed=rng.randrange(2 ** 30)).marked
 
     for _ in range(qwalk.FIND_RETRIES):
         if not detect_at(0):
@@ -148,20 +178,19 @@ def walk_corpus(seed=41, formulas=12):
 
 def test_diffusion_examples():
     tree = walk_tree([-1, 0, 0, 1], [False, False, True, False], 3)
-    op = build_walk_operator(tree)
+    r_a, r_b = oracle_reflections(tree)
     # Unmarked leaf 3 (depth 2, R_A): reflection about the vertex itself.
-    assert op.r_a[3, 3] == -1.0
-    assert not op.r_a[3, :3].any() and not op.r_a[:3, 3].any()
+    assert r_a[3, 3] == -1.0
+    assert not r_a[3, :3].any() and not r_a[:3, 3].any()
     # Marked vertex 2 (depth 1, R_B): identity column.
-    assert np.array_equal(op.r_b[:, 2], [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(r_b[:, 2], [0.0, 0.0, 1.0, 0.0])
     # Root with 2 children at depth bound 3: amplitudes (1, sqrt3, sqrt3)/sqrt7.
     psi = np.array([1, math.sqrt(3), math.sqrt(3)]) / math.sqrt(7)
-    assert np.allclose(op.r_a[:3, :3], np.eye(3) - 2 * np.outer(psi, psi))
+    assert np.allclose(r_a[:3, :3], np.eye(3) - 2 * np.outer(psi, psi))
     # Vertex 1 (depth 1, R_B) with child 3: amplitudes (1, 1)/sqrt2.
     star = np.ix_([1, 3], [1, 3])
-    assert np.allclose(op.r_b[star], [[0.0, -1.0], [-1.0, 0.0]])
-    assert op.r_b[0, 0] == 1.0
-    # The reference assembly agrees with the hand values too.
+    assert np.allclose(r_b[star], [[0.0, -1.0], [-1.0, 0.0]])
+    assert r_b[0, 0] == 1.0
     spec = oracle_diffusion(tree, 0)
     assert spec["star"] == [0, 1, 2] and np.allclose(spec["amplitudes"], psi)
     assert oracle_diffusion(tree, 2)["type"] == "identity"
@@ -178,16 +207,6 @@ def random_walk_trees(seed=43, count=300):
     return trees
 
 
-def test_vectorised_assembly_equals_per_vertex_oracle():
-    corpus = walk_corpus() + random_walk_trees()
-    assert len(corpus) >= 1500
-    for tree in corpus:
-        op = build_walk_operator(tree)
-        r_a, r_b = oracle_reflections(tree)
-        assert op.r_a.tobytes() == r_a.tobytes()  # bit for bit
-        assert op.r_b.tobytes() == r_b.tobytes()
-
-
 def detection_precision(tree):
     return DETECTION_BETA / math.sqrt(tree.size * max(1, tree.depth_bound))
 
@@ -201,43 +220,64 @@ def windows(tree):
 
 
 def test_window_mass_equals_schur_oracle():
+    # Where eigh counts no nonzero phase in the window, the range pass gives
+    # the Schur mass; where it counts one, or past pi, the library refuses.
     corpus = walk_corpus() + random_walk_trees()
+    refused = 0
     for tree in corpus:
         op = build_walk_operator(tree)
         oracle = SchurOperator(tree)
         for p in windows(tree):
-            assert abs(op.mass_in_window(p) - oracle.mass_in_window(p)) < 1e-12
+            if p > math.pi:
+                with pytest.raises(ValueError, match=r"^precision must lie in \(0, pi\]"):
+                    op.mass_in_window(p)
+            elif eigh_window_count(oracle.product, p):
+                error = window_error(tree.size, tree.depth_bound, p)
+                with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                    op.mass_in_window(p)
+                refused += 1
+            else:
+                assert abs(op.mass_in_window(p) - oracle.mass_in_window(p)) < 1e-12
+    assert refused >= 100
 
 
 def test_certificate_count_equals_eigh_count():
     # Each singular value of D in the window is one plane of W with phases
-    # +-phi, which (W + W^T)/2 shows as a double eigenvalue cos(phi). Nonzero
-    # phases sit far above 1e-10 in 1 - cos (see the star-overlap test).
+    # +-phi, which (W + W^T)/2 shows as a double eigenvalue cos(phi).
     corpus = walk_corpus() + random_walk_trees()
     fired = [0] * 8
     for tree in corpus:
-        lam, _ = build_walk_operator(tree)._root_spectrum()
+        r_a, r_b = oracle_reflections(tree)
+        w = r_b @ r_a
         for i, p in enumerate(windows(tree)[:-1]):
             gap = max(2.0 * math.sin(0.5 * p) ** 2, qwalk.WINDOW_FLOOR)
             x = math.sqrt(1.0 - 0.5 * gap)
             _, inside = qwalk._window_pass(tree, 0, tree.depth_bound, x)
-            assert 2 * inside == np.count_nonzero((1.0 - lam < gap) & (1.0 - lam > 1e-10))
+            assert 2 * inside == eigh_window_count(w, p)
             fired[i] += inside > 0
-    # The widened windows (10x, 100x, 0.3, 0.5, 1.0) send trees to the eigh
-    # fallback; the detection window never does.
+    # The widened windows (10x, 100x, 0.3, 0.5, 1.0) hold nonzero phases,
+    # which the library refuses; the detection window never does.
     assert fired[0] == 0
     assert min(fired[1], fired[2], *fired[5:]) >= 100
 
 
 def test_detection_leaves_the_dense_operator_unbuilt():
+    # Detection reads the range pass alone, and at its precision eigh counts
+    # no nonzero phase, so it equals detection on the Schur oracle.
     corpus = walk_corpus() + random_walk_trees()
     for i, tree in enumerate(corpus):
-        op = build_walk_operator(tree)
-        detect_marked(tree, seed=i, op=op)
-        assert op.blocks is None
-    op = build_walk_operator(corpus[0])
-    op.mass_in_window(1.0)
-    assert op.blocks is not None  # a wide window does assemble the operator
+        det = detect_marked(tree, seed=i)
+        oracle = SchurOperator(tree)
+        assert eigh_window_count(oracle.product, det.precision) == 0
+        ref = detect_marked(tree, seed=i, op=oracle)
+        assert det.verdict == ref.verdict and det.precision == ref.precision
+        assert abs(det.per_trial_phase_mass[0] - ref.per_trial_phase_mass[0]) < 1e-12
+    # A wide window that eigh finds a nonzero phase in is refused, not answered.
+    wide = next(tree for tree in corpus
+                if eigh_window_count(SchurOperator(tree).product, 1.0))
+    error = window_error(wide.size, wide.depth_bound, 1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        build_walk_operator(wide).mass_in_window(1.0)
 
 
 def star_matrices(tree):
@@ -311,7 +351,6 @@ def test_closed_form_two_marked_leaves():
     assert op.mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
     assert SchurOperator(tree).mass_in_window(1e-9) == pytest.approx(0.8, abs=1e-12)
     assert op.mass_in_window(detection_precision(tree)) == pytest.approx(0.8, abs=1e-12)
-    assert op.blocks is None
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -379,39 +418,39 @@ def test_find_marked_equals_copy_based_oracle():
 
 @pytest.mark.parametrize("beta", [2.0, 50.0])
 def test_find_marked_dense_fallback_equals_copy_based_oracle(beta, monkeypatch):
-    # Windows this wide hold nonzero phases (beta 2) or pass pi (beta 50), so
-    # find_marked eigensolves a copy of the subtree, as the oracle does.
-    assemble, assembled = qwalk._assemble_reflections, []
-
-    def counting(tree):
-        assembled.append(tree.size)
-        return assemble(tree)
-
-    monkeypatch.setattr(qwalk, "_assemble_reflections", counting)
+    # Windows this wide hold nonzero phases (beta 2) or pass pi (beta 50).
+    # find_marked then refuses where the copy-based descent on the Schur
+    # oracle, held to the same contract, refuses, with the same message, and
+    # finds the same vertex elsewhere.
     trees = [tree for tree in walk_corpus(seed=42, formulas=6) if tree.size <= 40][::5]
     monkeypatch.setattr(qwalk, "DETECTION_BETA", beta)
-    found = [find_marked(tree, seed=i) for i, tree in enumerate(trees)]
-    fallbacks = len(assembled)
-    assert found == [oracle_find_marked(tree, seed=i, beta=beta)
-                     for i, tree in enumerate(trees)]
-    assert fallbacks >= 100 and any(v is not None for v in found)
+
+    def outcome(search, tree, seed):
+        try:
+            return search(tree, seed=seed)
+        except ValueError as exc:
+            return str(exc)
+
+    found = [outcome(find_marked, tree, i) for i, tree in enumerate(trees)]
+    # find_marked builds no operator, so the oracle descent carries the oracle.
+    monkeypatch.setattr(qwalk, "WalkOperator", WindowOracle)
+    assert found == [outcome(oracle_find_marked, tree, i) for i, tree in enumerate(trees)]
+    refused = [v for v in found if isinstance(v, str)]
+    expected = "nonzero phase" if beta == 2.0 else "precision must lie"
+    assert len(refused) >= 10 and all(expected in v for v in refused)
+    if beta == 2.0:  # narrow enough that some descents still end at a marked vertex
+        assert any(isinstance(v, int) for v in found)
 
 
-def test_find_marked_runs_above_the_dimension_cap(monkeypatch):
-    def refuse(tree):
-        raise AssertionError("dense walk operator assembled")
-
-    monkeypatch.setattr(qwalk, "_assemble_reflections", refuse)
+def test_find_marked_runs_above_the_dimension_cap():
+    # 4096 vertices was the old dense operator's cap; the range pass has none.
     rng = random.Random(45)
     n = 24
     f = random_kcnf(rng, n, 90)
     dnc = EngineConfig(kind="dncppsz", reduction_rules=("sImplication",), s=1)
     res = tree_stats(f, dnc, collect_tree=True)
     tree = res.tree
-    assert tree.size > qwalk.WALK_DIM_CAP and res.stats.sat_leaves
-    with pytest.raises(ValueError, match=f"^tree size {tree.size} exceeds the "
-                                         f"dimension cap {qwalk.WALK_DIM_CAP}$"):
-        build_walk_operator(tree).r_a
+    assert tree.size > 4096 and res.stats.sat_leaves
     assert detect_marked(tree, seed=3).marked
     v = find_marked(tree, seed=3)
     assert v is not None and tree.marked[v]
@@ -420,10 +459,10 @@ def test_find_marked_runs_above_the_dimension_cap(monkeypatch):
 
 
 def test_two_node_closed_form():
-    op = build_walk_operator(two_node_marked())
-    eye = np.eye(op.dimension)
-    assert max(np.abs(r.T @ r - eye).max() for r in (op.r_a, op.r_b)) < 1e-12
-    assert abs(op.mass_in_window(1e-9) - 0.5) < 1e-12
+    eye = np.eye(2)
+    assert max(np.abs(r.T @ r - eye).max()
+               for r in oracle_reflections(two_node_marked())) < 1e-12
+    assert abs(build_walk_operator(two_node_marked()).mass_in_window(1e-9) - 0.5) < 1e-12
     det = detect_marked(two_node_marked(), delta=0.1, seed=0)
     assert det.per_trial_phase_mass[0] >= 0.5 - 1e-9
 
@@ -432,16 +471,15 @@ def test_two_node_closed_form():
 def test_detect_marked_reads_one_depth_bound(depth_bound):
     # `from_json` refuses such a bound; built directly, the walk operator
     # reads n = max(1, depth_bound), the n of detection's precision, and so
-    # detection agrees with find_marked.
+    # detection agrees with find_marked and with the oracle at n = 1.
     tree = SearchTree(1, [-1, 0], [None, (1, 1)], [False, True], depth_bound)
     assert find_marked(tree, seed=0) == 1
     det = detect_marked(tree, seed=0)
     assert det.marked
     assert det.per_trial_phase_mass[0] == pytest.approx(0.5, abs=1e-12)
-    op = build_walk_operator(tree)
-    assert op.mass_in_window(1e-9) == pytest.approx(0.5, abs=1e-12)
-    ref = build_walk_operator(walk_tree([-1, 0], [False, True], 1))
-    assert np.array_equal(op.r_a, ref.r_a) and np.array_equal(op.r_b, ref.r_b)
+    mass = build_walk_operator(tree).mass_in_window(1e-9)
+    assert mass == pytest.approx(0.5, abs=1e-12)
+    assert abs(mass - SchurOperator(two_node_marked()).mass_in_window(1e-9)) < 1e-12
 
 
 def test_walk_operator_reflections_square_to_identity():
@@ -449,19 +487,19 @@ def test_walk_operator_reflections_square_to_identity():
     for _ in range(15):
         f = random_kcnf(rng, rng.randint(3, 7), rng.randint(3, 18))
         _, tree = dpll_walk_tree(f)
-        op = build_walk_operator(tree)
-        eye = np.eye(op.dimension)
-        assert np.abs(op.r_a @ op.r_a - eye).max() < 1e-10
-        assert np.abs(op.r_b @ op.r_b - eye).max() < 1e-10
-        assert op.r_b[0, 0] == 1.0  # R_B fixes the root
+        r_a, r_b = oracle_reflections(tree)
+        eye = np.eye(tree.size)
+        assert np.abs(r_a @ r_a - eye).max() < 1e-10
+        assert np.abs(r_b @ r_b - eye).max() < 1e-10
+        assert r_b[0, 0] == 1.0  # R_B fixes the root
 
 
 def test_marked_columns_are_identity():
     res, tree = dpll_walk_tree(CnfFormula.from_clauses(2, [[1, 2]]))
-    op = build_walk_operator(tree)
+    r_a, r_b = oracle_reflections(tree)
     for v in range(tree.size):
         if tree.marked[v]:
-            target = op.r_a if tree.depths[v] % 2 == 0 else op.r_b
+            target = r_a if tree.depths[v] % 2 == 0 else r_b
             col = np.zeros(tree.size)
             col[v] = 1.0
             assert np.allclose(target[:, v], col)
@@ -472,7 +510,18 @@ def test_phase_mass_examples():
     assert op.mass_in_window(1e-9) == pytest.approx(0.5)
     # The -1 eigenphase lies far outside any small window.
     assert op.mass_in_window(3.0) + 0 == pytest.approx(0.5)
-    assert op.mass_in_window(3.2) == pytest.approx(1.0)
+    # Past pi, 1 - cos is not monotone and every phase lies in the window.
+    for p in (3.2, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"^precision must lie in \(0, pi\], got "):
+            op.mass_in_window(p)
+    # A path with a dead end: eigh counts one plane of nonzero phase +-0.53
+    # in the window of precision 1.0, which the range pass cannot weigh.
+    tree = walk_tree([-1, 0, 1, 0, 1], [False] * 5, 3)
+    assert eigh_window_count(SchurOperator(tree).product, 1.0) == 2
+    with pytest.raises(ValueError, match="^the walk on T = 5 vertices with n = 3 has a "
+                                         "nonzero phase inside the window of precision 1.0$"):
+        build_walk_operator(tree).mass_in_window(1.0)
+    assert build_walk_operator(tree).mass_in_window(0.5) == 0.0
 
     # Root itself an eigenvector of phase 0 (degenerate marked root: the
     # diffusion is the identity): the full mass sits at zero phase.
@@ -568,16 +617,6 @@ def test_find_marked_last_leaf_no_order_bias():
     tree = walk_tree(parents, marked, 3)
     v = find_marked(tree, delta=0.1, seed=5)
     assert v == len(parents) - 1
-
-
-def test_dimension_cap(monkeypatch):
-    # The cap holds the dense assembly alone: the range pass reads any size.
-    monkeypatch.setattr(qwalk, "WALK_DIM_CAP", 5)
-    op = build_walk_operator(walk_tree(list(range(-1, 9)), [False] * 9 + [True], 9))
-    assert op.mass_in_window(1e-9) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError, match="^tree size 10 exceeds the dimension cap 5$"):
-        op.r_b
-    assert build_walk_operator(walk_tree(list(range(-1, 4)), [False] * 5, 4)).r_a.shape == (5, 5)
 
 
 def test_window_pass_requires_preorder():

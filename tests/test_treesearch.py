@@ -399,6 +399,8 @@ JSON_TREE = {"numVars": 2, "parents": [-1, 0, 0], "edges": [None, [1, 0], [1, 1]
      "edges entry 0 (the root's) must be null, got [1, 0]"),
     ("depths", [0, 1, 1], "tree JSON has an unknown field 'depths'"),
     ("parents", {"0": -1}, "parents must be a list, got {'0': -1}"),
+    ("numVars", -5, "numVars must be at least 1, got -5"),
+    ("numVars", 0, "numVars must be at least 1, got 0"),
 ])
 def test_search_tree_json_rejects_malformed_fields(field, value, message):
     assert SearchTree.from_json(json.dumps(JSON_TREE)).assignment_pairs(2) == {1: 1}
