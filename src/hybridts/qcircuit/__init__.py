@@ -21,6 +21,5 @@ from .oracles import (
     oracle_phases,
 )
 from .qpe import qpe_counter, qpe_standard
-from . import walk
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,17 +1,23 @@
-"""Reversible walk-operator components with qubit accounting.
+"""Reversible star preparation V_A of the backtracking walk, with the leaf
+detector V_leaf that it composes.
 
 Vertex encoding: two wires per variable, a set bit and a value bit (value 0
-for unset variables), so a vertex register takes 2n wires and the assembled
-star-preparation operator stays within 4n + O(log n) wires.
+for unset variables), so a vertex register takes 2n wires. V_A holds a vertex
+and a child register, 4n wires, plus logarithmic scratch. On a formula with
+n variables, m clauses and widest clause k it has
 
-Every component is a compute / copy-out / uncompute sandwich built from
-multi-controlled X gates (plus dense preparation blocks in the star builder).
-Scans for the first variable or (variable, clause) pair that fires are one
-freezing-counter scan, `_first_hit`: the counter advances only while nothing
-has fired, so the pair (counter, check bit) identifies the firing step and
-the whole scan uncomputes by reversal. `_write_hit` is the one writer of the
-(j, s, found) outputs, and `_Wires` is the one wire plan: each builder takes
-its registers from it in order, vertex register first.
+    4n + k + 9 + n.bit_length() + (n + 1).bit_length() + 2 * max(1, m.bit_length())
+
+wires: 64 at n = 8, 80 at n = 12 and 100 at n = 16 on random 3-CNF at clause
+ratio 4.26.
+
+Each component is a compute / copy-out / uncompute sandwich built from
+multi-controlled X gates (plus V_A's dense star-preparation blocks). V_A
+finds the first free variable with a freezing-counter scan, `_first_hit`:
+the counter advances only while nothing has fired, so the pair (counter,
+check bit) identifies the firing step and the whole scan uncomputes by
+reversal. `_Wires` is the one wire plan: each builder takes its registers
+from it in order, vertex register first.
 """
 
 from __future__ import annotations
@@ -96,42 +102,31 @@ def _literal_false_controls(clause) -> tuple[tuple[int, int], ...]:
     return tuple(c for lit in clause for c in _literal_true_controls(-lit))
 
 
-def _write_hit(circ: Circuit, controls, var: int, sign: int,
-               out_j: tuple[int, ...], out_s: int | None, out_found: int) -> None:
-    """Under `controls`, XOR the index `var`, the sign and found = 1 into the
-    outputs (`out_s` None: no sign output)."""
-    for wire, bit in _reg_pattern(out_j, var):
-        if bit:
-            circ.x(wire, controls)
-    if sign:
-        circ.x(out_s, controls)
-    circ.x(out_found, controls)
-
-
 def _first_hit(circ: Circuit, hits, counter: tuple[int, ...], check: int,
-               out_j: tuple[int, ...], out_s: int | None, out_found: int) -> None:
-    """Freezing-counter scan over `hits`, a list of (condition controls, var,
-    sign) in scan order: write the var and sign of the first hit whose
-    condition holds, with found = 1, then restore the counter and check bit."""
+               out_j: tuple[int, ...], out_found: int) -> None:
+    """Freezing-counter scan over `hits`, a list of (condition controls, var)
+    in scan order: write the var of the first hit whose condition holds, with
+    found = 1, then restore the counter and check bit."""
     compute = Circuit(circ.num_wires)
-    for step, (condition, _, _) in enumerate(hits):
+    for step, (condition, _) in enumerate(hits):
         compute.x(check, _reg_pattern(counter, step) + condition)
         append_increment(compute, counter, ((check, 0),))
     circ.extend(compute)
-    for step, (_, var, sign) in enumerate(hits):
-        _write_hit(circ, _reg_pattern(counter, step) + ((check, 1),),
-                   var, sign, out_j, out_s, out_found)
+    for step, (_, var) in enumerate(hits):
+        controls = _reg_pattern(counter, step) + ((check, 1),)
+        for wire, bit in _reg_pattern(out_j, var):
+            if bit:
+                circ.x(wire, controls)
+        circ.x(out_found, controls)
     circ.extend(compute.inverse())
 
 
 def _alive_counting_program(circ: Circuit, formula: CnfFormula,
                             counter: tuple[int, ...], t_bits: tuple[int, ...],
-                            a_bit: int, literal_filter=None) -> None:
-    """Count not-yet-satisfied clauses (optionally only those containing a
-    given literal) into `counter`, restoring the per-clause scratch."""
+                            a_bit: int) -> None:
+    """Count not-yet-satisfied clauses into `counter`, restoring the
+    per-clause scratch."""
     for clause in formula.clauses:
-        if literal_filter is not None and literal_filter not in clause:
-            continue
         used = t_bits[:len(clause)]
         for pos, lit in enumerate(clause):
             circ.x(t_bits[pos], _literal_true_controls(lit))
@@ -170,114 +165,6 @@ def build_v_leaf(formula: CnfFormula) -> WalkComponent:
     return WalkComponent("V_leaf", circ, vertex, {"b": (b,)}, scratch)
 
 
-def build_v_marked(formula: CnfFormula) -> WalkComponent:
-    """b = 1 iff the restriction is the empty formula (all clauses satisfied)."""
-    wires = _Wires()
-    vertex = wires.reg(2 * formula.num_vars)
-    b = wires.bit()
-    ca = wires.reg(max(1, formula.num_clauses.bit_length()))
-    t_bits = wires.reg(formula.max_clause_size)
-    a_bit = wires.bit()
-    circ = Circuit(wires.count)
-    compute = Circuit(circ.num_wires)
-    _alive_counting_program(compute, formula, ca, t_bits, a_bit)
-    circ.extend(compute)
-    circ.x(b, tuple((w, 0) for w in ca))
-    circ.extend(compute.inverse())
-    scratch = ca + t_bits + (a_bit,)
-    return WalkComponent("V_marked", circ, vertex, {"b": (b,)}, scratch)
-
-
-def build_v_unit(formula: CnfFormula) -> WalkComponent:
-    """First unit clause by (variable index, clause order): outputs the
-    variable index, the forcing sign, and a found flag."""
-    n = formula.num_vars
-    # One step per (var, clause) pair: var free and the clause's other
-    # literals all false. The first literal on var gives the sign.
-    hits = []
-    for var in range(1, n + 1):
-        for clause in formula.clauses:
-            lit = next((l for l in clause if abs(l) == var), None)
-            if lit is not None:
-                others = tuple(l for l in clause if abs(l) != var)
-                hits.append((((set_wire(var), 0),) + _literal_false_controls(others),
-                             var, int(lit > 0)))
-    wires = _Wires()
-    vertex = wires.reg(2 * n)
-    out_j = wires.reg(max(1, n.bit_length()))
-    out_s, out_found = wires.bit(), wires.bit()
-    sc = wires.reg(max(1, len(hits).bit_length()))
-    chk = wires.bit()
-    circ = Circuit(wires.count)
-    _first_hit(circ, hits, sc, chk, out_j, out_s, out_found)
-    return WalkComponent("V_unit", circ, vertex,
-                         {"j": out_j, "s": (out_s,), "found": (out_found,)}, sc + (chk,))
-
-
-def build_v_pure(formula: CnfFormula) -> WalkComponent:
-    """First pure (or disappeared) variable: index, assigned sign, found flag.
-
-    Sign 1 covers positive-only and disappeared variables (assigned true);
-    sign 0 covers negative-only ones.
-    """
-    n = formula.num_vars
-    degrees = [sum(lit in c for c in formula.clauses)
-               for var in range(1, n + 1) for lit in (var, -var)]
-    wd = max(1, max(degrees, default=0).bit_length())
-    wires = _Wires()
-    vertex = wires.reg(2 * n)
-    out_j = wires.reg(max(1, n.bit_length()))
-    out_s, out_found = wires.bit(), wires.bit()
-    vc = wires.reg(max(1, (n + 1).bit_length()))
-    chk_a, chk_b = wires.bit(), wires.bit()
-    cp, cm = wires.reg(wd), wires.reg(wd)
-    t_bits = wires.reg(formula.max_clause_size)
-    a_bit = wires.bit()
-    circ = Circuit(wires.count)
-
-    compute = Circuit(circ.num_wires)
-    for var in range(1, n + 1):
-        block = Circuit(circ.num_wires)
-        _alive_counting_program(block, formula, cp, t_bits, a_bit, literal_filter=var)
-        _alive_counting_program(block, formula, cm, t_bits, a_bit, literal_filter=-var)
-        compute.extend(block)
-        guard = _reg_pattern(vc, var - 1) + ((set_wire(var), 0),)
-        compute.x(chk_a, guard + tuple((w, 0) for w in cm))
-        compute.x(chk_b, guard + tuple((w, 0) for w in cp))
-        compute.x(chk_b, guard + tuple((w, 0) for w in cp) + tuple((w, 0) for w in cm))
-        append_increment(compute, vc, ((chk_a, 0), (chk_b, 0)))
-        compute.extend(block.inverse())
-
-    circ.extend(compute)
-    for var in range(1, n + 1):
-        for flag, sign in ((chk_a, 1), (chk_b, 0)):
-            _write_hit(circ, _reg_pattern(vc, var - 1) + ((flag, 1),),
-                       var, sign, out_j, out_s, out_found)
-    circ.extend(compute.inverse())
-    scratch = vc + (chk_a, chk_b) + cp + cm + t_bits + (a_bit,)
-    return WalkComponent("V_pure", circ, vertex,
-                         {"j": out_j, "s": (out_s,), "found": (out_found,)}, scratch)
-
-
-def build_v_next(num_vars: int) -> WalkComponent:
-    """|x>|0>|j>|b> -> |x>|x[x_j := b]>|j>|b>: copy, then pattern-set the
-    addressed variable."""
-    n = num_vars
-    wires = _Wires()
-    vertex, child = wires.reg(2 * n), wires.reg(2 * n)
-    j_reg = wires.reg(max(1, n.bit_length()))
-    b_wire = wires.bit()
-    circ = Circuit(wires.count)
-    for w, c in zip(vertex, child):
-        circ.x(c, ((w, 1),))
-    for var in range(1, n + 1):
-        pattern = _reg_pattern(j_reg, var)
-        circ.x(child[set_wire(var)], pattern)
-        circ.x(child[val_wire(var)], pattern + ((b_wire, 1),))
-    return WalkComponent("V_next", circ, vertex,
-                         {"child": child, "j": j_reg, "b": (b_wire,)}, ())
-
-
 def _prep_block(first_column: np.ndarray) -> np.ndarray:
     """Unitary 4x4 block with the given (normalized) first column."""
     col = np.asarray(first_column, dtype=complex)
@@ -295,25 +182,21 @@ def _prep_block(first_column: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
-                     include_leaf_detector: bool = True) -> WalkComponent:
+def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None) -> WalkComponent:
     """Executable star-preparation U_A for the static branching rule (every
     non-leaf vertex branches on its first free variable).
 
     Output on a non-leaf basis vertex x: (sum over the vertex and its two
     children of |x>|child>) with the root weighting, index register
-    disentangled back to zero. The disentangler reads the which-child
-    information out of the child register (branch variable set/value bits).
-
-    With include_leaf_detector=False the leaf bit stays zero (callers promise
-    non-leaf inputs); this keeps the wire count low enough for statevector
-    verification on superpositions.
+    disentangled back to zero; a leaf maps to itself. The disentangler reads
+    the which-child information out of the child register (branch variable
+    set/value bits).
     """
     if depth_bound is not None and depth_bound < 1:
         raise ValueError(f"depth_bound must be at least 1, got {depth_bound}")
     n = formula.num_vars
     nn = depth_bound if depth_bound is not None else n
-    leaf = build_v_leaf(formula) if include_leaf_detector else None
+    leaf = build_v_leaf(formula)
     wires = _Wires()
     vertex, child = wires.reg(2 * n), wires.reg(2 * n)
     hi, lo = wires.reg(2)
@@ -322,22 +205,19 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
     bfound = wires.bit()
     fc = wires.reg(max(1, (n + 1).bit_length()))
     fchk = wires.bit()
-    leaf_scratch = wires.reg(len(leaf.scratch_wires) if leaf else 0)
+    leaf_scratch = wires.reg(len(leaf.scratch_wires))
     width = wires.count
     circ = Circuit(width)
 
     # Leaf bit: reuse the leaf program rebased onto this wire plan.
-    if leaf:
-        leaf_map = dict(zip(leaf.vertex_wires + leaf.outputs["b"] + leaf.scratch_wires,
-                            vertex + (b,) + leaf_scratch))
-        leaf_program = _rebase(leaf.circuit, leaf_map, width)
-    else:
-        leaf_program = Circuit(width)
+    leaf_map = dict(zip(leaf.vertex_wires + leaf.outputs["b"] + leaf.scratch_wires,
+                        vertex + (b,) + leaf_scratch))
+    leaf_program = _rebase(leaf.circuit, leaf_map, width)
 
-    first_free = [(((set_wire(var), 0),), var, 0) for var in range(1, n + 1)]
+    first_free = [(((set_wire(var), 0),), var) for var in range(1, n + 1)]
     circ.extend(leaf_program)
     circ.x(isroot, tuple((set_wire(v), 0) for v in range(1, n + 1)))
-    _first_hit(circ, first_free, fc, fchk, bv, None, bfound)
+    _first_hit(circ, first_free, fc, fchk, bv, bfound)
 
     # Star preparation on the index qutrit (wires hi, lo).
     uniform = _prep_block(np.array([1.0, 1.0, 1.0, 0.0]))
@@ -368,7 +248,7 @@ def build_v_a_static(formula: CnfFormula, depth_bound: int | None = None,
                + ((child[set_wire(var)], 1), (child[val_wire(var)], 1)))
 
     # Restore the classical helpers.
-    _first_hit(circ, first_free, fc, fchk, bv, None, bfound)
+    _first_hit(circ, first_free, fc, fchk, bv, bfound)
     circ.x(isroot, tuple((set_wire(v), 0) for v in range(1, n + 1)))
     circ.extend(leaf_program.inverse())
 
@@ -386,30 +266,3 @@ def _rebase(circuit: Circuit, wire_map: dict[int, int], new_width: int) -> Circu
         out._check(targets, controls)
         out.gates.append(replace(gate, targets=targets, controls=controls))
     return out
-
-
-def assembled_r_a_wires(formula: CnfFormula) -> dict:
-    """Wire accounting for the full DPLL-rule R_A assembly: two vertex
-    registers, the index qutrit, the reduction-rule outputs and the shared
-    scan scratch. Everything beyond 4n is logarithmic in n."""
-    n = formula.num_vars
-    ws = max(1, n.bit_length())
-    shared_scratch = max(len(build(formula).scratch_wires)
-                         for build in (build_v_leaf, build_v_marked, build_v_unit, build_v_pure))
-    outputs = (
-        2                   # leaf + marked bits
-        + (ws + 2) * 2      # unit and pure outputs (j, s, found)
-        + (ws + 1)          # first-free outputs
-        + ws + 2            # branch-variable register, value bit, forced flag
-    )
-    index = 2
-    total = 4 * n + index + 1 + outputs + shared_scratch  # +1 root detector
-    return {
-        "n": n,
-        "vertexRegisters": 4 * n,
-        "index": index,
-        "outputs": outputs + 1,
-        "sharedScratch": shared_scratch,
-        "total": total,
-        "overhead": total - 4 * n,
-    }

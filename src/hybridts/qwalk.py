@@ -61,9 +61,9 @@ def _mass_in_window(tree: SearchTree, root: int, n: int, precision: float) -> fl
     1 - cos is not monotone, raises a ValueError."""
     if not 0.0 < precision <= math.pi:
         raise ValueError(f"precision must lie in (0, pi], got {precision!r}")
-    gap = max(2.0 * math.sin(0.5 * precision) ** 2, WINDOW_FLOOR)
     # |phase| < precision exactly when sigma > cos(precision / 2).
-    mass, inside = _window_pass(tree, root, n, math.sqrt(1.0 - 0.5 * gap))
+    threshold = min(math.cos(0.5 * precision), math.sqrt(1.0 - 0.5 * WINDOW_FLOOR))
+    mass, inside = _window_pass(tree, root, n, threshold)
     if inside:
         t = tree.sizes[root] if root else tree.size
         raise ValueError(f"the walk on T = {t} vertices with n = {n} has a nonzero "

@@ -386,33 +386,6 @@ def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
     return _outcome(cell.flag, cell.cursor, at_variable), assignment
 
 
-def resource_account(n: int, w: int, s: int, d: int) -> dict:
-    """Predicted reversible resources with the polylog constituents itemized;
-    cross-check the schedule length and peak cells against a measured run."""
-    blocks = max(1, math.ceil(n / w))
-    k = max(0, (blocks - 1).bit_length())
-    loglog = math.log2(max(2.0, math.log2(max(4, n))))
-    t_siab = w * (d ** s) * loglog
-    cursor_bits = max(1, (n).bit_length())
-    flag_bits = 2
-    sat_bits = max(1, (n).bit_length())     # clause count is poly(n); itemized
-    cell_bits = w + cursor_bits + flag_bits + sat_bits
-    return {
-        "k": k,
-        "scheduleLength": 3 ** k,
-        "siabTime": t_siab,
-        "time": (3 ** k) * t_siab,
-        "space": w * k + cursor_bits + flag_bits + sat_bits,
-        "cellBits": cell_bits,
-        "polylogItemized": {
-            "cursor": cursor_bits,
-            "flag": flag_bits,
-            "satCounter": sat_bits,
-            "siabAncillas": int(math.ceil(math.log2(max(2, n)) ** 2)),
-        },
-    }
-
-
 def grover_advice_success_set(formula: CnfFormula, advice_len: int,
                               s: int = 1) -> set[str]:
     """All advice strings of the given length whose SIA path ends satisfied;

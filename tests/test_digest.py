@@ -19,7 +19,7 @@ crossing log and grid side.
 
 The circuit corpus is 40 random CNF formulas, n 1..5 with 1..6 clauses of
 width 1..3; it covers the `export_text` of both clause oracles, of a short
-Grover circuit and of every walk component. The DIMACS corpus is 200
+Grover circuit and of the walk's V_leaf and V_A. The DIMACS corpus is 200
 generated texts with comments, CRLF line ends, the `%` trailer, clauses of
 width 1..5 that may share or span lines, tautologies and repeated literals;
 one text in eight is made malformed, and the digest holds the parsed formula
@@ -44,7 +44,7 @@ from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
 DIGEST = "b22c22fd5fa99899d0aa844eea757698e372e21f7f0ac84988c421b4e1c4f45f"
 SIA_DIGEST = "6796f3de676bdbd642206116729a3ac98af3cd682d76ceea0402dacb3a97f957"
 REDUCTION_DIGEST = "b06d78a7aaff764f875b4e46799994cbb1e9257dda0064b4296fcbdc338df953"
-CIRCUIT_DIGEST = "a7ca67540e4cce0a92e80fd05b68bda16f183184e2f2b38a0b94910bbcdc38b8"
+CIRCUIT_DIGEST = "3bad6b3a7618913bd9c6bead6882330fb13246ed74689f1e1200af8765fd60b2"
 DIMACS_DIGEST = "042fe6577bd5a69f175c7278ed3348eedf3f063ff576ca745aac412d915d5bdb"
 
 
@@ -152,9 +152,7 @@ def circuit_records(seed: int = 49, formulas: int = 40):
         yield export_text(naive.circuit), export_text(counter.circuit)
         circ, _ = grover_circuit(f, rng.randint(0, 2), rng.choice((naive, counter)))
         yield export_text(circ)
-        for component in (walk.build_v_leaf(f), walk.build_v_marked(f),
-                          walk.build_v_unit(f), walk.build_v_pure(f),
-                          walk.build_v_next(f.num_vars), walk.build_v_a_static(f)):
+        for component in (walk.build_v_leaf(f), walk.build_v_a_static(f)):
             yield component.name, export_text(component.circuit)
 
 

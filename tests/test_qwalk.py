@@ -510,6 +510,9 @@ def test_phase_mass_examples():
     assert op.mass_in_window(1e-9) == pytest.approx(0.5)
     # The -1 eigenphase lies far outside any small window.
     assert op.mass_in_window(3.0) + 0 == pytest.approx(0.5)
+    # At and just below pi the window holds the phase-0 plane, not the pi one.
+    for p in (math.pi, math.pi - 1e-8):
+        assert op.mass_in_window(p) == pytest.approx(0.5)
     # Past pi, 1 - cos is not monotone and every phase lies in the window.
     for p in (3.2, 0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match=r"^precision must lie in \(0, pi\], got "):

@@ -13,7 +13,6 @@ from hybridts.sia import (
     _block_setup,
     grover_advice_success_set,
     reference_assignment,
-    resource_account,
     sia_reference,
     siab_block,
     siac_run,
@@ -232,20 +231,6 @@ def test_locality_examples():
     wide = F(6, [[1, 6]])
     with pytest.raises(ValueError):
         locality_check(wide, 2, 10, seed=3)
-
-
-def test_resource_account():
-    acc = resource_account(8, 1, 1, 3)
-    assert acc["scheduleLength"] == 27 and acc["k"] == 3
-    rng = random.Random(86)
-    f = bounded_width_cnf(rng, 8, 1, 12)
-    _, trace = siar_execute(f, "101", 1)
-    assert trace.siab_calls == acc["scheduleLength"]
-
-    degenerate = resource_account(8, 8, 1, 3)
-    assert degenerate["k"] == 0 and degenerate["scheduleLength"] == 1
-    assert degenerate["space"] == sum(degenerate["polylogItemized"][key]
-                                      for key in ("cursor", "flag", "satCounter"))
 
 
 def test_grover_over_advice_matches_dnc_branch_sequences():

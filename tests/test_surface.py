@@ -1,10 +1,11 @@
 """Library code that only the tests reach (ROADMAP item 13).
 
-Each top-level public `def` and `class` in `src/hybridts` should have a
-caller in `src/` or `benchmark/`. A caller is a name or attribute reference
-outside the definition itself; imports, `__all__` entries and docstrings are
-not references. The names below have none yet; each is listed with the
-ROADMAP item that gives it a caller, moves it to the tests or deletes it.
+Each top-level `def` and `class` in `src/hybridts` should have a caller in
+`src/` or `benchmark/`. A caller is a name or attribute reference outside the
+definition itself; imports, `__all__` entries and docstrings are not
+references. A private name always has one, so a deletion cannot leave its
+helpers behind. The public names below have none yet; each is listed with
+the ROADMAP item that gives it a caller, moves it to the tests or deletes it.
 """
 
 import ast
@@ -21,9 +22,7 @@ UNCALLED = {
     "decomposition.sia_region_feasible",
     # Item 8.
     "decomposition.tree_size_estimation_cost",
-    # Item 7.
-    "sia.resource_account",
-    # The tests (the SIA digest and test_sia.py read them), unless item 7 does.
+    # The tests (the SIA digest and test_sia.py read them).
     "sia.siac_run",
     "sia.grover_advice_success_set",
     "sia.reference_assignment",
@@ -31,10 +30,8 @@ UNCALLED = {
     "treesearch.estimate_permutation_guess_bound",
     # The benchmark's workloads.dimacs (item 5).
     "formula.serialize_dimacs",
-    # The circuit walk (item 10).
-    "qcircuit.walk.assembled_r_a_wires",
+    # The circuit walk: item 1's scan, if it reports V_A widths, or the tests.
     "qcircuit.walk.build_v_a_static",
-    "qcircuit.walk.build_v_next",
     "qcircuit.walk.encode_vertex",
     "qcircuit.walk.read_wires",
     # Circuit diagnostics that only the tests read.
@@ -44,14 +41,13 @@ UNCALLED = {
 }
 
 
-def public_definitions() -> dict[str, str]:
-    """Name -> module for each top-level public def and class in the library."""
+def definitions() -> dict[str, str]:
+    """Name -> module for each top-level def and class in the library."""
     found = {}
     for path in sorted(LIBRARY.rglob("*.py")):
         module = ".".join(path.relative_to(LIBRARY).with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 assert node.name not in found, f"{node.name} is defined twice"
                 found[node.name] = module
     return found
@@ -77,8 +73,17 @@ def referenced_names() -> set[str]:
     return seen
 
 
-def test_uncalled_library_names_are_the_listed_ones():
+def uncalled_definitions() -> set[str]:
     called = referenced_names()
-    uncalled = {f"{module}.{name}" for name, module in public_definitions().items()
-                if name not in called}
-    assert uncalled == UNCALLED
+    return {f"{module}.{name}" for name, module in definitions().items()
+            if name not in called}
+
+
+def test_uncalled_library_names_are_the_listed_ones():
+    assert {name for name in uncalled_definitions()
+            if not name.rsplit(".", 1)[1].startswith("_")} == UNCALLED
+
+
+def test_private_library_names_have_a_caller():
+    assert {name for name in uncalled_definitions()
+            if name.rsplit(".", 1)[1].startswith("_")} == set()
