@@ -8,7 +8,8 @@ s-implication, the forcing rule of PPSZ (Paturi, Pudlak, Saks and Zane,
 JACM 2005), has one kernel here: `s_implication`. It looks only at connected
 subsets of at most s clauses that contain the variable, takes them from the
 caller's clause index (the engine's occurrence lists or SIA's per-variable
-index), and decides each subset with one bitmask truth table.
+index), and decides each subset with a counting screen or, when that cannot,
+one bitmask truth table.
 
 `parse_dimacs` reads DIMACS text without a loop over lines: one regex finds
 the comment, header and trailer lines, numpy converts the clause body in one
@@ -148,10 +149,11 @@ def s_implication(var: int, s: int, clauses_with: Callable[[int], Iterable[int]]
     forcedTrue/forcedFalse when some subset forces `var`; CONTRADICTION when
     some subset is unsatisfiable or both polarities are forced. Unconnected
     unsatisfiable sub-formulas are left to the search predicate. A subset of
-    one clause forces `var` when it is (var,) or (-var,). A larger subset is
-    a truth table held in a Python int: a clause is the OR of its literal
-    columns, the subset the AND of its clauses, so the verdict does not
-    depend on the order of the subsets.
+    one clause forces `var` when it is (var,) or (-var,). A larger subset
+    forces nothing when, under each value of `var`, its clauses pass the
+    Kraft screen; otherwise it is a truth table held in a Python int: a
+    clause is the OR of its literal columns, the subset the AND of its
+    clauses, so the verdict does not depend on the order of the subsets.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -196,7 +198,25 @@ def s_implication(var: int, s: int, clauses_with: Callable[[int], Iterable[int]]
 
     def models(clauses: list[tuple[int, ...]]) -> tuple[bool, bool]:
         """Whether the clauses have a model with var true, and one with var
-        false, from one truth table with var as column 0."""
+        false, from one truth table with var as column 0.
+
+        Kraft screen first: clauses whose sum of 2^-|C| is below 1 leave
+        some assignment free of violations, so when the clauses under var = 1
+        and under var = 0 both pass, both models exist and no table is
+        built. The sums are integers scaled by 2^width."""
+        width = max(map(len, clauses), default=0)
+        full = 1 << width
+        under_true = under_false = 0
+        for clause in clauses:
+            if var in clause:
+                under_false += full >> (len(clause) - 1)
+            elif -var in clause:
+                under_true += full >> (len(clause) - 1)
+            else:
+                under_true += full >> len(clause)
+                under_false += full >> len(clause)
+        if under_true < full and under_false < full:
+            return True, True
         index = {var: 0}
         for clause in clauses:
             for lit in clause:

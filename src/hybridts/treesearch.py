@@ -12,6 +12,15 @@ dncPPSZ makes a leaf instead once the guesses reach its budget. The tests
 hold the engine's trees, node by node, to chNo/ch1/ch2 written over
 restrictions computed afresh at every node.
 
+The restriction lives in Python-int bitmasks, one bit per clause or per
+variable: the satisfied clauses, the clauses at each count of false literals,
+the free variables. An assignment is a few big-int operations and its undo
+restores the masks the trail saved, so neither visits a clause. The unit
+clauses, the s = 1 verdict and the next free variable are masks read off that
+state. `_search` reads it through `contradicted` and `satisfied`, so the tests
+can swap in the per-clause counting engine it replaced and compare whole
+searches.
+
 The engines number a tree's vertices in depth-first preorder, so the subtree
 of vertex v is the id range [v, v + size(v)).
 """
@@ -19,7 +28,6 @@ of vertex v is the id range [v, v + size(v)).
 from __future__ import annotations
 
 import copy
-import heapq
 import json
 import math
 import random
@@ -261,148 +269,176 @@ class SearchTree:
 # Incremental engine
 
 class _EngineState:
-    """Trail-based restriction bookkeeping for fast tree traversal."""
+    """The restriction of F under the engine's trail of assignments, held in
+    Python-int bitmasks, so that a step costs a few big-int operations.
+
+    Bit ci of a clause mask stands for clause ci:
+    - `pos[v]` and `neg[v]` are the clauses that hold v and ¬v;
+    - `sat` is the satisfied clauses;
+    - `levels[k - 1]`, for k = 1..K with K the longest clause length (at
+      least 2), is the clauses with at least k false literals, where a clause
+      of length L counts K − L more. So `levels[-1]` is the contradicted
+      clauses and `levels[-2]`, less those and `sat`, the unit ones. Setting
+      a literal false lifts the clauses x that hold it one level: level k
+      gains level k − 1 & x, and level 1 gains x.
+
+    Bit r of a variable mask stands for the engine's r-th variable (`order`):
+    - `free` is the unset variables;
+    - `maybe_pure`, kept for DPLL's pure-literal rule alone, holds every free
+      pure variable and maybe some that are not. Satisfying a clause can make
+      its variables pure, so setting a literal true adds the variables it
+      shares a clause with (`touch`); `find_pure` drops the candidates it
+      refutes.
+
+    `assign` pushes the masks it replaces onto the trail and `undo` pops them
+    back, so neither loops over clauses.
+    """
 
     def __init__(self, formula: CnfFormula, config: EngineConfig):
-        self.formula = formula
         self.config = config
         n = formula.num_vars
         self.values = [UNSET] * (n + 1)   # 1-indexed
         # Variables in the order the engine takes them.
         self.order = config.permutation if config.kind == DNCPPSZ else range(1, n + 1)
+        rank_bit = [0] * (n + 1)
+        for r, var in enumerate(self.order):
+            rank_bit[var] = 1 << r
+        self.rank_bit = rank_bit
         clauses = formula.clauses
         self.clause_lits = clauses
-        self.n_unassigned = [len(c) for c in clauses]
-        self.n_true = [0] * len(clauses)
-        self.alive_count = len(clauses)
-        self.contra_count = 0
-        self.occ_pos: list[list[int]] = [[] for _ in range(n + 1)]
-        self.occ_neg: list[list[int]] = [[] for _ in range(n + 1)]
+        self.pos = [0] * (n + 1)
+        self.neg = [0] * (n + 1)
+        self.occ: list[list[int]] = [[] for _ in range(n + 1)]
+        top = max(formula.max_clause_size, 2)
+        levels = [0] * top
+        self.clause_vars = []
         for ci, clause in enumerate(clauses):
+            bit = 1 << ci
+            near = 0
             for lit in clause:
                 if lit > 0:
-                    self.occ_pos[lit].append(ci)
+                    self.pos[lit] |= bit
                 else:
-                    self.occ_neg[-lit].append(ci)
-        self.occ = [p + q for p, q in zip(self.occ_pos, self.occ_neg)]
-        # The unit set and the pure-literal counters are kept (else empty) only
-        # for the DPLL rules that read them; dncPPSZ forces by s-implication.
-        rules = config.reduction_rules if config.kind == DPLL else ()
-        self.track_unit = "unit" in rules
-        self.track_pure = "pureLiteral" in rules
-        self.unit_set = {ci for ci, c in enumerate(clauses) if self.track_unit and len(c) == 1}
-        self.alive_pos = [len(occ) for occ in self.occ_pos if self.track_pure]
-        self.alive_neg = [len(occ) for occ in self.occ_neg if self.track_pure]
-        self.pure_heap = [var for var in range(1, n + 1) if self.track_pure and (
-            self.alive_pos[var] == 0 or self.alive_neg[var] == 0)]
-        self.trail: list[tuple[int, int]] = []
+                    self.neg[-lit] |= bit
+                self.occ[abs(lit)].append(ci)
+                near |= rank_bit[abs(lit)]
+            self.clause_vars.append(near)
+            for k in range(top - len(clause)):
+                levels[k] |= bit
+        self.levels = levels
+        self.all_clauses = (1 << len(clauses)) - 1
+        self.sat = 0
+        self.free = (1 << n) - 1
+        # The pure-literal candidates are kept (else 0) only for the DPLL
+        # rule that reads them; dncPPSZ forces by s-implication.
+        self.track_pure = config.kind == DPLL and "pureLiteral" in config.reduction_rules
+        self.maybe_pure = 0
+        if self.track_pure:
+            self.touch_pos = [0] * (n + 1)
+            self.touch_neg = [0] * (n + 1)
+            for clause, near in zip(clauses, self.clause_vars):
+                for lit in clause:
+                    if lit > 0:
+                        self.touch_pos[lit] |= near
+                    else:
+                        self.touch_neg[-lit] |= near
+            for var in self.order:
+                if not self.pos[var] or not self.neg[var]:
+                    self.maybe_pure |= rank_bit[var]
+        self.trail: list[tuple[int, int, list[int], int, int]] = []
         self.num_assigned = 0
 
     def assign(self, var: int, value: int) -> None:
+        self.trail.append((var, self.sat, self.levels, self.free, self.maybe_pure))
         self.values[var] = value
         self.num_assigned += 1
-        self.trail.append((var, value))
-        true_occ = self.occ_pos[var] if value else self.occ_neg[var]
-        false_occ = self.occ_neg[var] if value else self.occ_pos[var]
-        for ci in true_occ:
-            self.n_true[ci] += 1
-            if self.n_true[ci] == 1:  # clause satisfied, drops from restriction
-                self.alive_count -= 1
-                if self.track_unit:
-                    self.unit_set.discard(ci)
-                if not self.track_pure:
-                    continue
-                for lit in self.clause_lits[ci]:
-                    v = abs(lit)
-                    if lit > 0:
-                        self.alive_pos[v] -= 1
-                        if self.alive_pos[v] == 0 and self.values[v] == UNSET:
-                            heapq.heappush(self.pure_heap, v)
-                    else:
-                        self.alive_neg[v] -= 1
-                        if self.alive_neg[v] == 0 and self.values[v] == UNSET:
-                            heapq.heappush(self.pure_heap, v)
-        for ci in false_occ:
-            self.n_unassigned[ci] -= 1
-            if self.n_true[ci] == 0:
-                if self.n_unassigned[ci] == 0:
-                    self.contra_count += 1
-                    if self.track_unit:
-                        self.unit_set.discard(ci)
-                elif self.n_unassigned[ci] == 1 and self.track_unit:
-                    self.unit_set.add(ci)
+        if value:
+            self.sat |= self.pos[var]
+            false = self.neg[var]
+        else:
+            self.sat |= self.neg[var]
+            false = self.pos[var]
+        lifted = []
+        below = false
+        for level in self.levels:
+            lifted.append(level | below)
+            below = level & false
+        self.levels = lifted
+        self.free ^= self.rank_bit[var]
+        if self.track_pure:
+            self.maybe_pure |= (self.touch_pos if value else self.touch_neg)[var]
 
     def undo(self) -> None:
-        var, value = self.trail.pop()
-        true_occ = self.occ_pos[var] if value else self.occ_neg[var]
-        false_occ = self.occ_neg[var] if value else self.occ_pos[var]
-        for ci in false_occ:
-            self.n_unassigned[ci] += 1
-            if self.n_true[ci] == 0:
-                if self.n_unassigned[ci] == 1:
-                    self.contra_count -= 1
-                    if self.track_unit:
-                        self.unit_set.add(ci)
-                elif self.n_unassigned[ci] == 2 and self.track_unit:
-                    self.unit_set.discard(ci)
-        for ci in true_occ:
-            self.n_true[ci] -= 1
-            if self.n_true[ci] == 0:  # clause revives
-                self.alive_count += 1
-                if self.track_pure:
-                    for lit in self.clause_lits[ci]:
-                        v = abs(lit)
-                        if lit > 0:
-                            self.alive_pos[v] += 1
-                        else:
-                            self.alive_neg[v] += 1
-                if self.n_unassigned[ci] == 1 and self.track_unit:
-                    self.unit_set.add(ci)
+        var, self.sat, self.levels, self.free, self.maybe_pure = self.trail.pop()
         self.values[var] = UNSET
         self.num_assigned -= 1
-        if self.track_pure and (self.alive_pos[var] == 0 or self.alive_neg[var] == 0):
-            heapq.heappush(self.pure_heap, var)
+
+    # -- the search predicate ----------------------------------------------
+
+    def contradicted(self) -> bool:
+        return self.levels[-1] != 0
+
+    def satisfied(self) -> bool:
+        return self.sat == self.all_clauses
 
     # -- rule lookups ------------------------------------------------------
 
+    def unit_clauses(self) -> int:
+        """The clauses that are neither satisfied nor contradicted and have
+        one unset literal."""
+        return self.levels[-2] & ~(self.levels[-1] | self.sat)
+
     def find_unit(self) -> tuple[int, int] | None:
-        best = None
-        for ci in self.unit_set:
-            for lit in self.clause_lits[ci]:
-                if self.values[abs(lit)] == UNSET:
-                    key = (abs(lit), ci)
-                    if best is None or key < best[0]:
-                        best = (key, (abs(lit), 1 if lit > 0 else 0))
-                    break
-        return best[1] if best else None
+        """The unset literal of a unit clause: its variable the engine's
+        first, from the lowest clause on a tie."""
+        units = self.unit_clauses()
+        if not units:
+            return None
+        unit_vars = 0
+        rest = units
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            unit_vars |= self.clause_vars[low.bit_length() - 1]
+        unit_vars &= self.free   # each unit clause's one unset variable
+        var = self.order[(unit_vars & -unit_vars).bit_length() - 1]
+        first = units & (self.pos[var] | self.neg[var])
+        return var, 1 if first & -first & self.pos[var] else 0
 
     def find_pure(self) -> tuple[int, int] | None:
-        while self.pure_heap:
-            var = heapq.heappop(self.pure_heap)
-            if self.values[var] != UNSET:
+        """The first free variable with no live clause of one sign: true
+        unless only its negative literal is live."""
+        candidates = self.maybe_pure & self.free
+        live = ~self.sat
+        while candidates:
+            low = candidates & -candidates
+            var = self.order[low.bit_length() - 1]
+            if not self.neg[var] & live:
+                value = 1
+            elif not self.pos[var] & live:
+                value = 0
+            else:
+                candidates ^= low
                 continue
-            if self.alive_neg[var] == 0:
-                return (var, 1)   # positive-only or disappeared: assign true
-            if self.alive_pos[var] == 0:
-                return (var, 0)
+            # The candidates before it are refuted. A variable that is not
+            # free gets its bit back, when it is freed, from the trail.
+            self.maybe_pure &= -low
+            return var, value
+        self.maybe_pure = 0
         return None
 
     def restricted(self, ci: int) -> tuple[int, ...] | None:
         """Clause ci restricted to its unset literals; None once satisfied."""
-        if self.n_true[ci]:
+        if self.sat >> ci & 1:
             return None
         values = self.values
         return tuple(l for l in self.clause_lits[ci] if values[abs(l)] == UNSET)
 
     def s_implication(self, var: int, s: int) -> SImplication:
         if s == 1:
-            # The one-clause subsets from the counters: a live clause whose
-            # only unset literal is var.
-            return SImplication.of(
-                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
-                    for ci in self.occ_pos[var]),
-                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
-                    for ci in self.occ_neg[var]))
+            # The one-clause subsets: a unit clause whose unset literal is var.
+            units = self.unit_clauses()
+            return SImplication.of(bool(units & self.pos[var]), bool(units & self.neg[var]))
         return s_implication(var, s, self.occ.__getitem__, self.restricted)
 
     def forced_dpll(self) -> tuple[int, int] | None:
@@ -414,12 +450,15 @@ class _EngineState:
                 hit = self.find_pure()
             else:  # sImplication: the lowest forced variable
                 hit = None
-                for var in self.order:
-                    if self.values[var] == UNSET:
-                        value = self.s_implication(var, self.config.s).forced
-                        if value is not None:
-                            hit = (var, value)
-                            break
+                free = self.free
+                while free:
+                    low = free & -free
+                    var = self.order[low.bit_length() - 1]
+                    value = self.s_implication(var, self.config.s).forced
+                    if value is not None:
+                        hit = (var, value)
+                        break
+                    free ^= low
             if hit:
                 return hit
         return None
@@ -427,10 +466,8 @@ class _EngineState:
     def next_free(self) -> int | None:
         """The engine's next unset variable: lowest for DPLL, first in the
         permutation for dncPPSZ."""
-        for var in self.order:
-            if self.values[var] == UNSET:
-                return var
-        return None
+        free = self.free
+        return self.order[(free & -free).bit_length() - 1] if free else None
 
     def decide(self) -> tuple[int, int | None] | None:
         """The child rule at an undecided node: the forced (var, value), else
@@ -469,19 +506,23 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
     # Frames: (var, value, parent_id, guesses) assigns var and enters that
     # child (var is None at the root); None undoes the last assignment.
     stack: list[tuple | None] = [(None, None, -1, 0)]
+    pop, push = stack.pop, stack.append
+    assign, undo = state.assign, state.undo
+    size = height = 0
     while stack:
-        frame = stack.pop()
+        frame = pop()
         if frame is None:
-            state.undo()
+            undo()
             continue
         var, value, parent_id, guesses = frame
         if var is not None:
-            state.assign(var, value)
-            stack.append(None)
+            assign(var, value)
+            push(None)
 
-        node_id = stats.size
-        stats.size += 1
-        stats.height = max(stats.height, state.num_assigned)
+        node_id = size
+        size += 1
+        if state.num_assigned > height:
+            height = state.num_assigned
         if tree is not None:
             tree.parents.append(parent_id)
             tree.edges.append(None if var is None else (var, value))
@@ -489,18 +530,18 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
 
         # The search predicate first: a contradicted or satisfied node is a
         # leaf. Then the child rule.
-        is_sat = state.contra_count == 0 and state.alive_count == 0
-        choice = None if state.contra_count or is_sat else state.decide()
-        if choice is not None and choice[1] is None and guesses >= budget:
-            choice = None  # out of guesses
+        is_sat = state.satisfied()
+        choice = None if is_sat or state.contradicted() else state.decide()
         if choice is not None:
             var, value = choice
-            if value is None:
-                stack.append((var, 1, node_id, guesses + 1))
-                stack.append((var, 0, node_id, guesses + 1))
-            else:
-                stack.append((var, value, node_id, guesses))
-            continue
+            if value is not None:
+                push((var, value, node_id, guesses))
+                continue
+            if guesses < budget:
+                push((var, 1, node_id, guesses + 1))
+                push((var, 0, node_id, guesses + 1))
+                continue
+            # Out of guesses: a leaf.
 
         # A leaf: every guess on the path is a two-child node.
         stats.leaf_count += 1
@@ -510,12 +551,13 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
             if tree is not None:
                 tree.marked[node_id] = True
             if first_sat_at is None:
-                first_sat_at = stats.size
+                first_sat_at = size
                 model = tuple(state.values[1:])
                 if not exhaustive:
                     break
 
-    stats.effective_size = first_sat_at if first_sat_at is not None else stats.size
+    stats.size, stats.height = size, height
+    stats.effective_size = first_sat_at if first_sat_at is not None else size
     if model is not None:
         verdict = Verdict.SAT
     else:
@@ -576,46 +618,3 @@ def ppsz_proper(formula: CnfFormula, s: int, epsilon: float, max_rounds: int,
         if result.verdict == Verdict.SAT:
             return PpszProperResult(Verdict.SAT, result.model, round_idx, budget, seed)
     return PpszProperResult(Verdict.NOT_FOUND, None, max_rounds, budget, seed)
-
-
-def min_guesses_to_solution(formula: CnfFormula, permutation: tuple[int, ...],
-                            s: int = 1) -> int | None:
-    """Minimum guesses over all root-to-solution paths for this ordering: the
-    least budget at which dncPPSZ finds a model, None when none does. A guess
-    is a two-child vertex, so a solution's guesses are its two-child
-    ancestors in the full-budget tree."""
-    config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
-                          permutation=permutation)
-    tree = tree_stats(formula, config, collect_tree=True).tree
-    guesses = [0] * tree.size
-    for v in range(1, tree.size):
-        p = tree.parents[v]
-        guesses[v] = guesses[p] + (len(tree.children[p]) == 2)
-    return min((g for g, m in zip(guesses, tree.marked) if m), default=None)
-
-
-def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,
-                                     seed: int | None, s: int = 1,
-                                     threshold: int | None = None) -> dict:
-    """Empirical distribution of the minimum guess depth over permutations."""
-    check = dpll_solve(formula)
-    if check.verdict != Verdict.SAT:
-        raise ValueError("formula is unsatisfiable; guess bound undefined")
-    n = formula.num_vars
-    if threshold is None:
-        threshold = ppsz_budget(n, 0.12)
-    rng = random.Random(seed)
-    depths = []
-    for _ in range(samples):
-        perm = tuple(rng.sample(range(1, n + 1), n))
-        g = min_guesses_to_solution(formula, perm, s)
-        depths.append(g if g is not None else n + 1)
-    exceeding = sum(1 for g in depths if g > threshold)
-    return {
-        "samples": samples,
-        "minGuesses": depths,
-        "threshold": threshold,
-        "fractionExceeding": exceeding / samples if samples else 0.0,
-        "rng": "random.Random",
-        "seed": seed,
-    }

@@ -11,6 +11,12 @@ SIA's window verdicts with s-implication over the full restriction, and
 `brute_force_models` lists every model of a small formula.
 `bounded_width_cnf` makes the narrow formulas that SIA's window reads.
 
+`CountingEngineState` is the engine's restriction state before its clause
+bitmasks: per-clause counters updated clause by clause, the oracle that
+`treesearch._EngineState` is tested to equal search for search.
+`min_guesses_to_solution` and `estimate_permutation_guess_bound` measure the
+guesses dncPPSZ needs per variable order.
+
 `qpe_sandwich_zero_probability` and `qpe_counter_circuit` build and simulate
 the two phase-estimation circuits, the oracle for `qcircuit.qpe`'s spectral
 product. The product sums the same terms in another order, so they agree
@@ -19,6 +25,7 @@ within 1e-12, not bit for bit.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -31,7 +38,15 @@ from hybridts.formula import UNSET, CnfFormula, SImplication, index_width, s_imp
 from hybridts.generators import truth_table
 from hybridts.qcircuit.core import Circuit, append_increment, simulate
 from hybridts.sia import _SiaCore
-from hybridts.treesearch import DPLL, EngineConfig
+from hybridts.treesearch import (
+    DNCPPSZ,
+    DPLL,
+    EngineConfig,
+    Verdict,
+    dpll_solve,
+    ppsz_budget,
+    tree_stats,
+)
 
 
 class Predicate(Enum):
@@ -309,6 +324,249 @@ def reference_nodes(formula: CnfFormula,
             stack.append(ch1(node, formula, config))
         elif kind == ChildCount.TWO_CHILDREN:
             stack += [ch2(node, formula, config, 1), ch2(node, formula, config, 0)]
+
+
+class CountingEngineState:
+    """Trail-based restriction bookkeeping for fast tree traversal.
+
+    The engine's restriction state before the clause bitmasks of
+    `treesearch._EngineState`: per-clause counters of true and unset
+    literals, updated clause by clause on `assign` and again on `undo`, with
+    a unit set and a pure-literal heap for the DPLL rules. It keeps the
+    interface `treesearch._search` reads, so a test can swap it in and
+    compare whole searches."""
+
+    def __init__(self, formula: CnfFormula, config: EngineConfig):
+        self.formula = formula
+        self.config = config
+        n = formula.num_vars
+        self.values = [UNSET] * (n + 1)   # 1-indexed
+        # Variables in the order the engine takes them.
+        self.order = config.permutation if config.kind == DNCPPSZ else range(1, n + 1)
+        clauses = formula.clauses
+        self.clause_lits = clauses
+        self.n_unassigned = [len(c) for c in clauses]
+        self.n_true = [0] * len(clauses)
+        self.alive_count = len(clauses)
+        self.contra_count = 0
+        self.occ_pos: list[list[int]] = [[] for _ in range(n + 1)]
+        self.occ_neg: list[list[int]] = [[] for _ in range(n + 1)]
+        for ci, clause in enumerate(clauses):
+            for lit in clause:
+                if lit > 0:
+                    self.occ_pos[lit].append(ci)
+                else:
+                    self.occ_neg[-lit].append(ci)
+        self.occ = [p + q for p, q in zip(self.occ_pos, self.occ_neg)]
+        # The unit set and the pure-literal counters are kept (else empty) only
+        # for the DPLL rules that read them; dncPPSZ forces by s-implication.
+        rules = config.reduction_rules if config.kind == DPLL else ()
+        self.track_unit = "unit" in rules
+        self.track_pure = "pureLiteral" in rules
+        self.unit_set = {ci for ci, c in enumerate(clauses) if self.track_unit and len(c) == 1}
+        self.alive_pos = [len(occ) for occ in self.occ_pos if self.track_pure]
+        self.alive_neg = [len(occ) for occ in self.occ_neg if self.track_pure]
+        self.pure_heap = [var for var in range(1, n + 1) if self.track_pure and (
+            self.alive_pos[var] == 0 or self.alive_neg[var] == 0)]
+        self.trail: list[tuple[int, int]] = []
+        self.num_assigned = 0
+
+    def contradicted(self) -> bool:
+        return self.contra_count > 0
+
+    def satisfied(self) -> bool:
+        return self.contra_count == 0 and self.alive_count == 0
+
+    def assign(self, var: int, value: int) -> None:
+        self.values[var] = value
+        self.num_assigned += 1
+        self.trail.append((var, value))
+        true_occ = self.occ_pos[var] if value else self.occ_neg[var]
+        false_occ = self.occ_neg[var] if value else self.occ_pos[var]
+        for ci in true_occ:
+            self.n_true[ci] += 1
+            if self.n_true[ci] == 1:  # clause satisfied, drops from restriction
+                self.alive_count -= 1
+                if self.track_unit:
+                    self.unit_set.discard(ci)
+                if not self.track_pure:
+                    continue
+                for lit in self.clause_lits[ci]:
+                    v = abs(lit)
+                    if lit > 0:
+                        self.alive_pos[v] -= 1
+                        if self.alive_pos[v] == 0 and self.values[v] == UNSET:
+                            heapq.heappush(self.pure_heap, v)
+                    else:
+                        self.alive_neg[v] -= 1
+                        if self.alive_neg[v] == 0 and self.values[v] == UNSET:
+                            heapq.heappush(self.pure_heap, v)
+        for ci in false_occ:
+            self.n_unassigned[ci] -= 1
+            if self.n_true[ci] == 0:
+                if self.n_unassigned[ci] == 0:
+                    self.contra_count += 1
+                    if self.track_unit:
+                        self.unit_set.discard(ci)
+                elif self.n_unassigned[ci] == 1 and self.track_unit:
+                    self.unit_set.add(ci)
+
+    def undo(self) -> None:
+        var, value = self.trail.pop()
+        true_occ = self.occ_pos[var] if value else self.occ_neg[var]
+        false_occ = self.occ_neg[var] if value else self.occ_pos[var]
+        for ci in false_occ:
+            self.n_unassigned[ci] += 1
+            if self.n_true[ci] == 0:
+                if self.n_unassigned[ci] == 1:
+                    self.contra_count -= 1
+                    if self.track_unit:
+                        self.unit_set.add(ci)
+                elif self.n_unassigned[ci] == 2 and self.track_unit:
+                    self.unit_set.discard(ci)
+        for ci in true_occ:
+            self.n_true[ci] -= 1
+            if self.n_true[ci] == 0:  # clause revives
+                self.alive_count += 1
+                if self.track_pure:
+                    for lit in self.clause_lits[ci]:
+                        v = abs(lit)
+                        if lit > 0:
+                            self.alive_pos[v] += 1
+                        else:
+                            self.alive_neg[v] += 1
+                if self.n_unassigned[ci] == 1 and self.track_unit:
+                    self.unit_set.add(ci)
+        self.values[var] = UNSET
+        self.num_assigned -= 1
+        if self.track_pure and (self.alive_pos[var] == 0 or self.alive_neg[var] == 0):
+            heapq.heappush(self.pure_heap, var)
+
+    # -- rule lookups ------------------------------------------------------
+
+    def find_unit(self) -> tuple[int, int] | None:
+        best = None
+        for ci in self.unit_set:
+            for lit in self.clause_lits[ci]:
+                if self.values[abs(lit)] == UNSET:
+                    key = (abs(lit), ci)
+                    if best is None or key < best[0]:
+                        best = (key, (abs(lit), 1 if lit > 0 else 0))
+                    break
+        return best[1] if best else None
+
+    def find_pure(self) -> tuple[int, int] | None:
+        while self.pure_heap:
+            var = heapq.heappop(self.pure_heap)
+            if self.values[var] != UNSET:
+                continue
+            if self.alive_neg[var] == 0:
+                return (var, 1)   # positive-only or disappeared: assign true
+            if self.alive_pos[var] == 0:
+                return (var, 0)
+        return None
+
+    def restricted(self, ci: int) -> tuple[int, ...] | None:
+        """Clause ci restricted to its unset literals; None once satisfied."""
+        if self.n_true[ci]:
+            return None
+        values = self.values
+        return tuple(l for l in self.clause_lits[ci] if values[abs(l)] == UNSET)
+
+    def s_implication(self, var: int, s: int) -> SImplication:
+        if s == 1:
+            # The one-clause subsets from the counters: a live clause whose
+            # only unset literal is var.
+            return SImplication.of(
+                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                    for ci in self.occ_pos[var]),
+                any(self.n_true[ci] == 0 and self.n_unassigned[ci] == 1
+                    for ci in self.occ_neg[var]))
+        return s_implication(var, s, self.occ.__getitem__, self.restricted)
+
+    def forced_dpll(self) -> tuple[int, int] | None:
+        """The first hit of the DPLL reduction rules, in their order."""
+        for rule in self.config.reduction_rules:
+            if rule == "unit":
+                hit = self.find_unit()
+            elif rule == "pureLiteral":
+                hit = self.find_pure()
+            else:  # sImplication: the lowest forced variable
+                hit = None
+                for var in self.order:
+                    if self.values[var] == UNSET:
+                        value = self.s_implication(var, self.config.s).forced
+                        if value is not None:
+                            hit = (var, value)
+                            break
+            if hit:
+                return hit
+        return None
+
+    def next_free(self) -> int | None:
+        """The engine's next unset variable: lowest for DPLL, first in the
+        permutation for dncPPSZ."""
+        for var in self.order:
+            if self.values[var] == UNSET:
+                return var
+        return None
+
+    def decide(self) -> tuple[int, int | None] | None:
+        """The child rule at an undecided node: the forced (var, value), else
+        (var, None) for the variable to guess, else None when all are set."""
+        if self.config.kind == DPLL:
+            forced = self.forced_dpll()
+            if forced is not None:
+                return forced
+            var = self.next_free()
+            return None if var is None else (var, None)
+        var = self.next_free()
+        if var is None:
+            return None
+        return var, self.s_implication(var, self.config.s).forced
+
+
+def min_guesses_to_solution(formula: CnfFormula, permutation: tuple[int, ...],
+                            s: int = 1) -> int | None:
+    """Minimum guesses over all root-to-solution paths for this ordering: the
+    least budget at which dncPPSZ finds a model, None when none does. A guess
+    is a two-child vertex, so a solution's guesses are its two-child
+    ancestors in the full-budget tree."""
+    config = EngineConfig(kind=DNCPPSZ, reduction_rules=("sImplication",), s=s,
+                          permutation=permutation)
+    tree = tree_stats(formula, config, collect_tree=True).tree
+    guesses = [0] * tree.size
+    for v in range(1, tree.size):
+        p = tree.parents[v]
+        guesses[v] = guesses[p] + (len(tree.children[p]) == 2)
+    return min((g for g, m in zip(guesses, tree.marked) if m), default=None)
+
+
+def estimate_permutation_guess_bound(formula: CnfFormula, samples: int,
+                                     seed: int | None, s: int = 1,
+                                     threshold: int | None = None) -> dict:
+    """Empirical distribution of the minimum guess depth over permutations."""
+    check = dpll_solve(formula)
+    if check.verdict != Verdict.SAT:
+        raise ValueError("formula is unsatisfiable; guess bound undefined")
+    n = formula.num_vars
+    if threshold is None:
+        threshold = ppsz_budget(n, 0.12)
+    rng = random.Random(seed)
+    depths = []
+    for _ in range(samples):
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        g = min_guesses_to_solution(formula, perm, s)
+        depths.append(g if g is not None else n + 1)
+    exceeding = sum(1 for g in depths if g > threshold)
+    return {
+        "samples": samples,
+        "minGuesses": depths,
+        "threshold": threshold,
+        "fractionExceeding": exceeding / samples if samples else 0.0,
+        "rng": "random.Random",
+        "seed": seed,
+    }
 
 
 def bounded_width_cnf(rng: random.Random, num_vars: int, width: int,

@@ -16,6 +16,7 @@ from hybridts.formula import (
 )
 from hybridts.generators import brute_force_satisfiable, random_kcnf
 from reference import (
+    CountingEngineState,
     PartialAssignment,
     Predicate,
     bounded_width_cnf,
@@ -158,7 +159,7 @@ def s_implied_over_clauses_oracle(clauses: Sequence[tuple[int, ...]], var: int,
     return SImplication.FREE
 
 
-class OracleEngineState(treesearch._EngineState):
+class OracleEngineState(CountingEngineState):
     """The engine with its old s-implication: a full restricted-clause list
     per query and the itertools pool."""
 
@@ -403,9 +404,28 @@ def test_kernel_on_wide_clauses():
         for var in (10, 13, 16):
             assert (s_implied_over_clauses(f.clauses, var, 2)
                     == s_implied_over_clauses_oracle(f.clauses, var, 2))
-    # Two 40-literal clauses span 79 variables: free after one table.
+    # Two 40-literal clauses span 79 variables: free by the Kraft screen.
     wide = F(80, [list(range(1, 41)), [1] + [-v for v in range(41, 80)]])
     assert s_implied_over_clauses(wide.clauses, 1, 2) == SImplication.FREE
+
+
+def test_kraft_screen_skips_the_table_only_below_one(monkeypatch):
+    tables = []
+    build = formula._columns
+
+    def columns(k):
+        tables.append(k)
+        return build(k)
+
+    monkeypatch.setattr(formula, "_columns", columns)
+    # Under 1 = 1: [(-2, 3)], sum 1/4. Under 1 = 0: [(2,), (-2, 3)], sum 3/4.
+    # Both below 1, so both models exist and no table is built.
+    assert s_implied_over_clauses([(1, 2), (-2, 3)], 1, 2) == SImplication.FREE
+    assert tables == []
+    # Under 1 = 0: [(2,), (-2,)] sums to exactly 1, so the screen does not
+    # decide, and the table finds 1 forced true.
+    assert s_implied_over_clauses([(1, 2), (1, -2)], 1, 2) == SImplication.FORCED_TRUE
+    assert tables == [2]
 
 
 def test_engine_verdicts_equal_oracle_on_random_states():

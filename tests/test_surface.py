@@ -26,8 +26,6 @@ UNCALLED = {
     "sia.siac_run",
     "sia.grover_advice_success_set",
     "sia.reference_assignment",
-    # The tests, or item 1's dncPPSZ runs.
-    "treesearch.estimate_permutation_guess_bound",
     # The benchmark's workloads.dimacs (item 5).
     "formula.serialize_dimacs",
     # The circuit walk: item 1's scan, if it reports V_A widths, or the tests.

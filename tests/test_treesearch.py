@@ -8,6 +8,7 @@ import pytest
 from hybridts import treesearch
 from hybridts.formula import CnfFormula
 from hybridts.generators import brute_force_satisfiable, random_kcnf, unique_sat_3cnf
+from hybridts.latticesat import lattice_to_cnf, reduce_3sat_to_lattice
 from hybridts.treesearch import (
     DNCPPSZ,
     DPLL,
@@ -16,21 +17,22 @@ from hybridts.treesearch import (
     Verdict,
     dnc_ppsz_solve,
     dpll_solve,
-    estimate_permutation_guess_bound,
-    min_guesses_to_solution,
     ppsz_budget,
     ppsz_proper,
     tree_stats,
 )
 from reference import (
     ChildCount,
+    CountingEngineState,
     PartialAssignment,
     Predicate,
     TreeNode,
     ch1,
     ch2,
     ch_no,
+    estimate_permutation_guess_bound,
     evaluate_predicate,
+    min_guesses_to_solution,
     reference_nodes,
 )
 
@@ -109,6 +111,60 @@ def test_engine_tree_equals_reference_tree():
                          budget=rng.randint(0, n),
                          perm=tuple(rng.sample(range(1, n + 1), n)))
         assert engine_tree_nodes(f, cfg) == reference_tree_nodes(f, cfg)
+
+
+def _search_outcomes(cases):
+    out = []
+    for f, config, searches in cases:
+        for exhaustive in searches:
+            r = treesearch._search(f, config, exhaustive=exhaustive, collect_tree=True)
+            out.append((r.verdict, r.model, r.stats.as_record(), r.tree.to_json()))
+    return out
+
+
+def test_mask_engine_equals_counting_engine(monkeypatch):
+    # The clause-bitmask restriction against the per-clause counters it
+    # replaced: the same searches, node for node.
+    rng = random.Random(26)
+    dpll_rules = [(), ("unit",), ("pureLiteral", "unit"), EngineConfig().reduction_rules]
+    both = (True, False)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        clauses = []
+        for _ in range(round(rng.uniform(1.0, 6.0) * n)):
+            picked = rng.sample(range(1, n + 1), min(rng.randint(1, 5), n))
+            clauses.append([v if rng.random() < 0.5 else -v for v in picked])
+        f = F(n, clauses)
+        for rules in dpll_rules:
+            cases.append((f, EngineConfig(kind=DPLL, reduction_rules=rules), both))
+        if n <= 7:
+            cases.append((f, EngineConfig(kind=DPLL, reduction_rules=("unit", "sImplication"),
+                                          s=2), both))
+        for s in (1, 2, 3):
+            cases.append((f, dnc_config(f, s=s, budget=rng.randint(0, n),
+                                        perm=tuple(rng.sample(range(1, n + 1), n))), both))
+    # Pre-spaced lattice CNFs, 196-324 variables, with the rule orders that
+    # keep DPLL's trees on them small: without both rules they blow up.
+    for n, m in ((4, 3), (4, 4), (5, 4)):
+        inst, _ = reduce_3sat_to_lattice(random_kcnf(rng, n, m))
+        lattice = lattice_to_cnf(inst)
+        cases += [(lattice, EngineConfig(kind=DPLL, reduction_rules=rules), both)
+                  for rules in dpll_rules[2:]]
+    got = _search_outcomes(cases)
+    assert {r[0] for r in got} == {Verdict.SAT, Verdict.UNSAT, Verdict.NOT_FOUND}
+    monkeypatch.setattr(treesearch, "_EngineState", CountingEngineState)
+    assert _search_outcomes(cases) == got
+
+
+def test_engine_leaves_a_formula_with_an_empty_clause_at_the_root():
+    # The restriction holds an empty clause, so the root is contradicted, as
+    # the reference predicate says.
+    f = CnfFormula.from_clauses(2, [[1, 2], []], allow_empty_clause=True)
+    for config in (EngineConfig(kind=DPLL), dnc_config(f)):
+        r = tree_stats(f, config, collect_tree=True)
+        assert r.tree.parents == [-1] and r.model is None
+    assert evaluate_predicate(f, PartialAssignment.empty(2)) == Predicate.CONTRADICTION
 
 
 def test_dpll_examples():
@@ -338,9 +394,10 @@ def test_search_tree_json_round_trip():
             assert SearchTree.from_json(tree.to_json()).to_json() == tree.to_json()
 
 
-def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters():
+def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters(monkeypatch):
     # dncPPSZ forces by s-implication alone, whatever rules its config names.
     rng = random.Random(22)
+    cases = []
     for _ in range(20):
         n = rng.randint(3, 8)
         f = random_kcnf(rng, n, rng.randint(3, 25))
@@ -351,14 +408,25 @@ def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters():
         plain = dnc_config(f, budget=budget, perm=perm)
         assert (tree_stats(f, default_rules, collect_tree=True).tree.to_json()
                 == tree_stats(f, plain, collect_tree=True).tree.to_json())
+        cases.append((f, default_rules))
     f = F(3, [[1, 2], [-2, 3]])
+    dpll = treesearch._EngineState(f, EngineConfig(kind=DPLL).validated(f))
     state = treesearch._EngineState(f, EngineConfig(kind=DNCPPSZ).validated(f))
-    counters = (list(state.alive_pos), list(state.alive_neg), list(state.pure_heap))
-    state.assign(1, 1)   # satisfies [1, 2]: DPLL would drop 2 from alive_pos
-    assert not state.track_pure
-    assert (state.alive_pos, state.alive_neg, state.pure_heap) == counters
-    state.assign(2, 1)   # leaves [-2, 3] unit: DPLL's unit rule would list it
-    assert not state.track_unit and not state.unit_set
+    assert not state.track_pure and state.maybe_pure == 0
+    for engine in (dpll, state):
+        engine.assign(1, 1)   # satisfies [1, 2]: 2 may now be pure
+    assert dpll.maybe_pure & dpll.rank_bit[2]
+    assert state.maybe_pure == 0
+    state.assign(2, 1)   # leaves [-2, 3] unit: DPLL's unit rule would find it
+    assert state.maybe_pure == 0 and state.find_unit() == (3, 1)
+
+    def consulted(self):
+        raise AssertionError("dncPPSZ consulted a DPLL rule")
+
+    monkeypatch.setattr(treesearch._EngineState, "find_unit", consulted)
+    monkeypatch.setattr(treesearch._EngineState, "find_pure", consulted)
+    for f, config in cases:
+        tree_stats(f, config)
 
 
 def test_search_tree_json_requires_preorder():
