@@ -154,6 +154,9 @@ def s_implication(var: int, s: int, clauses_with: Callable[[int], Iterable[int]]
     Kraft screen; otherwise it is a truth table held in a Python int: a
     clause is the OR of its literal columns, the subset the AND of its
     clauses, so the verdict does not depend on the order of the subsets.
+
+    SIA calls it at every s. The tree engine reads its s <= 2 verdicts off its
+    clause masks (`treesearch._EngineState`) and calls it only for s >= 3.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")

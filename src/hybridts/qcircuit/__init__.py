@@ -4,9 +4,7 @@ from .core import (
     Circuit,
     Gate,
     TraceResult,
-    ancilla_audit,
     append_increment,
-    export_text,
     is_classical,
     simulate,
     trace_basis,
@@ -18,7 +16,6 @@ from .oracles import (
     grover_angle,
     grover_circuit,
     grover_search,
-    oracle_phases,
 )
 from .qpe import qpe_counter, qpe_standard
 

@@ -9,7 +9,7 @@ of ±1 entries flip bits of a sign plane; any other diagonal block unpacks its
 target bits and multiplies its factors in gate order. The output indices are
 assembled once, at the end. `simulate` maps all 2^W states through each
 maximal run once per call and applies the run as one gather; `trace_basis`
-and `ancilla_audit` map only the inputs they are given.
+maps only the input it is given.
 
 Each maximal run of uncontrolled H gates is applied gate by gate between two
 buffers that swap roles. Controlled H and non-diagonal UNITARY write in place
@@ -414,27 +414,3 @@ def append_increment(circuit: Circuit, register, controls=(), step: int = 1):
     for target, ctrls in gates:
         circuit.x(target, ctrls)
     return circuit
-
-
-def ancilla_audit(circuit: Circuit, inputs, wires) -> bool:
-    """Check that the given wires return to their input values on every
-    listed basis input (restoration contract for oracle ancillas)."""
-    planes, n = _basis_planes(circuit.num_wires, inputs)
-    out, _ = _map_planes(circuit.gates, planes, n)
-    return all(out[w] == planes[w] for w in wires)
-
-
-def export_text(circuit: Circuit) -> str:
-    """Line-oriented audit format: gate name, wires, controls, block refs."""
-    lines = [f"wires {circuit.num_wires}"]
-    blocks = 0
-    for gate in circuit.gates:
-        parts = [gate.kind, " ".join(str(t) for t in gate.targets)]
-        if gate.controls:
-            parts.append("ctrl " + " ".join(f"{w}{'+' if b else '-'}"
-                                            for w, b in gate.controls))
-        if gate.block is not None:
-            parts.append(f"block b{blocks}")
-            blocks += 1
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

@@ -100,22 +100,6 @@ def clause_oracle_counter(formula: CnfFormula) -> OracleCircuit:
     return OracleCircuit(circ, inputs, counter + (scratch,), "counter")
 
 
-def oracle_phases(oracle: OracleCircuit) -> np.ndarray:
-    """Exhaustive oracle phases over all inputs from one superposed run."""
-    circ = Circuit(oracle.num_wires)
-    for w in oracle.input_wires:
-        circ.h(w)
-    circ.extend(oracle.circuit)
-    state = simulate(circ)
-    n = len(oracle.input_wires)
-    anc = oracle.num_wires - n
-    amps = state.reshape(2 ** n, 2 ** anc)[:, 0]
-    phases = amps * math.sqrt(2 ** n)
-    if np.abs(np.abs(phases) - 1.0).max() > 1e-9:
-        raise AssertionError("oracle left amplitude outside the ancilla-zero slice")
-    return np.sign(phases.real)
-
-
 def build_oracle(formula: CnfFormula, kind: str = "auto") -> OracleCircuit:
     if kind == "naive":
         return clause_oracle_naive(formula)

@@ -7,9 +7,8 @@ variable by s-implication, setting the value `SImplication.forced` names, or
 spends the next advice bit on it, or stops out of advice. The verdict comes
 from `formula.s_implication` over the clauses reached from the variable
 through the per-variable clause index, each restricted by the window of the
-last w assigned values alone. The reference and its audit trail
-(`reference_assignment`) are one walk over the variables; the blocks take w
-steps each.
+last w assigned values alone. The reference is one walk over the
+variables; the blocks take w steps each.
 
 Flag values carried in a memory cell: 0 alive, 1 contradiction, 2 out of
 advice (the two-children verdict), 3 satisfied early. The cell also carries a
@@ -213,12 +212,6 @@ def sia_reference(formula: CnfFormula, advice: str | tuple[int, ...],
     return _reference_walk(formula, advice, s)[0]
 
 
-def reference_assignment(formula: CnfFormula, advice: str | tuple[int, ...],
-                         s: int = 1) -> dict[int, int]:
-    """Variable values assigned along the reference path (for audits)."""
-    return _reference_walk(formula, advice, s)[1]
-
-
 @dataclass(frozen=True)
 class BlockInfo:
     """Side-channel detail from one block run (not part of the cell)."""
@@ -365,35 +358,3 @@ def siar_execute(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
         siab_calls=len(schedule.entries),
     )
     return outcome, trace
-
-
-def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
-             s: int = 1) -> tuple[SiaOutcome, dict[int, int]]:
-    """Plain composition of the blocks (no pebbling); returns the outcome and
-    the full assignment observed along the way."""
-    padded, blocks, advice, core = _block_setup(formula, advice, w, s)
-    cell = Cell.zero(w)
-    assignment: dict[int, int] = {}
-    at_variable = None
-    for block_index in range(1, blocks + 1):
-        cell, info = siab_block(padded, block_index, w, cell, advice, s,
-                                core=core, with_info=True)
-        for var, val in info.assigned:
-            if var <= formula.num_vars:
-                assignment[var] = val
-        if info.at_variable is not None and at_variable is None:
-            at_variable = info.at_variable
-    return _outcome(cell.flag, cell.cursor, at_variable), assignment
-
-
-def grover_advice_success_set(formula: CnfFormula, advice_len: int,
-                              s: int = 1) -> set[str]:
-    """All advice strings of the given length whose SIA path ends satisfied;
-    the Grover-over-advice search space."""
-    out = set()
-    for value in range(2 ** advice_len):
-        bits = tuple((value >> (advice_len - 1 - i)) & 1 for i in range(advice_len))
-        outcome = sia_reference(formula, bits, s)
-        if outcome.kind == "zeroChildren" and outcome.reason == "satisfied":
-            out.add("".join(str(b) for b in bits))
-    return out

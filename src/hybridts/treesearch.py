@@ -16,10 +16,17 @@ The restriction lives in Python-int bitmasks, one bit per clause or per
 variable: the satisfied clauses, the clauses at each count of false literals,
 the free variables. An assignment is a few big-int operations and its undo
 restores the masks the trail saved, so neither visits a clause. The unit
-clauses, the s = 1 verdict and the next free variable are masks read off that
-state. `_search` reads it through `contradicted` and `satisfied`, so the tests
-can swap in the per-clause counting engine it replaced and compare whole
-searches.
+clauses, the next free variable and the s-implication verdicts for s <= 2 are
+read off that state. The s = 2 verdict rests on a pair lemma: two nonempty
+restricted clauses, one of them holding `var`, force a literal l of `var` (no
+model of the two sets l false) only as the unit (l), as (l ∨ x) with (¬x), or
+as (l ∨ x) with (l ∨ ¬x). Setting l false must empty a clause or leave two
+complementary units, and a clause with three or more unset literals keeps
+two; the one unsatisfiable pair, (l) with (¬l), forces both polarities. So
+only the units and binaries decide, and no subset is enumerated. The general kernel
+`formula.s_implication` serves s >= 3. `_search` reads the state through
+`contradicted` and `satisfied`, so the tests can swap in the per-clause
+counting engine it replaced and compare whole searches.
 
 The engines number a tree's vertices in depth-first preorder, so the subtree
 of vertex v is the id range [v, v + size(v)).
@@ -276,11 +283,12 @@ class _EngineState:
     - `pos[v]` and `neg[v]` are the clauses that hold v and ¬v;
     - `sat` is the satisfied clauses;
     - `levels[k - 1]`, for k = 1..K with K the longest clause length (at
-      least 2), is the clauses with at least k false literals, where a clause
+      least 3), is the clauses with at least k false literals, where a clause
       of length L counts K − L more. So `levels[-1]` is the contradicted
-      clauses and `levels[-2]`, less those and `sat`, the unit ones. Setting
-      a literal false lifts the clauses x that hold it one level: level k
-      gains level k − 1 & x, and level 1 gains x.
+      clauses, `levels[-2]` less those and `sat` the unit ones, and
+      `levels[-3]` less `sat` the live clauses with at most two unset
+      literals. Setting a literal false lifts the clauses x that hold it one
+      level: level k gains level k − 1 & x, and level 1 gains x.
 
     Bit r of a variable mask stands for the engine's r-th variable (`order`):
     - `free` is the unset variables;
@@ -292,6 +300,12 @@ class _EngineState:
 
     `assign` pushes the masks it replaces onto the trail and `undo` pops them
     back, so neither loops over clauses.
+
+    `s_implication` reads the s = 1 verdict off the unit clauses that hold
+    `var`, and the s = 2 verdict off those and the binaries, by the module's
+    pair lemma: for each literal l of `var`, a unit (l), or a binary (l ∨ x)
+    with a unit (¬x) or a binary (l ∨ ¬x). Only s >= 3 calls the kernel,
+    with the clause index `occ` that its first call builds.
     """
 
     def __init__(self, formula: CnfFormula, config: EngineConfig):
@@ -308,8 +322,7 @@ class _EngineState:
         self.clause_lits = clauses
         self.pos = [0] * (n + 1)
         self.neg = [0] * (n + 1)
-        self.occ: list[list[int]] = [[] for _ in range(n + 1)]
-        top = max(formula.max_clause_size, 2)
+        top = max(formula.max_clause_size, 3)
         levels = [0] * top
         self.clause_vars = []
         for ci, clause in enumerate(clauses):
@@ -320,7 +333,6 @@ class _EngineState:
                     self.pos[lit] |= bit
                 else:
                     self.neg[-lit] |= bit
-                self.occ[abs(lit)].append(ci)
                 near |= rank_bit[abs(lit)]
             self.clause_vars.append(near)
             for k in range(top - len(clause)):
@@ -434,12 +446,47 @@ class _EngineState:
         values = self.values
         return tuple(l for l in self.clause_lits[ci] if values[abs(l)] == UNSET)
 
+    @cached_property
+    def occ(self) -> list[list[int]]:
+        """The ids of the clauses that hold each variable: the s >= 3 kernel's
+        index, built on its first call."""
+        occ: list[list[int]] = [[] for _ in self.values]
+        for ci, clause in enumerate(self.clause_lits):
+            for lit in clause:
+                occ[abs(lit)].append(ci)
+        return occ
+
     def s_implication(self, var: int, s: int) -> SImplication:
+        if s > 2:
+            return s_implication(var, s, self.occ.__getitem__, self.restricted)
+        units = self.unit_clauses()
         if s == 1:
             # The one-clause subsets: a unit clause whose unset literal is var.
-            units = self.unit_clauses()
             return SImplication.of(bool(units & self.pos[var]), bool(units & self.neg[var]))
-        return s_implication(var, s, self.occ.__getitem__, self.restricted)
+        # The pair lemma: only the live clauses with at most two unset
+        # literals force, and at an undecided node none of them is empty.
+        short = self.levels[-3] & ~self.sat
+        return SImplication.of(self._pair_forces(var, self.pos[var], units, short),
+                               self._pair_forces(-var, self.neg[var], units, short))
+
+    def _pair_forces(self, lit: int, holds: int, units: int, short: int) -> bool:
+        """Whether a subset of at most two restricted clauses forces `lit`,
+        `holds` being the clauses that hold it: the unit (lit), or a binary
+        (lit ∨ x) with the unit (¬x) or with the binary (lit ∨ ¬x)."""
+        if units & holds:
+            return True
+        pairs = short & holds   # no unit holds lit: these are binaries
+        partners = units | pairs
+        values = self.values
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            for x in self.clause_lits[low.bit_length() - 1]:
+                if x != lit and values[abs(x)] == UNSET:
+                    break
+            if partners & (self.neg[x] if x > 0 else self.pos[-x]):
+                return True
+        return False
 
     def forced_dpll(self) -> tuple[int, int] | None:
         """The first hit of the DPLL reduction rules, in their order."""

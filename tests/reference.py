@@ -21,11 +21,21 @@ guesses dncPPSZ needs per variable order.
 the two phase-estimation circuits, the oracle for `qcircuit.qpe`'s spectral
 product. The product sums the same terms in another order, so they agree
 within 1e-12, not bit for bit.
+
+SIA's audits: `reference_assignment` is the assignment along the
+irreversible reference path, `siac_run` composes the blocks plainly (no
+pebbling) and reports the assignment they make, and
+`grover_advice_success_set` lists the advice strings whose path ends
+satisfied. The circuit audits: `ancilla_audit` checks that wires return to
+their inputs, `export_text` writes a circuit one gate a line (the circuit
+digest hashes it), and `oracle_phases` reads a clause oracle's phase on every
+input from one superposed run.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -34,9 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
+from hybridts import sia
 from hybridts.formula import UNSET, CnfFormula, SImplication, index_width, s_implication
 from hybridts.generators import truth_table
-from hybridts.qcircuit.core import Circuit, append_increment, simulate
+from hybridts.qcircuit.core import Circuit, _basis_planes, _map_planes, append_increment, simulate
+from hybridts.qcircuit.oracles import OracleCircuit
 from hybridts.sia import _SiaCore
 from hybridts.treesearch import (
     DNCPPSZ,
@@ -646,3 +658,81 @@ def qpe_counter_circuit(u: np.ndarray, eigenstate: np.ndarray, t: int) -> tuple[
     probs = np.abs(state.reshape(2, 2 ** p, 2 ** m)) ** 2
     p0_prime = float(probs[:, 0, :].sum())
     return p0_prime, 1 + p
+
+
+def reference_assignment(formula: CnfFormula, advice: str | tuple[int, ...],
+                         s: int = 1) -> dict[int, int]:
+    """Variable values assigned along the reference path (for audits)."""
+    return sia._reference_walk(formula, advice, s)[1]
+
+
+def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
+             s: int = 1) -> tuple[sia.SiaOutcome, dict[int, int]]:
+    """Plain composition of the blocks (no pebbling); returns the outcome and
+    the full assignment observed along the way."""
+    padded, blocks, advice, core = sia._block_setup(formula, advice, w, s)
+    cell = sia.Cell.zero(w)
+    assignment: dict[int, int] = {}
+    at_variable = None
+    for block_index in range(1, blocks + 1):
+        cell, info = sia.siab_block(padded, block_index, w, cell, advice, s,
+                                    core=core, with_info=True)
+        for var, val in info.assigned:
+            if var <= formula.num_vars:
+                assignment[var] = val
+        if info.at_variable is not None and at_variable is None:
+            at_variable = info.at_variable
+    return sia._outcome(cell.flag, cell.cursor, at_variable), assignment
+
+
+def grover_advice_success_set(formula: CnfFormula, advice_len: int,
+                              s: int = 1) -> set[str]:
+    """All advice strings of the given length whose SIA path ends satisfied;
+    the Grover-over-advice search space."""
+    out = set()
+    for value in range(2 ** advice_len):
+        bits = tuple((value >> (advice_len - 1 - i)) & 1 for i in range(advice_len))
+        outcome = sia.sia_reference(formula, bits, s)
+        if outcome.kind == "zeroChildren" and outcome.reason == "satisfied":
+            out.add("".join(str(b) for b in bits))
+    return out
+
+
+def ancilla_audit(circuit: Circuit, inputs, wires) -> bool:
+    """Check that the given wires return to their input values on every
+    listed basis input (restoration contract for oracle ancillas)."""
+    planes, n = _basis_planes(circuit.num_wires, inputs)
+    out, _ = _map_planes(circuit.gates, planes, n)
+    return all(out[w] == planes[w] for w in wires)
+
+
+def export_text(circuit: Circuit) -> str:
+    """Line-oriented audit format: gate name, wires, controls, block refs."""
+    lines = [f"wires {circuit.num_wires}"]
+    blocks = 0
+    for gate in circuit.gates:
+        parts = [gate.kind, " ".join(str(t) for t in gate.targets)]
+        if gate.controls:
+            parts.append("ctrl " + " ".join(f"{w}{'+' if b else '-'}"
+                                            for w, b in gate.controls))
+        if gate.block is not None:
+            parts.append(f"block b{blocks}")
+            blocks += 1
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_phases(oracle: OracleCircuit) -> np.ndarray:
+    """Exhaustive oracle phases over all inputs from one superposed run."""
+    circ = Circuit(oracle.num_wires)
+    for w in oracle.input_wires:
+        circ.h(w)
+    circ.extend(oracle.circuit)
+    state = simulate(circ)
+    n = len(oracle.input_wires)
+    anc = oracle.num_wires - n
+    amps = state.reshape(2 ** n, 2 ** anc)[:, 0]
+    phases = amps * math.sqrt(2 ** n)
+    if np.abs(np.abs(phases) - 1.0).max() > 1e-9:
+        raise AssertionError("oracle left amplitude outside the ancilla-zero slice")
+    return np.sign(phases.real)

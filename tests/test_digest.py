@@ -33,13 +33,14 @@ from hybridts import latticesat, qwalk, sia
 from hybridts.decomposition import MEASURE_BRANCHING, MEASURE_HEIGHT, decompose
 from hybridts.formula import CnfFormula, parse_dimacs
 from hybridts.generators import random_kcnf
-from hybridts.qcircuit import export_text, walk
+from hybridts.qcircuit import walk
 from hybridts.qcircuit.oracles import (
     clause_oracle_counter,
     clause_oracle_naive,
     grover_circuit,
 )
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
+from reference import export_text, reference_assignment, siac_run
 
 DIGEST = "b22c22fd5fa99899d0aa844eea757698e372e21f7f0ac84988c421b4e1c4f45f"
 SIA_DIGEST = "6796f3de676bdbd642206116729a3ac98af3cd682d76ceea0402dacb3a97f957"
@@ -112,9 +113,9 @@ def sia_records(seed: int = 47, instances: int = 60):
         for s in (1, 2):
             out, trace = sia.siar_execute(f, advice, side + 1, s)
             yield (sia.sia_reference(f, advice, s),
-                   sorted(sia.reference_assignment(f, advice, s).items()),
+                   sorted(reference_assignment(f, advice, s).items()),
                    out, trace.siab_calls, trace.peak_live_intermediate, trace.restored)
-            out, assignment = sia.siac_run(f, advice, side + 1, s)
+            out, assignment = siac_run(f, advice, side + 1, s)
             yield out, sorted(assignment.items())
 
 

@@ -23,8 +23,10 @@ from reference import (
     evaluate_predicate,
     lit_satisfied,
     pure_literal_rule,
+    reference_assignment,
     restrict,
     s_implied_over_clauses,
+    siac_run,
     unit_rule,
 )
 
@@ -503,8 +505,8 @@ def _sia_outcomes(cases):
     out = []
     for f, advice, w, s in cases:
         reversible, trace = sia.siar_execute(f, advice, w, s)
-        composed, assignment = sia.siac_run(f, advice, w, s)
-        out.append((sia.sia_reference(f, advice, s), sia.reference_assignment(f, advice, s),
+        composed, assignment = siac_run(f, advice, w, s)
+        out.append((sia.sia_reference(f, advice, s), reference_assignment(f, advice, s),
                     reversible, trace.siab_calls, trace.peak_live_intermediate,
                     trace.restored, composed, assignment))
     return out

@@ -21,10 +21,9 @@ from hybridts.qcircuit.oracles import (
     grover_circuit,
     grover_search,
     optimal_iterations,
-    oracle_phases,
 )
 import reference
-from reference import brute_force_models
+from reference import brute_force_models, oracle_phases
 from test_qcircuit_core import oracle_simulate
 
 F = CnfFormula.from_clauses

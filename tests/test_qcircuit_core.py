@@ -9,16 +9,14 @@ from hybridts.qcircuit import core
 from hybridts.qcircuit.core import (
     SQRT1_2,
     Circuit,
-    ancilla_audit,
     append_increment,
-    export_text,
     is_classical,
     simulate,
     trace_basis,
 )
 from hybridts.qcircuit.oracles import grover_circuit
 from hybridts.qcircuit.qpe import qpe_p0_formula
-from reference import qpe_counter_circuit
+from reference import ancilla_audit, export_text, qpe_counter_circuit
 
 
 # ---------------------------------------------------------------------------

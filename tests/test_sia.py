@@ -11,16 +11,19 @@ from hybridts.sia import (
     FLAG_SATISFIED,
     Cell,
     _block_setup,
-    grover_advice_success_set,
-    reference_assignment,
     sia_reference,
     siab_block,
-    siac_run,
     siar_execute,
     siar_schedule,
 )
 from hybridts.treesearch import DNCPPSZ, EngineConfig, tree_stats
-from reference import bounded_width_cnf, locality_check
+from reference import (
+    bounded_width_cnf,
+    grover_advice_success_set,
+    locality_check,
+    reference_assignment,
+    siac_run,
+)
 
 F = CnfFormula.from_clauses
 

@@ -22,20 +22,12 @@ UNCALLED = {
     "decomposition.sia_region_feasible",
     # Item 8.
     "decomposition.tree_size_estimation_cost",
-    # The tests (the SIA digest and test_sia.py read them).
-    "sia.siac_run",
-    "sia.grover_advice_success_set",
-    "sia.reference_assignment",
     # The benchmark's workloads.dimacs (item 5).
     "formula.serialize_dimacs",
     # The circuit walk: item 1's scan, if it reports V_A widths, or the tests.
     "qcircuit.walk.build_v_a_static",
     "qcircuit.walk.encode_vertex",
     "qcircuit.walk.read_wires",
-    # Circuit diagnostics that only the tests read.
-    "qcircuit.core.ancilla_audit",
-    "qcircuit.core.export_text",
-    "qcircuit.oracles.oracle_phases",
 }
 
 

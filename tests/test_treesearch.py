@@ -6,7 +6,7 @@ import re
 import pytest
 
 from hybridts import treesearch
-from hybridts.formula import CnfFormula
+from hybridts.formula import CnfFormula, SImplication, s_implication
 from hybridts.generators import brute_force_satisfiable, random_kcnf, unique_sat_3cnf
 from hybridts.latticesat import lattice_to_cnf, reduce_3sat_to_lattice
 from hybridts.treesearch import (
@@ -165,6 +165,93 @@ def test_engine_leaves_a_formula_with_an_empty_clause_at_the_root():
         r = tree_stats(f, config, collect_tree=True)
         assert r.tree.parents == [-1] and r.model is None
     assert evaluate_predicate(f, PartialAssignment.empty(2)) == Predicate.CONTRADICTION
+
+
+def test_s2_verdict_from_masks_equals_the_kernel_at_every_node(monkeypatch):
+    # The s = 2 verdict read off the masks against the general kernel, called
+    # with the engine's own clause index and restriction, at every node of
+    # dncPPSZ and DPLL searches. A verdict comes through a pair when the unit
+    # clauses alone (s = 1) give another one, or, for FREE, when some
+    # restricted binary holds the variable.
+    mask_rule = treesearch._EngineState.s_implication
+    seen = set()
+    widths = set()
+
+    def checked(self, var, s):
+        verdict = mask_rule(self, var, s)
+        if s == 2:
+            assert verdict == s_implication(var, 2, self.occ.__getitem__, self.restricted)
+            if verdict == SImplication.FREE:
+                through_pair = any(len(self.restricted(ci) or ()) == 2 for ci in self.occ[var])
+            else:
+                through_pair = mask_rule(self, var, 1) != verdict
+            seen.add((verdict, through_pair))
+            widths.add(max(map(len, self.clause_lits)))
+        return verdict
+
+    monkeypatch.setattr(treesearch._EngineState, "s_implication", checked)
+    rng = random.Random(27)
+    for _ in range(100):
+        # Mostly clauses of the top width, at a density that keeps the trees
+        # from closing at the root.
+        n = rng.randint(4, 12)
+        width = rng.randint(1, 5)
+        clauses = []
+        for _ in range(round(rng.uniform(0.5, 1.0) * 2 ** (width - 1) * n)):
+            k = width if rng.random() < 0.8 else rng.randint(1, width)
+            picked = rng.sample(range(1, n + 1), min(k, n))
+            clauses.append([v if rng.random() < 0.5 else -v for v in picked])
+        f = F(n, clauses)
+        for budget in (rng.randint(0, n), n):
+            tree_stats(f, dnc_config(f, s=2, budget=budget,
+                                     perm=tuple(rng.sample(range(1, n + 1), n))))
+        if n <= 8:
+            tree_stats(f, EngineConfig(kind=DPLL, reduction_rules=("unit", "sImplication"), s=2))
+    assert {verdict for verdict, through_pair in seen if through_pair} == set(SImplication)
+    assert {1, 2, 4, 5} <= widths
+
+
+def _s2_verdict(f, assignments, var):
+    state = treesearch._EngineState(f, dnc_config(f, s=2))
+    for v, value in assignments:
+        state.assign(v, value)
+    verdict = state.s_implication(var, 2)
+    assert verdict == s_implication(var, 2, state.occ.__getitem__, state.restricted)
+    return verdict
+
+
+@pytest.mark.parametrize("clauses, assignments, expected", [
+    # The unit (l), restricted from a longer clause.
+    ([[1, 2, 3]], [(2, 0), (3, 0)], SImplication.FORCED_TRUE),
+    ([[-1, 2], [2, 3]], [(2, 0)], SImplication.FORCED_FALSE),
+    # (l ∨ x) with the unit (¬x), in either polarity of var.
+    ([[1, 2], [-2]], [], SImplication.FORCED_TRUE),
+    ([[-1, -2], [2, 3]], [(3, 0)], SImplication.FORCED_FALSE),
+    # (l ∨ x) with (l ∨ ¬x).
+    ([[1, 2], [1, -2]], [], SImplication.FORCED_TRUE),
+    ([[-1, 3, 4], [-1, -3]], [(4, 0)], SImplication.FORCED_FALSE),
+    # Both polarities through pairs: a contradiction.
+    ([[1, 2], [1, -2], [-1, 3], [-1, -3]], [], SImplication.CONTRADICTION),
+    ([[1, 2], [-2], [-1, 3, 4], [-1, -3]], [(4, 0)], SImplication.CONTRADICTION),
+    # A ternary takes no part: (l ∨ x ∨ y) with (¬x) leaves l free.
+    ([[1, 2, 3], [-2]], [], SImplication.FREE),
+    # Pairs that force nothing: (l ∨ x) with (¬l ∨ ¬x), (l ∨ x) with (¬x ∨ y).
+    ([[1, 2], [-1, -2]], [], SImplication.FREE),
+    ([[1, 2], [-2, 3]], [], SImplication.FREE),
+    # A satisfied clause takes no part.
+    ([[1, 2], [-2, 3]], [(3, 1)], SImplication.FREE),
+    # Width 4: (l ∨ x) is binary from the start, by its two padded false
+    # literals, and (¬x) is restricted from a ternary.
+    ([[1, 2], [-2, 3, 4], [-1, 3, 5], [2, 3, 4, 5]], [(3, 0), (4, 0)],
+     SImplication.FORCED_TRUE),
+    # Width 4: (l ∨ x) and (l ∨ ¬x) restricted from longer clauses, and two
+    # ternaries that are not yet binary.
+    ([[1, 2, 3, 4], [1, -2, 5]], [(3, 0), (4, 0), (5, 0)], SImplication.FORCED_TRUE),
+    ([[1, 2, 3, 4], [1, -2, 3, 5]], [(4, 0), (5, 0)], SImplication.FREE),
+])
+def test_s2_verdict_on_each_shape_of_the_pair_lemma(clauses, assignments, expected):
+    f = F(5, clauses)
+    assert _s2_verdict(f, assignments, 1) == expected
 
 
 def test_dpll_examples():
