@@ -212,17 +212,9 @@ def sia_reference(formula: CnfFormula, advice: str | tuple[int, ...],
     return _reference_walk(formula, advice, s)[0]
 
 
-@dataclass(frozen=True)
-class BlockInfo:
-    """Side-channel detail from one block run (not part of the cell)."""
-    at_variable: int | None = None
-    assigned: tuple[tuple[int, int], ...] = ()
-
-
 def siab_block(formula: CnfFormula, block_index: int, w: int,
                input_cell: Cell, advice: str | tuple[int, ...], s: int = 1,
-               core: _SiaCore | None = None,
-               with_info: bool = False) -> Cell | tuple[Cell, BlockInfo]:
+               core: _SiaCore | None = None) -> Cell:
     """Block i computes variables (i-1)*w+1 .. i*w from the previous block.
 
     Identity when the input flag is set. Block 1 ignores its input cell (it
@@ -240,8 +232,7 @@ def siab_block(formula: CnfFormula, block_index: int, w: int,
         elif core.target == 0:
             input_cell = replace(input_cell, flag=FLAG_SATISFIED)
     if input_cell.flag != FLAG_ALIVE:
-        out = input_cell
-        return (out, BlockInfo()) if with_info else out
+        return input_cell
     first = (block_index - 1) * w + 1
     window = {first - w + i: v for i, v in enumerate(input_cell.block)
               if first - w + i >= 1}
@@ -249,22 +240,17 @@ def siab_block(formula: CnfFormula, block_index: int, w: int,
     sat_count = input_cell.sat_count
     flag = FLAG_ALIVE
     values = [0] * w
-    at_variable = None
-    assigned: list[tuple[int, int]] = []
     for offset in range(w):
         var = first + offset
         if var > formula.num_vars:
             break
         cursor, sat_count, flag = core.step(window, var, bits, cursor, sat_count)
         if flag == FLAG_OUT_OF_ADVICE:
-            at_variable = var
             break
         values[offset] = window[var]
-        assigned.append((var, window[var]))
         if flag != FLAG_ALIVE:
             break
-    out = Cell(tuple(values), cursor, flag, sat_count)
-    return (out, BlockInfo(at_variable, tuple(assigned))) if with_info else out
+    return Cell(tuple(values), cursor, flag, sat_count)
 
 
 def _block_setup(formula: CnfFormula, advice: str | tuple[int, ...], w: int,

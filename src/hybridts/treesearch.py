@@ -1,10 +1,10 @@
 """Backtracking engines (DPLL, dncPPSZ), PPSZ-proper, and tree instrumentation.
 
-Every tree is built by one child rule, `_EngineState.decide`: the paper's
-chNo/ch1/ch2 triple, read off a restriction of F that a trail of assignments
-keeps up to date. A node whose search predicate is decided is a leaf.
-Otherwise the rule takes the engine's next variable and forces it when it
-can: DPLL by its reduction rules in order, dncPPSZ by s-implication of the
+Every tree is built by one child rule, applied in `_EngineState.chain`: the
+paper's chNo/ch1/ch2 triple, read off a restriction of F that a trail of
+assignments keeps up to date. A node whose search predicate is decided is a
+leaf. Otherwise the rule takes the engine's next variable and forces it when
+it can: DPLL by its reduction rules in order, dncPPSZ by s-implication of the
 next variable of its permutation. An s-implication verdict sets the value
 `SImplication.forced` names, the positive literal first on a contradiction
 (the paper's Alg. 2). A variable that is not forced is guessed, 0 before 1;
@@ -14,19 +14,28 @@ restrictions computed afresh at every node.
 
 The restriction lives in Python-int bitmasks, one bit per clause or per
 variable: the satisfied clauses, the clauses at each count of false literals,
-the free variables. An assignment is a few big-int operations and its undo
-restores the masks the trail saved, so neither visits a clause. The unit
-clauses, the next free variable and the s-implication verdicts for s <= 2 are
-read off that state. The s = 2 verdict rests on a pair lemma: two nonempty
-restricted clauses, one of them holding `var`, force a literal l of `var` (no
-model of the two sets l false) only as the unit (l), as (l ∨ x) with (¬x), or
-as (l ∨ x) with (l ∨ ¬x). Setting l false must empty a clause or leave two
-complementary units, and a clause with three or more unset literals keeps
-two; the one unsatisfiable pair, (l) with (¬l), forces both polarities. So
-only the units and binaries decide, and no subset is enumerated. The general kernel
-`formula.s_implication` serves s >= 3. `_search` reads the state through
-`contradicted` and `satisfied`, so the tests can swap in the per-clause
-counting engine it replaced and compare whole searches.
+the free variables. An assignment is a few big-int operations that visit no
+clause. The unit clauses, the next free variable and the s-implication
+verdicts for s <= 2 are read off that state. The s = 2 verdict rests on a
+pair lemma: two nonempty restricted clauses, one of them holding `var`, force
+a literal l of `var` (no model of the two sets l false) only as the unit (l),
+as (l ∨ x) with (¬x), or as (l ∨ x) with (l ∨ ¬x). Setting l false must
+empty a clause or leave two complementary units, and a clause with three or
+more unset literals keeps two; the one unsatisfiable pair, (l) with (¬l),
+forces both polarities. So only the units and binaries decide, and no subset
+is enumerated. The general kernel `formula.s_implication` serves s >= 3.
+
+Most vertices are forced (86% of DPLL's on planted 3-CNF at n = 40), so the
+search moves one forced chain at a time. `chain` enters a vertex and every
+forced child below it in one call, with the masks in locals, and returns
+the variable to guess at the chain's last vertex, or None at a leaf. DPLL's
+unit rule reads a mask of the unit clauses' variables, which each
+assignment extends by the clauses it turns unit, so no vertex scans every
+unit clause. The trail keeps each vertex's masks, and a search frame
+carries the trail depth of its parent, so `restore` backtracks to that
+depth with one snapshot. `_search` reads the state through `chain`,
+`restore`, `satisfied`, `trail` and `values`, so the tests can swap in the
+per-clause counting engine it replaced and compare whole searches.
 
 The engines number a tree's vertices in depth-first preorder, so the subtree
 of vertex v is the id range [v, v + size(v)).
@@ -37,6 +46,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -292,14 +302,30 @@ class _EngineState:
 
     Bit r of a variable mask stands for the engine's r-th variable (`order`):
     - `free` is the unset variables;
+    - `unit_vars`, kept for DPLL's unit rule alone, holds the variables of
+      the clauses that are unit at the root or turned unit on the path. A
+      clause turns unit only when an assignment sets one of its last two
+      unset literals false, so an assignment adds the variables of
+      `levels[-3] & false & ~(levels[-2] | sat)`, the clauses it turns unit.
+      Such a clause's variable that is still free is its one unset variable,
+      and the clause stays unit while that variable is free, since no other
+      assignment touches it. So `unit_vars & free` is exactly the unset
+      variables of the unit clauses, and the rule refutes no candidate;
     - `maybe_pure`, kept for DPLL's pure-literal rule alone, holds every free
       pure variable and maybe some that are not. Satisfying a clause can make
       its variables pure, so setting a literal true adds the variables it
       shares a clause with (`touch`); `find_pure` drops the candidates it
-      refutes.
+      refutes, and a variable that is not free gets its bit back from the
+      trail when it is freed.
 
-    `assign` pushes the masks it replaces onto the trail and `undo` pops them
-    back, so neither loops over clauses.
+    `chain` enters a vertex and every forced child below it in one call. The
+    masks stay in locals along the chain and are written back when it ends,
+    and before a rule that is a method reads them. DPLL's unit rule (the
+    first variable of `unit_vars & free`) and dncPPSZ's s = 1 verdict are
+    read inline; the pure-literal rule `find_pure`, DPLL's s-implication
+    rule `find_implied` and the s >= 2 verdicts are methods. Each assignment
+    pushes the masks it replaces onto the trail, so `restore` takes the
+    state back to any depth of the path with one snapshot.
 
     `s_implication` reads the s = 1 verdict off the unit clauses that hold
     `var`, and the s = 2 verdict off those and the binaries, by the module's
@@ -341,54 +367,140 @@ class _EngineState:
         self.all_clauses = (1 << len(clauses)) - 1
         self.sat = 0
         self.free = (1 << n) - 1
-        # The pure-literal candidates are kept (else 0) only for the DPLL
-        # rule that reads them; dncPPSZ forces by s-implication.
-        self.track_pure = config.kind == DPLL and "pureLiteral" in config.reduction_rules
+        # DPLL's rules in order, None for the unit rule that `chain` reads
+        # inline; None for dncPPSZ, which forces by s-implication.
+        methods = {"unit": None, "pureLiteral": type(self).find_pure,
+                   "sImplication": type(self).find_implied}
+        rules = config.reduction_rules if config.kind == DPLL else ()
+        self.dpll_rules = tuple(map(methods.get, rules)) if config.kind == DPLL else None
+        # The variable masks of the DPLL rules are kept (else 0) only for the
+        # rules that read them.
+        self.track_unit = "unit" in rules
+        self.unit_vars = 0
+        if self.track_unit:
+            units = levels[-2] & ~levels[-1]
+            while units:
+                low = units & -units
+                units ^= low
+                self.unit_vars |= self.clause_vars[low.bit_length() - 1]
+        self.touch = None   # (touch_neg, touch_pos), indexed by the value set
         self.maybe_pure = 0
-        if self.track_pure:
-            self.touch_pos = [0] * (n + 1)
-            self.touch_neg = [0] * (n + 1)
+        if "pureLiteral" in rules:
+            touch_pos = [0] * (n + 1)
+            touch_neg = [0] * (n + 1)
             for clause, near in zip(clauses, self.clause_vars):
                 for lit in clause:
                     if lit > 0:
-                        self.touch_pos[lit] |= near
+                        touch_pos[lit] |= near
                     else:
-                        self.touch_neg[-lit] |= near
+                        touch_neg[-lit] |= near
+            self.touch = (touch_neg, touch_pos)
             for var in self.order:
                 if not self.pos[var] or not self.neg[var]:
                     self.maybe_pure |= rank_bit[var]
-        self.trail: list[tuple[int, int, list[int], int, int]] = []
-        self.num_assigned = 0
+        # Before each assignment: (var, value, sat, levels, free, unit_vars,
+        # maybe_pure), the masks of the vertex it leaves.
+        self.trail: list[tuple[int, int, int, list[int], int, int, int]] = []
 
-    def assign(self, var: int, value: int) -> None:
-        self.trail.append((var, self.sat, self.levels, self.free, self.maybe_pure))
-        self.values[var] = value
-        self.num_assigned += 1
-        if value:
-            self.sat |= self.pos[var]
-            false = self.neg[var]
-        else:
-            self.sat |= self.neg[var]
-            false = self.pos[var]
-        lifted = []
-        below = false
-        for level in self.levels:
-            lifted.append(level | below)
-            below = level & false
-        self.levels = lifted
-        self.free ^= self.rank_bit[var]
-        if self.track_pure:
-            self.maybe_pure |= (self.touch_pos if value else self.touch_neg)[var]
+    def chain(self, var: int | None, value: int | None) -> int | None:
+        """Enter the child var = value of the current vertex (var None enters
+        the current vertex itself, the root), then every forced child below
+        it. Returns the variable to guess at the chain's last vertex, or None
+        when that vertex is a leaf."""
+        values, order, pos, neg = self.values, self.order, self.pos, self.neg
+        rank_bit, clause_vars = self.rank_bit, self.clause_vars
+        push = self.trail.append
+        all_clauses, rules, touch = self.all_clauses, self.dpll_rules, self.touch
+        track_unit, s = self.track_unit, self.config.s
+        sat, levels, free = self.sat, self.levels, self.free
+        unit_vars, maybe_pure = self.unit_vars, self.maybe_pure
+        three = len(levels) == 3
+        while True:
+            if var is not None:
+                push((var, value, sat, levels, free, unit_vars, maybe_pure))
+                values[var] = value
+                if value:
+                    sat |= pos[var]
+                    false = neg[var]
+                else:
+                    sat |= neg[var]
+                    false = pos[var]
+                if track_unit:
+                    # The live clauses with two unset literals, one now false.
+                    fresh = levels[-3] & false & ~(levels[-2] | sat)
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        unit_vars |= clause_vars[low.bit_length() - 1]
+                if three:   # K <= 3, the common case, unrolled
+                    l1, l2, l3 = levels
+                    levels = [l1 | false, l2 | l1 & false, l3 | l2 & false]
+                else:
+                    lifted = []
+                    below = false
+                    for level in levels:
+                        lifted.append(level | below)
+                        below = level & false
+                    levels = lifted
+                free ^= rank_bit[var]
+                if touch is not None:
+                    maybe_pure |= touch[value][var]
 
-    def undo(self) -> None:
-        var, self.sat, self.levels, self.free, self.maybe_pure = self.trail.pop()
-        self.values[var] = UNSET
-        self.num_assigned -= 1
+            # The search predicate: a contradicted or satisfied vertex is a
+            # leaf. An undecided one has a free variable, since a full
+            # assignment satisfies or contradicts every clause.
+            if sat == all_clauses or levels[-1]:
+                var = None
+                break
+            # The child rule.
+            value = None
+            if rules is None:
+                # dncPPSZ: the next variable of the permutation, forced by
+                # s-implication.
+                var = order[(free & -free).bit_length() - 1]
+                if s == 1:   # a unit clause whose unset literal is var
+                    units = levels[-2] & ~sat
+                    value = 1 if units & pos[var] else 0 if units & neg[var] else None
+                else:
+                    self.sat, self.levels = sat, levels
+                    value = self.s_implication(var, s).forced
+            else:
+                for rule in rules:
+                    if rule is None:
+                        # The unit rule: the first unit variable, its
+                        # literal's sign from its lowest unit clause.
+                        candidates = unit_vars & free
+                        if candidates:
+                            var = order[(candidates & -candidates).bit_length() - 1]
+                            hit = levels[-2] & ~sat & (pos[var] | neg[var])
+                            value = 1 if hit & -hit & pos[var] else 0
+                    else:
+                        self.sat, self.levels, self.free = sat, levels, free
+                        self.maybe_pure = maybe_pure
+                        hit = rule(self)
+                        maybe_pure = self.maybe_pure
+                        if hit is not None:
+                            var, value = hit
+                    if value is not None:
+                        break
+                else:   # no rule fires: guess the lowest free variable
+                    var = order[(free & -free).bit_length() - 1]
+            if value is None:
+                break
+        self.sat, self.levels, self.free = sat, levels, free
+        self.unit_vars, self.maybe_pure = unit_vars, maybe_pure
+        return var
+
+    def restore(self, depth: int) -> None:
+        """Back to the vertex at trail depth `depth` on the current path."""
+        trail, values = self.trail, self.values
+        (_, _, self.sat, self.levels, self.free, self.unit_vars,
+         self.maybe_pure) = trail[depth]
+        for entry in trail[depth:]:
+            values[entry[0]] = UNSET
+        del trail[depth:]
 
     # -- the search predicate ----------------------------------------------
-
-    def contradicted(self) -> bool:
-        return self.levels[-1] != 0
 
     def satisfied(self) -> bool:
         return self.sat == self.all_clauses
@@ -399,23 +511,6 @@ class _EngineState:
         """The clauses that are neither satisfied nor contradicted and have
         one unset literal."""
         return self.levels[-2] & ~(self.levels[-1] | self.sat)
-
-    def find_unit(self) -> tuple[int, int] | None:
-        """The unset literal of a unit clause: its variable the engine's
-        first, from the lowest clause on a tie."""
-        units = self.unit_clauses()
-        if not units:
-            return None
-        unit_vars = 0
-        rest = units
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            unit_vars |= self.clause_vars[low.bit_length() - 1]
-        unit_vars &= self.free   # each unit clause's one unset variable
-        var = self.order[(unit_vars & -unit_vars).bit_length() - 1]
-        first = units & (self.pos[var] | self.neg[var])
-        return var, 1 if first & -first & self.pos[var] else 0
 
     def find_pure(self) -> tuple[int, int] | None:
         """The first free variable with no live clause of one sign: true
@@ -432,9 +527,7 @@ class _EngineState:
             else:
                 candidates ^= low
                 continue
-            # The candidates before it are refuted. A variable that is not
-            # free gets its bit back, when it is freed, from the trail.
-            self.maybe_pure &= -low
+            self.maybe_pure &= -low   # the candidates before it are refuted
             return var, value
         self.maybe_pure = 0
         return None
@@ -488,47 +581,18 @@ class _EngineState:
                 return True
         return False
 
-    def forced_dpll(self) -> tuple[int, int] | None:
-        """The first hit of the DPLL reduction rules, in their order."""
-        for rule in self.config.reduction_rules:
-            if rule == "unit":
-                hit = self.find_unit()
-            elif rule == "pureLiteral":
-                hit = self.find_pure()
-            else:  # sImplication: the lowest forced variable
-                hit = None
-                free = self.free
-                while free:
-                    low = free & -free
-                    var = self.order[low.bit_length() - 1]
-                    value = self.s_implication(var, self.config.s).forced
-                    if value is not None:
-                        hit = (var, value)
-                        break
-                    free ^= low
-            if hit:
-                return hit
-        return None
-
-    def next_free(self) -> int | None:
-        """The engine's next unset variable: lowest for DPLL, first in the
-        permutation for dncPPSZ."""
+    def find_implied(self) -> tuple[int, int] | None:
+        """DPLL's s-implication rule: the lowest free variable that
+        s-implication forces, and the value it sets."""
         free = self.free
-        return self.order[(free & -free).bit_length() - 1] if free else None
-
-    def decide(self) -> tuple[int, int | None] | None:
-        """The child rule at an undecided node: the forced (var, value), else
-        (var, None) for the variable to guess, else None when all are set."""
-        if self.config.kind == DPLL:
-            forced = self.forced_dpll()
-            if forced is not None:
-                return forced
-            var = self.next_free()
-            return None if var is None else (var, None)
-        var = self.next_free()
-        if var is None:
-            return None
-        return var, self.s_implication(var, self.config.s).forced
+        while free:
+            low = free & -free
+            var = self.order[low.bit_length() - 1]
+            value = self.s_implication(var, self.config.s).forced
+            if value is not None:
+                return var, value
+            free ^= low
+        return None
 
 
 @dataclass
@@ -539,64 +603,61 @@ class SolveResult:
     tree: SearchTree | None = None
 
 
+_edge = operator.itemgetter(0, 1)   # a trail entry's (var, value)
+
+
 def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
             collect_tree: bool) -> SolveResult:
     config = config.validated(formula)
     state = _EngineState(formula, config)
     stats = SearchTreeStats()
-    tree = SearchTree(formula.num_vars, [], [], []) if collect_tree else None
+    parents: list[int] = []
+    edges: list[tuple[int, int] | None] = []
+    sat_leaves: list[int] = []
     model: tuple[int, ...] | None = None
     first_sat_at: int | None = None
     # DPLL has no budget: at a node with a free variable its guesses are < n.
     budget = formula.num_vars if config.guess_budget is None else config.guess_budget
 
-    # Frames: (var, value, parent_id, guesses) assigns var and enters that
-    # child (var is None at the root); None undoes the last assignment.
-    stack: list[tuple | None] = [(None, None, -1, 0)]
+    # Frames: (var, value, parent_id, guesses, depth) enters the child
+    # var = value of the vertex at trail depth `depth`, and its forced chain
+    # (var is None at the root).
+    stack: list[tuple] = [(None, None, -1, 0, 0)]
     pop, push = stack.pop, stack.append
-    assign, undo = state.assign, state.undo
+    trail = state.trail
+    chain, restore, satisfied = state.chain, state.restore, state.satisfied
     size = height = 0
     while stack:
-        frame = pop()
-        if frame is None:
-            undo()
-            continue
-        var, value, parent_id, guesses = frame
-        if var is not None:
-            assign(var, value)
-            push(None)
-
-        node_id = size
-        size += 1
-        if state.num_assigned > height:
-            height = state.num_assigned
-        if tree is not None:
-            tree.parents.append(parent_id)
-            tree.edges.append(None if var is None else (var, value))
-            tree.marked.append(False)
-
-        # The search predicate first: a contradicted or satisfied node is a
-        # leaf. Then the child rule.
-        is_sat = state.satisfied()
-        choice = None if is_sat or state.contradicted() else state.decide()
-        if choice is not None:
-            var, value = choice
-            if value is not None:
-                push((var, value, node_id, guesses))
-                continue
+        var, value, parent_id, guesses, depth = pop()
+        if len(trail) > depth:
+            restore(depth)
+        guess = chain(var, value)
+        # The chain's vertices: ids first..size - 1, each the child of the
+        # one before, at depths depth + 1..len(trail) (from depth at the root).
+        first = size
+        end = len(trail)
+        size += end - depth + (var is None)
+        if end > height:
+            height = end
+        if collect_tree:
+            parents.append(parent_id)
+            parents.extend(range(first, size - 1))
+            if var is None:
+                edges.append(None)
+            edges.extend(map(_edge, trail[depth:]))
+        if guess is not None:
             if guesses < budget:
-                push((var, 1, node_id, guesses + 1))
-                push((var, 0, node_id, guesses + 1))
+                push((guess, 1, size - 1, guesses + 1, end))
+                push((guess, 0, size - 1, guesses + 1, end))
                 continue
             # Out of guesses: a leaf.
 
         # A leaf: every guess on the path is a two-child node.
         stats.leaf_count += 1
-        stats.max_branching = max(stats.max_branching, guesses)
-        if is_sat:
-            stats.sat_leaves += 1
-            if tree is not None:
-                tree.marked[node_id] = True
+        if guesses > stats.max_branching:
+            stats.max_branching = guesses
+        if satisfied():
+            sat_leaves.append(size - 1)
             if first_sat_at is None:
                 first_sat_at = size
                 model = tuple(state.values[1:])
@@ -604,7 +665,14 @@ def _search(formula: CnfFormula, config: EngineConfig, *, exhaustive: bool,
                     break
 
     stats.size, stats.height = size, height
+    stats.sat_leaves = len(sat_leaves)
     stats.effective_size = first_sat_at if first_sat_at is not None else size
+    tree = None
+    if collect_tree:
+        marked = [False] * size
+        for v in sat_leaves:
+            marked[v] = True
+        tree = SearchTree(formula.num_vars, parents, edges, marked)
     if model is not None:
         verdict = Verdict.SAT
     else:

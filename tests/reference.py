@@ -1,6 +1,6 @@
 """The paper's child functions chNo/ch1/ch2 over restrictions of F: the
 reference that the engine's incremental child rule,
-`treesearch._EngineState.decide`, is tested to equal.
+`treesearch._EngineState.chain`, is tested to equal.
 
 A node is a partial assignment. `restrict` applies it to F, and the search
 predicate (`evaluate_predicate`), the DPLL reduction rules (`unit_rule`,
@@ -14,6 +14,9 @@ SIA's window verdicts with s-implication over the full restriction, and
 `CountingEngineState` is the engine's restriction state before its clause
 bitmasks: per-clause counters updated clause by clause, the oracle that
 `treesearch._EngineState` is tested to equal search for search.
+`find_unit` and `unit_variables` are the engine's unit rule by a full scan of
+its unit clauses, the oracle for its unit candidates. `engine_state_at` gives
+an engine state that holds a given partial assignment.
 `min_guesses_to_solution` and `estimate_permutation_guess_bound` measure the
 guesses dncPPSZ needs per variable order.
 
@@ -38,13 +41,13 @@ import heapq
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from hybridts import sia
+from hybridts import sia, treesearch
 from hybridts.formula import UNSET, CnfFormula, SImplication, index_width, s_implication
 from hybridts.generators import truth_table
 from hybridts.qcircuit.core import Circuit, _basis_planes, _map_planes, append_increment, simulate
@@ -338,15 +341,53 @@ def reference_nodes(formula: CnfFormula,
             stack += [ch2(node, formula, config, 1), ch2(node, formula, config, 0)]
 
 
+def unit_variables(state, sat: int, levels: list[int], free: int) -> int:
+    """The free variables of the unit clauses under the masks of
+    `treesearch._EngineState`, as a rank mask, by a full scan of the unit
+    clauses: each unit clause's one unset variable."""
+    units = levels[-2] & ~(levels[-1] | sat)
+    unit_vars = 0
+    while units:
+        low = units & -units
+        units ^= low
+        unit_vars |= state.clause_vars[low.bit_length() - 1]
+    return unit_vars & free
+
+
+def find_unit(state, sat: int, levels: list[int], free: int) -> tuple[int, int] | None:
+    """DPLL's unit rule over the masks of `treesearch._EngineState` by a full
+    scan: the unset literal of a unit clause, its variable the engine's
+    first, from the lowest clause on a tie. The oracle for the engine's unit
+    candidates."""
+    unit_vars = unit_variables(state, sat, levels, free)
+    if not unit_vars:
+        return None
+    var = state.order[(unit_vars & -unit_vars).bit_length() - 1]
+    first = levels[-2] & ~(levels[-1] | sat) & (state.pos[var] | state.neg[var])
+    return var, 1 if first & -first & state.pos[var] else 0
+
+
+def engine_state_at(formula: CnfFormula, assignments, state_type=None):
+    """An engine state (`treesearch._EngineState` unless `state_type` is
+    given) holding exactly these (var, value) assignments: DPLL with no
+    reduction rules forces nothing, so each `chain` call sets one literal."""
+    config = EngineConfig(kind=DPLL, reduction_rules=()).validated(formula)
+    state = (state_type or treesearch._EngineState)(formula, config)
+    for var, value in assignments:
+        state.chain(var, value)
+    return state
+
+
 class CountingEngineState:
     """Trail-based restriction bookkeeping for fast tree traversal.
 
     The engine's restriction state before the clause bitmasks of
     `treesearch._EngineState`: per-clause counters of true and unset
     literals, updated clause by clause on `assign` and again on `undo`, with
-    a unit set and a pure-literal heap for the DPLL rules. It keeps the
-    interface `treesearch._search` reads, so a test can swap it in and
-    compare whole searches."""
+    a unit set and a pure-literal heap for the DPLL rules. Its `chain` and
+    `restore`, the interface `treesearch._search` reads, take one vertex at a
+    time through `assign`, `contradicted`, `satisfied`, `decide` and `undo`,
+    so a test can swap it in and compare whole searches."""
 
     def __init__(self, formula: CnfFormula, config: EngineConfig):
         self.formula = formula
@@ -381,7 +422,6 @@ class CountingEngineState:
         self.pure_heap = [var for var in range(1, n + 1) if self.track_pure and (
             self.alive_pos[var] == 0 or self.alive_neg[var] == 0)]
         self.trail: list[tuple[int, int]] = []
-        self.num_assigned = 0
 
     def contradicted(self) -> bool:
         return self.contra_count > 0
@@ -391,7 +431,6 @@ class CountingEngineState:
 
     def assign(self, var: int, value: int) -> None:
         self.values[var] = value
-        self.num_assigned += 1
         self.trail.append((var, value))
         true_occ = self.occ_pos[var] if value else self.occ_neg[var]
         false_occ = self.occ_neg[var] if value else self.occ_pos[var]
@@ -450,9 +489,29 @@ class CountingEngineState:
                 if self.n_unassigned[ci] == 1 and self.track_unit:
                     self.unit_set.add(ci)
         self.values[var] = UNSET
-        self.num_assigned -= 1
         if self.track_pure and (self.alive_pos[var] == 0 or self.alive_neg[var] == 0):
             heapq.heappush(self.pure_heap, var)
+
+    def chain(self, var: int | None, value: int | None) -> int | None:
+        """Enter the child var = value (var None: the current vertex), then
+        every forced child: the variable to guess at the last vertex, or
+        None at a leaf."""
+        if var is not None:
+            self.assign(var, value)
+        while not (self.satisfied() or self.contradicted()):
+            choice = self.decide()
+            if choice is None:
+                return None
+            var, value = choice
+            if value is None:
+                return var
+            self.assign(var, value)
+        return None
+
+    def restore(self, depth: int) -> None:
+        """Back to the vertex at trail depth `depth`, one undo at a time."""
+        while len(self.trail) > depth:
+            self.undo()
 
     # -- rule lookups ------------------------------------------------------
 
@@ -669,19 +728,30 @@ def reference_assignment(formula: CnfFormula, advice: str | tuple[int, ...],
 def siac_run(formula: CnfFormula, advice: str | tuple[int, ...], w: int,
              s: int = 1) -> tuple[sia.SiaOutcome, dict[int, int]]:
     """Plain composition of the blocks (no pebbling); returns the outcome and
-    the full assignment observed along the way."""
+    the full assignment observed along the way. A cell holds 0 for a variable
+    its block left unset, so the assignment comes from replaying each block's
+    `_SiaCore.step` calls on the block's input cell."""
     padded, blocks, advice, core = sia._block_setup(formula, advice, w, s)
-    cell = sia.Cell.zero(w)
+    flag = (sia.FLAG_CONTRADICTION if padded.has_empty_clause
+            else sia.FLAG_SATISFIED if core.target == 0 else sia.FLAG_ALIVE)
+    cell = replace(sia.Cell.zero(w), flag=flag)   # what block 1 reads
     assignment: dict[int, int] = {}
     at_variable = None
     for block_index in range(1, blocks + 1):
-        cell, info = sia.siab_block(padded, block_index, w, cell, advice, s,
-                                    core=core, with_info=True)
-        for var, val in info.assigned:
-            if var <= formula.num_vars:
-                assignment[var] = val
-        if info.at_variable is not None and at_variable is None:
-            at_variable = info.at_variable
+        if cell.flag == sia.FLAG_ALIVE:
+            first = (block_index - 1) * w + 1
+            window = {first - w + i: v for i, v in enumerate(cell.block) if first - w + i >= 1}
+            cursor, sat_count = cell.cursor, cell.sat_count
+            for var in range(first, first + w):
+                cursor, sat_count, step_flag = core.step(window, var, advice, cursor, sat_count)
+                if step_flag == sia.FLAG_OUT_OF_ADVICE:
+                    at_variable = var
+                    break
+                if var <= formula.num_vars:
+                    assignment[var] = window[var]
+                if step_flag != sia.FLAG_ALIVE:
+                    break
+        cell = sia.siab_block(padded, block_index, w, cell, advice, s, core=core)
     return sia._outcome(cell.flag, cell.cursor, at_variable), assignment
 
 

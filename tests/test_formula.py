@@ -20,6 +20,7 @@ from reference import (
     PartialAssignment,
     Predicate,
     bounded_width_cnf,
+    engine_state_at,
     evaluate_predicate,
     lit_satisfied,
     pure_literal_rule,
@@ -435,17 +436,12 @@ def test_engine_verdicts_equal_oracle_on_random_states():
     for _ in range(60):
         f, pairs = _random_restriction(rng)
         s = rng.choice((1, 2, 3))
-        config = treesearch.EngineConfig(kind=treesearch.DNCPPSZ,
-                                         reduction_rules=("sImplication",),
-                                         s=s).validated(f)
-        state = treesearch._EngineState(f, config)
-        oracle = OracleEngineState(f, config)
         extra = rng.choice([v for v in range(1, f.num_vars + 1) if v not in pairs])
-        for var, value in [*pairs.items(), (extra, rng.randint(0, 1))]:
-            state.assign(var, value)
-            oracle.assign(var, value)
-        state.undo()   # the last assignment is taken back again
-        oracle.undo()
+        assignments = [*pairs.items(), (extra, rng.randint(0, 1))]
+        state = engine_state_at(f, assignments)
+        oracle = engine_state_at(f, assignments, OracleEngineState)
+        state.restore(len(pairs))   # the last assignment is taken back again
+        oracle.restore(len(pairs))
         for var in range(1, f.num_vars + 1):
             if var not in pairs:
                 assert state.s_implication(var, s) == oracle.s_implication(var, s)

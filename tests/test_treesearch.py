@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -6,7 +7,7 @@ import re
 import pytest
 
 from hybridts import treesearch
-from hybridts.formula import CnfFormula, SImplication, s_implication
+from hybridts.formula import UNSET, CnfFormula, SImplication, s_implication
 from hybridts.generators import brute_force_satisfiable, random_kcnf, unique_sat_3cnf
 from hybridts.latticesat import lattice_to_cnf, reduce_3sat_to_lattice
 from hybridts.treesearch import (
@@ -30,10 +31,13 @@ from reference import (
     ch1,
     ch2,
     ch_no,
+    engine_state_at,
     estimate_permutation_guess_bound,
     evaluate_predicate,
+    find_unit,
     min_guesses_to_solution,
     reference_nodes,
+    unit_variables,
 )
 
 F = CnfFormula.from_clauses
@@ -157,6 +161,106 @@ def test_mask_engine_equals_counting_engine(monkeypatch):
     assert _search_outcomes(cases) == got
 
 
+def _mixed_width_formula(rng, n, width):
+    # Mostly clauses of the top width, so that shorter ones are padded when
+    # it is 4 or 5; a width-1 clause is a unit clause at the root.
+    clauses = []
+    for _ in range(round(rng.uniform(1.0, 5.0) * n)):
+        k = width if rng.random() < 0.7 else rng.randint(1, width)
+        picked = rng.sample(range(1, n + 1), min(k, n))
+        clauses.append([v if rng.random() < 0.5 else -v for v in picked])
+    return F(n, clauses)
+
+
+def test_unit_variables_equal_the_full_scan_at_every_node(monkeypatch):
+    # At each vertex that a DPLL search leaves for a child, `chain` pushes the
+    # vertex's masks and the child's (var, value) onto the trail. There the
+    # free bits of `unit_vars` must be the variables of the unit clauses, as
+    # `unit_variables` scans them, and a unit move must be `find_unit`'s.
+    seen = collections.Counter()
+
+    class Trail(list):
+        def __init__(self, state):
+            super().__init__()
+            self.state = state
+
+        def append(self, entry):
+            self.state.check(entry)
+            super().append(entry)
+
+    class Watched(treesearch._EngineState):
+        def __init__(self, formula, config):
+            super().__init__(formula, config)
+            self.trail = Trail(self)
+            self.pure_hit = None
+
+        def find_pure(self):
+            self.pure_hit = super().find_pure()
+            return self.pure_hit
+
+        def check(self, entry):
+            var, value, sat, levels, free, unit_vars, _ = entry
+            pure_hit, self.pure_hit = self.pure_hit, None
+            assert unit_vars & free == unit_variables(self, sat, levels, free)
+            if self.config.reduction_rules.index("unit") > 0 and pure_hit is not None:
+                return   # the pure-literal rule fired before the unit rule ran
+            scan = find_unit(self, sat, levels, free)
+            if scan is None:
+                seen["no unit"] += 1
+            else:
+                assert (var, value) == scan
+                seen["unit"] += 1
+                seen["unit at the root"] += not self.trail
+            seen[max(map(len, self.clause_lits)), self.config.reduction_rules] += 1
+
+    monkeypatch.setattr(treesearch, "_EngineState", Watched)
+    rng = random.Random(29)
+    orders = [("unit",), EngineConfig().reduction_rules, ("pureLiteral", "unit")]
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        f = _mixed_width_formula(rng, n, rng.randint(1, 5))
+        configs = [EngineConfig(kind=DPLL, reduction_rules=rules) for rules in orders]
+        if n <= 7:
+            configs.append(EngineConfig(kind=DPLL, reduction_rules=("unit", "sImplication"), s=2))
+        for config in configs:
+            tree_stats(f, config)
+            dpll_solve(f, config)
+    assert seen["unit"] and seen["no unit"] and seen["unit at the root"]
+    for width in range(1, 6):
+        for rules in [*orders, ("unit", "sImplication")]:
+            assert seen[width, rules], (width, rules)
+
+
+def test_restore_after_forced_chains_equals_a_fresh_state():
+    # Down a random path of chains, several of them multi-step, then back to
+    # each depth of it: the restriction's masks and `values` equal those of a
+    # fresh state that assigns the same prefix, and the DPLL rules' variable
+    # masks are the ones the vertex had when the path left it.
+    rng = random.Random(30)
+    long_chains = 0
+    for _ in range(60):
+        n = rng.randint(3, 10)
+        f = _mixed_width_formula(rng, n, rng.randint(1, 5))
+        for rules in (EngineConfig().reduction_rules, ("unit",), ("pureLiteral", "unit")):
+            state = treesearch._EngineState(f, EngineConfig(kind=DPLL, reduction_rules=rules)
+                                            .validated(f))
+            guess = state.chain(None, None)
+            long_chains += len(state.trail) > 1
+            while guess is not None:
+                depth = len(state.trail)
+                guess = state.chain(guess, rng.randint(0, 1))
+                long_chains += len(state.trail) > depth + 1
+            path = list(state.trail)
+            for depth in sorted(rng.sample(range(len(path)), min(3, len(path))), reverse=True):
+                state.restore(depth)
+                fresh = engine_state_at(f, [entry[:2] for entry in path[:depth]])
+                assert len(state.trail) == depth and state.values == fresh.values
+                assert (state.sat, state.levels, state.free) == (fresh.sat, fresh.levels,
+                                                                 fresh.free)
+                assert (state.unit_vars, state.maybe_pure) == path[depth][5:]
+    assert long_chains > 100
+
+
 def test_engine_leaves_a_formula_with_an_empty_clause_at_the_root():
     # The restriction holds an empty clause, so the root is contradicted, as
     # the reference predicate says.
@@ -212,9 +316,7 @@ def test_s2_verdict_from_masks_equals_the_kernel_at_every_node(monkeypatch):
 
 
 def _s2_verdict(f, assignments, var):
-    state = treesearch._EngineState(f, dnc_config(f, s=2))
-    for v, value in assignments:
-        state.assign(v, value)
+    state = engine_state_at(f, assignments)
     verdict = state.s_implication(var, 2)
     assert verdict == s_implication(var, 2, state.occ.__getitem__, state.restricted)
     return verdict
@@ -499,19 +601,20 @@ def test_dnc_ignores_dpll_rules_and_keeps_no_pure_literal_counters(monkeypatch):
     f = F(3, [[1, 2], [-2, 3]])
     dpll = treesearch._EngineState(f, EngineConfig(kind=DPLL).validated(f))
     state = treesearch._EngineState(f, EngineConfig(kind=DNCPPSZ).validated(f))
-    assert not state.track_pure and state.maybe_pure == 0
-    for engine in (dpll, state):
-        engine.assign(1, 1)   # satisfies [1, 2]: 2 may now be pure
-    assert dpll.maybe_pure & dpll.rank_bit[2]
-    assert state.maybe_pure == 0
-    state.assign(2, 1)   # leaves [-2, 3] unit: DPLL's unit rule would find it
-    assert state.maybe_pure == 0 and state.find_unit() == (3, 1)
+    assert state.touch is None and not state.track_unit
+    # 1 = 1 satisfies [1, 2], so 2 is pure: DPLL's pure-literal rule sets it.
+    assert dpll.chain(1, 1) is None and dpll.values == [UNSET, 1, 0, UNSET]
+    assert state.chain(1, 1) == 2 and state.maybe_pure == 0
+    # 2 = 1 leaves [-2, 3] unit: dncPPSZ forces 3 by s-implication, and keeps
+    # no unit candidates for DPLL's unit rule.
+    assert state.chain(2, 1) is None and state.values == [UNSET, 1, 1, 1]
+    assert state.unit_vars == state.maybe_pure == 0
 
     def consulted(self):
         raise AssertionError("dncPPSZ consulted a DPLL rule")
 
-    monkeypatch.setattr(treesearch._EngineState, "find_unit", consulted)
     monkeypatch.setattr(treesearch._EngineState, "find_pure", consulted)
+    monkeypatch.setattr(treesearch._EngineState, "find_implied", consulted)
     for f, config in cases:
         tree_stats(f, config)
 
